@@ -20,10 +20,6 @@ class NonFiniteError(ArithmeticError):
     """A primitive produced NaN or Inf."""
 
 
-class TapeConsumedError(RuntimeError):
-    """backward() called twice on a consume-once tape."""
-
-
 _TAPE_STACK: list["Tape"] = []
 
 
@@ -36,10 +32,8 @@ def _active_tape() -> "Tape":
 class Tape:
     """Ordered record of primitive nodes; creation order is topological."""
 
-    def __init__(self, consume_once: bool = False):
+    def __init__(self):
         self.nodes: list[Tensor] = []
-        self.consume_once = consume_once
-        self._consumed = False
         self.root_param: Tensor | None = None
         self.output: Tensor | None = None
 
@@ -114,9 +108,6 @@ class Tensor:
 def leaf(data, requires_grad: bool = False) -> Tensor:
     return Tensor(data, requires_grad=requires_grad, op="input")
 
-
-def is_tensor(x) -> bool:
-    return isinstance(x, Tensor)
 
 def val(x):
     """Raw ndarray view of a Tensor (or pass an ndarray through)."""
@@ -473,13 +464,13 @@ class ParamVector:
 # forward / backward / hvp / grad_check
 # ---------------------------------------------------------------------------
 
-def forward(graph, params: ParamVector, x, consume_once: bool = False):
+def forward(graph, params: ParamVector, x):
     """Run `graph(views, x)` under a fresh tape.
 
     `graph` is a callable taking a dict of named parameter Tensors and an
     input array; it returns the output Tensor (usually a scalar loss).
     """
-    tape = Tape(consume_once=consume_once)
+    tape = Tape()
     with tape:
         w = leaf(params.flat, requires_grad=True)
         out = graph(params.views(w), x)
@@ -511,10 +502,6 @@ def grad_nodes(output: Tensor, tape: Tape, inputs: list[Tensor], seed=None) -> l
 
 def backward(tape: Tape, seed=None) -> np.ndarray:
     """Gradient of the tape's output w.r.t. its flat parameter vector."""
-    if tape.consume_once:
-        if tape._consumed:
-            raise TapeConsumedError("tape already consumed")
-        tape._consumed = True
     (g,) = grad_nodes(tape.output, tape, [tape.root_param], seed=seed)
     if g is None:
         return np.zeros_like(tape.root_param.data)

@@ -14,7 +14,6 @@ import numpy as np
 from . import autodiff as ad
 from . import diagnostics as dg
 from . import harness as hn
-from . import optim as op
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -89,13 +88,11 @@ def cmd_sweep(args) -> int:
 
 def cmd_landscape(args) -> int:
     cfg = _load_config(args)
-    res = hn.run_train(cfg)
+    feats = hn.build_features(cfg)
+    res = hn.run_train(cfg, feats=feats)
     if res.failed:
         return EXIT_NUMERICAL
-    feats = hn.build_features(cfg)
-    problem = (op.LogisticProbeProblem(feats.train, feats.train_labels)
-               if cfg.loss == "bce"
-               else hn.quadratic_surrogate(feats.train, feats.train_labels))
+    problem = hn._make_problem(cfg, feats)
 
     def loss_fn(w):
         return problem.loss_and_grad(w)[0]

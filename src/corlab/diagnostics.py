@@ -4,7 +4,6 @@ and loss-landscape sampling."""
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field, asdict
 
 import numpy as np
@@ -346,26 +345,3 @@ def landscape_to_csv(result: dict, path) -> None:
         for i, a in enumerate(ticks):
             for j, b in enumerate(ticks):
                 fh.write(f"{float(a)!r},{float(b)!r},{float(grid[i, j])!r}\n")
-
-
-def snapshot_json(spec: SpectralEstimate, report: DecompositionReport) -> str:
-    payload = {
-        "step": spec.step,
-        "gsnr": spec.gsnr,
-        "lambda_max": spec.lambda_max,
-        "trace_h": spec.trace_h,
-        "kappa_s": spec.kappa_s,
-        "trace_cov": spec.trace_cov,
-        "grad_norm_sq": spec.grad_norm_sq,
-        "trace_xi": spec.trace_xi,
-        "cor_bound": spec.cor_bound,
-        "decomposition": {
-            "geometric": report.geometric,
-            "misspec": report.misspecification,
-            "statistical": report.statistical,
-            "lhs": report.lhs,
-            "rhs": report.rhs,
-            "rel_gap": report.rel_gap,
-        },
-    }
-    return json.dumps(payload)

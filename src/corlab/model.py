@@ -1,7 +1,8 @@
-"""Frozen toy transformer encoder plus trainable probe heads.
+"""Frozen toy transformer encoder plus the feature heads read by probes.
 
 The encoder is a seeded pre-norm transformer whose parameters never
-receive gradients; trainable state lives exclusively in the probe head.
+receive gradients; trainable state lives exclusively in the linear probe
+over its features (`corlab.optim`).
 The block forward is written against the generic array API in
 `corlab.autodiff`, so the same code runs in fast numpy mode (batched over
 samples) and in graph mode for differentiability tests.
@@ -11,17 +12,13 @@ Token layout is always [CLS | R_1..R_K | V_1..V_N].
 
 from __future__ import annotations
 
-import json
-import struct
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import autodiff as ad
 from . import regions as rg
 
-ENCODER_MAGIC = b"CLBENC1\x00"
-ENCODER_VERSION = 1
 LN_EPS = 1e-5
 
 
@@ -63,13 +60,6 @@ class TokenSequence:
     def cls(self) -> np.ndarray:
         return self.tokens[..., 0, :]
 
-    @property
-    def regions(self) -> np.ndarray:
-        return self.tokens[..., 1:1 + self.n_regions, :]
-
-    @property
-    def visuals(self) -> np.ndarray:
-        return self.tokens[..., 1 + self.n_regions:, :]
 
 
 @dataclass
@@ -102,15 +92,6 @@ class FrozenEncoder:
             p[f"l{l}.w2"] = rng.normal(scale=1.0 / np.sqrt(4 * cfg.dim),
                                        size=(4 * cfg.dim, cfg.dim))
         return p
-
-    def param_hash(self) -> int:
-        import hashlib
-
-        h = hashlib.sha256()
-        for k in sorted(self.params):
-            h.update(k.encode())
-            h.update(self.params[k].tobytes())
-        return int.from_bytes(h.digest()[:8], "big")
 
     # -- block forward (generic over Tensor / ndarray) ---------------------
 
@@ -238,50 +219,6 @@ class FrozenEncoder:
         return CoritTrace(orig_states, cpart_states, cgp_fields,
                           mask_layers, region_layers)
 
-    # -- serialization -------------------------------------------------------
-
-    def save(self, path) -> None:
-        cfg_json = json.dumps(asdict(self.config)).encode()
-        with open(path, "wb") as fh:
-            fh.write(ENCODER_MAGIC)
-            fh.write(struct.pack("<I", ENCODER_VERSION))
-            fh.write(struct.pack("<I", len(cfg_json)))
-            fh.write(cfg_json)
-            for k in sorted(self.params):
-                kb = k.encode()
-                arr = self.params[k]
-                shape = arr.shape
-                fh.write(struct.pack("<I", len(kb)))
-                fh.write(kb)
-                fh.write(struct.pack("<I", len(shape)))
-                fh.write(struct.pack(f"<{len(shape)}q", *shape))
-                fh.write(arr.astype("<f8").tobytes())
-
-    @classmethod
-    def load(cls, path) -> "FrozenEncoder":
-        with open(path, "rb") as fh:
-            if fh.read(len(ENCODER_MAGIC)) != ENCODER_MAGIC:
-                raise ValueError("bad magic")
-            (version,) = struct.unpack("<I", fh.read(4))
-            if version != ENCODER_VERSION:
-                raise ValueError(f"unsupported version {version}")
-            (n,) = struct.unpack("<I", fh.read(4))
-            cfg_d = json.loads(fh.read(n).decode())
-            cfg_d["bias_channels"] = tuple(cfg_d["bias_channels"])
-            config = EncoderConfig(**cfg_d)
-            params = {}
-            while True:
-                head = fh.read(4)
-                if not head:
-                    break
-                (klen,) = struct.unpack("<I", head)
-                key = fh.read(klen).decode()
-                (ndim,) = struct.unpack("<I", fh.read(4))
-                shape = struct.unpack(f"<{ndim}q", fh.read(8 * ndim))
-                count = int(np.prod(shape)) if shape else 1
-                params[key] = np.frombuffer(fh.read(8 * count), dtype="<f8").reshape(shape).copy()
-        return cls(config, params)
-
 
 # ---------------------------------------------------------------------------
 # feature heads
@@ -304,24 +241,3 @@ def hri_fuse(states: list[TokenSequence], l_mid: int) -> np.ndarray:
 def plain_feature(states: list[TokenSequence]) -> np.ndarray:
     """Final-layer CLS token, the linear-probing baseline feature."""
     return states[-1].cls
-
-
-@dataclass
-class ProbeHead:
-    weight: np.ndarray  # (feature_dim,)
-    bias: float = 0.0
-
-    @classmethod
-    def zeros(cls, feature_dim: int) -> "ProbeHead":
-        return cls(np.zeros(feature_dim), 0.0)
-
-    def param_vector(self) -> ad.ParamVector:
-        return ad.ParamVector({"weight": self.weight, "bias": np.asarray(self.bias)})
-
-
-def classify(head: ProbeHead, feature: np.ndarray) -> np.ndarray:
-    """Logit(s) of the linear head; feature may carry a sample axis."""
-    feature = np.asarray(feature, dtype=np.float64)
-    if feature.shape[-1] != head.weight.shape[0]:
-        raise ValueError(f"feature dim {feature.shape[-1]} != head dim {head.weight.shape[0]}")
-    return feature @ head.weight + head.bias

@@ -1,11 +1,10 @@
-"""SGD and SAM over trainable probe parameters, plus the geometric
-stability probe for the expected inner product between the population
-gradient and the perturbed mini-batch gradient."""
+"""SGD and SAM over trainable probe parameters, the one SAM training loop
+(`run`), plus the geometric stability probe for the expected inner product
+between the population gradient and the perturbed mini-batch gradient."""
 
 from __future__ import annotations
 
-import csv
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -32,21 +31,8 @@ class StepRecord:
     step: int
     loss: float
     grad_norm: float
-    pop_grad_norm: float | None = None
-    inner_product: float | None = None
     rho: float = 0.0
     failed: bool = False
-
-
-def records_to_csv(records: list[StepRecord], path) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        w = csv.writer(fh, lineterminator="\n")
-        w.writerow(["step", "loss", "grad_norm", "pop_grad_norm", "inner_product", "rho"])
-        for r in records:
-            w.writerow([r.step, repr(r.loss), repr(r.grad_norm),
-                        "" if r.pop_grad_norm is None else repr(r.pop_grad_norm),
-                        "" if r.inner_product is None else repr(r.inner_product),
-                        repr(r.rho)])
 
 
 # ---------------------------------------------------------------------------
@@ -107,10 +93,6 @@ class LogisticProbeProblem:
         s = p * (1.0 - p)
         aug = np.concatenate([self.features, np.ones((self.n_samples, 1))], axis=1)
         return (aug * s[:, None]).T @ aug / self.n_samples
-
-    def logits(self, w: np.ndarray, features=None) -> np.ndarray:
-        F = self.features if features is None else np.asarray(features)
-        return F @ w[:-1] + w[-1]
 
 
 class QuadraticProblem:
@@ -205,36 +187,30 @@ class BatchSampler:
         return out
 
 
-@dataclass
-class RunResult:
-    weights: np.ndarray
-    records: list[StepRecord]
-    failed: bool = False
+def run(problem, config: SamConfig, observe=None) -> tuple[np.ndarray, int | None]:
+    """Deterministic SAM training run from `problem.init_params()`; the
+    only training loop.  rho = 0 reproduces SGD bit-exactly.
 
-
-def run(problem, config: SamConfig, w0: np.ndarray | None = None,
-        record_population: bool = False,
-        step_callback=None) -> RunResult:
-    """Deterministic training run; rho = 0 reproduces SGD bit-exactly."""
-    w = problem.init_params() if w0 is None else np.asarray(w0, dtype=np.float64).copy()
-    sampler = BatchSampler(problem.n_samples, config.batch_size, config.seed)
-    records: list[StepRecord] = []
+    Batches come from a seeded `BatchSampler` when `config.batch_size` is
+    below the sample count, otherwise every step uses the full batch.
+    `observe(t, w, rec)`, if given, sees each step's pre-step weights and
+    record, the failing step included.  A non-finite step ends the run.
+    Returns the last valid weights and the failed step (None on success).
+    """
+    n = problem.n_samples
+    sampler = BatchSampler(n, config.batch_size, config.seed) if config.batch_size < n else None
+    w = problem.init_params()
     for t in range(config.steps):
-        batch = sampler.next_batch()
+        batch = None if sampler is None else sampler.next_batch()
+        # looked up at call time, so a wrapper set on this module sees every step
         w_new, rec = sam_step(problem, w, batch, config.learning_rate, config.rho)
         rec.step = t
-        if record_population and not rec.failed:
-            _, pop_g = problem.loss_and_grad(w)
-            rec.pop_grad_norm = float(np.linalg.norm(pop_g))
-            g_tilde = (w - w_new) / config.learning_rate
-            rec.inner_product = float(pop_g @ g_tilde)
-        records.append(rec)
+        if observe is not None:
+            observe(t, w, rec)
         if rec.failed:
-            return RunResult(w, records, failed=True)
+            return w, t
         w = w_new
-        if step_callback is not None:
-            step_callback(t, w, rec)
-    return RunResult(w, records)
+    return w, None
 
 
 def stability_probe(problem, w: np.ndarray, rho: float, n_batches: int,

@@ -127,13 +127,3 @@ def layer_region_state(cgp: np.ndarray, visuals: np.ndarray,
         masks.append(m)
         pooled.append(pool(visuals, m, epsilon))
     return LayerRegionState(np.array(masks), np.array(pooled), anchors)
-
-
-def masks_to_csv(per_layer_masks: list[np.ndarray], path) -> None:
-    """Dump masks as CSV rows (layer, region, token_index, bit)."""
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("layer,region,token_index,bit\n")
-        for l, masks in enumerate(per_layer_masks):
-            for k in range(masks.shape[0]):
-                for i in range(masks.shape[1]):
-                    fh.write(f"{l},{k},{i},{int(masks[k, i])}\n")

@@ -4,14 +4,11 @@ in for image-level self-blending."""
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import regions as rg
-
-DATASET_MAGIC = b"CLBDAT1\x00"
 
 
 def _region_indices(label: str, n_tokens: int) -> tuple[int, ...]:
@@ -154,10 +151,6 @@ class CounterpartOp:
         return tokens + self.perturb_amp * self.pattern(n, d)
 
 
-def counterpart(sample_tokens: np.ndarray, op: CounterpartOp) -> np.ndarray:
-    return op.apply(sample_tokens)
-
-
 def expected_gsnr(spec: TaskSpec, n_samples: int = 10_000, seed: int = 1234,
                   batch_size: int = 1) -> float:
     """Monte-Carlo GSNR of a zero-initialized linear probe on raw tokens.
@@ -178,43 +171,3 @@ def expected_gsnr(spec: TaskSpec, n_samples: int = 10_000, seed: int = 1234,
     resid = (0.5 - labels)[:, None]
     grads = np.concatenate([resid * feats, resid], axis=1)
     return dg.gsnr(grads, batch_size=batch_size)
-
-
-# ---------------------------------------------------------------------------
-# serialization
-# ---------------------------------------------------------------------------
-
-def save_dataset(ds: Dataset, path) -> None:
-    header = json.dumps({"spec": asdict(ds.spec), "split": ds.split,
-                         "n": len(ds)}).encode()
-    with open(path, "wb") as fh:
-        fh.write(DATASET_MAGIC)
-        fh.write(len(header).to_bytes(4, "little"))
-        fh.write(header)
-        fh.write(ds.tokens.astype("<f8").tobytes())
-        fh.write(ds.labels.astype(np.uint8).tobytes())
-
-
-def load_dataset(path) -> Dataset:
-    with open(path, "rb") as fh:
-        if fh.read(len(DATASET_MAGIC)) != DATASET_MAGIC:
-            raise ValueError("bad magic")
-        n = int.from_bytes(fh.read(4), "little")
-        meta = json.loads(fh.read(n).decode())
-        spec_d = meta["spec"]
-        spec_d["artifact_channels"] = tuple(spec_d["artifact_channels"])
-        spec = TaskSpec(**spec_d)
-        count = meta["n"]
-        body = np.frombuffer(fh.read(8 * count * spec.n_tokens * spec.dim),
-                             dtype="<f8").reshape(count, spec.n_tokens, spec.dim).copy()
-        labels = np.frombuffer(fh.read(count), dtype=np.uint8).copy()
-    return Dataset(spec, meta["split"], body, labels)
-
-
-def dump_csv(ds: Dataset, path) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("sample,label," + ",".join(
-            f"t{t}c{c}" for t in range(ds.spec.n_tokens) for c in range(ds.spec.dim)) + "\n")
-        for i in range(len(ds)):
-            row = ",".join(repr(float(v)) for v in ds.tokens[i].ravel())
-            fh.write(f"{i},{int(ds.labels[i])},{row}\n")

@@ -93,12 +93,12 @@ def test_zero_radius_is_bit_identical_to_sgd():
             B = rng.normal(size=(5, 5))
             prob = op.QuadraticProblem(B @ B.T + np.eye(5),
                                        rng.normal(size=(24, 5)))
-        res = op.run(prob, cfg)
+        w_sam, _ = op.run(prob, cfg)
         sampler = op.BatchSampler(prob.n_samples, cfg.batch_size, cfg.seed)
         w = prob.init_params()
         for _ in range(cfg.steps):
             w, _ = op.sgd_step(prob, w, sampler.next_batch(), cfg.learning_rate)
-        assert np.array_equal(res.weights, w)
+        assert np.array_equal(w_sam, w)
 
 
 # ---------------------------------------------------------------------------
@@ -153,10 +153,10 @@ def _empirical_boundary(cfg):
     """Bisect the smallest radius whose deterministic run collapses."""
     feats = hn.build_features(cfg)
     problem = hn._make_problem(cfg, feats)
-    lr = hn._effective_lr(cfg, problem)
+    ocfg = replace(cfg.optimizer, learning_rate=hn._effective_lr(cfg, problem))
 
     def collapses(rho):
-        win, _, _ = hn._collapse_stat(problem, feats, cfg.optimizer, lr, rho)
+        win, _, _ = hn._collapse_stat(problem, feats, replace(ocfg, rho=rho))
         return win < COLLAPSE_WINDOW
 
     lo, hi = 0.0, 1e-3

@@ -210,17 +210,6 @@ def test_non_finite_output_raises_immediately():
             ad.leaf(np.array([np.nan]))
 
 
-def test_consume_once_tape_raises_on_second_backward():
-    def graph(views, data):
-        return ad.sum_(ad.mul(views["w"], views["w"]))
-
-    pv = ad.ParamVector({"w": np.ones(2)})
-    out, tape = ad.forward(graph, pv, None, consume_once=True)
-    ad.backward(tape)
-    with pytest.raises(ad.TapeConsumedError):
-        ad.backward(tape)
-
-
 def test_graph_outside_tape_raises():
     with pytest.raises(RuntimeError):
         ad.leaf(np.ones(2))

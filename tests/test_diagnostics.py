@@ -2,8 +2,6 @@
 stability-bound factorization, trajectory minima, phase segmentation, and
 landscape sampling."""
 
-import json
-
 import numpy as np
 import pytest
 
@@ -234,7 +232,7 @@ def test_landscape_flags_non_finite_cells():
     assert np.isnan(out["grid"]).sum() == len(out["non_finite_cells"])
 
 
-def test_landscape_to_csv_and_snapshot_json(tmp_path):
+def test_landscape_to_csv(tmp_path):
     out = dg.landscape_sample(lambda w: float(w @ w), np.ones(2),
                               [slice(0, 2)], resolution=3)
     path = tmp_path / "grid.csv"
@@ -244,8 +242,3 @@ def test_landscape_to_csv_and_snapshot_json(tmp_path):
     assert len(lines) == 10
     x, y, loss = (float(t) for t in lines[1].split(","))
     assert loss == out["grid"][0, 0]
-
-    est = dg.SpectralEstimate(2.0, 6.0, 4.0, 9.0, step=3)
-    payload = json.loads(dg.snapshot_json(est, dg.verify_decomposition(est)))
-    assert payload["step"] == 3
-    assert payload["decomposition"]["rel_gap"] < 1e-9

@@ -12,6 +12,7 @@ import pytest
 from corlab import harness as hn
 from corlab import model as md
 from corlab import optim as op
+from corlab import softmaxreg as sr
 from corlab import tasks as tk
 
 
@@ -59,14 +60,6 @@ def test_auc_input_validation():
         hn.compute_auc([0.1, 0.2], [1, 1])
     with pytest.raises(ValueError):
         hn.compute_auc([[0.1], [0.2]], [0, 1])
-
-
-def test_relative_auc():
-    assert hn.relative_auc(0.8, 0.72) == pytest.approx(-0.1)
-    assert hn.relative_auc(0.5, 0.5) == 0.0
-    assert hn.relative_auc(0.5, 0.55) == pytest.approx(0.1)
-    with pytest.raises(ValueError):
-        hn.relative_auc(0.0, 0.5)
 
 
 # -- config ----------------------------------------------------------------------
@@ -199,6 +192,15 @@ def test_run_train_bifurcation_collapse_and_recovery():
     assert not lo.collapsed and lo.train_auc_window > 0.9
     assert lo.test_auc > 0.85
 
+    # the sweep's collapse probe runs the same loop: on either side of the
+    # boundary it reports exactly run_train's window, train and test AUC
+    problem = hn._make_problem(cfg, feats)
+    ocfg = replace(cfg.optimizer, learning_rate=hn._effective_lr(cfg, problem))
+    for res in (hi, lo):
+        rho = res.config.optimizer.rho
+        assert hn._collapse_stat(problem, feats, replace(ocfg, rho=rho)) == (
+            res.train_auc_window, res.train_auc, res.test_auc)
+
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_run_train_failure_is_reported_not_raised():
@@ -234,11 +236,11 @@ def test_sweep_rho_brackets_the_collapse_boundary():
     # the bisected boundary separates collapse from recovery
     feats = hn.build_features(cfg)
     problem = hn._make_problem(cfg, feats)
-    lr = hn._effective_lr(cfg, problem)
-    below, _, _ = hn._collapse_stat(problem, feats, cfg.optimizer, lr,
-                                    0.8 * res.empirical_cor)
-    above, _, _ = hn._collapse_stat(problem, feats, cfg.optimizer, lr,
-                                    1.2 * res.empirical_cor)
+    ocfg = replace(cfg.optimizer, learning_rate=hn._effective_lr(cfg, problem))
+    below, _, _ = hn._collapse_stat(problem, feats,
+                                    replace(ocfg, rho=0.8 * res.empirical_cor))
+    above, _, _ = hn._collapse_stat(problem, feats,
+                                    replace(ocfg, rho=1.2 * res.empirical_cor))
     assert below >= 0.55 and above < 0.55
 
 
@@ -269,6 +271,22 @@ def test_verify_theorem_campaign_small():
     assert report.failures == []
     with pytest.raises(ValueError):
         hn.verify_theorem_campaign(0)
+
+
+def test_verify_theorem_campaign_fails_a_wrong_hessian(monkeypatch):
+    # the factorization closes for any Hessian; only the direct residual
+    # trace ties tr H to the model
+    dense_hessian = sr.SoftmaxRegression.dense_hessian
+
+    def planted(self):
+        H = dense_hessian(self)
+        return 3.0 * H + 0.1 * np.eye(H.shape[0])
+
+    monkeypatch.setattr(sr.SoftmaxRegression, "dense_hessian", planted)
+    report = hn.verify_theorem_campaign(10, seed=1)
+    assert not report.passed
+    assert report.n_passed == 0
+    assert all(f["xi_rel_gap"] > 1e-6 for f in report.failures)
 
 
 def test_corit_vs_baseline_report_structure():

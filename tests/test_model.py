@@ -1,5 +1,5 @@
-"""Frozen encoder checks: determinism, serialization, the channel
-attenuation switch, the paired-stream forward, and the feature heads."""
+"""Frozen encoder checks: determinism, the channel attenuation switch, the
+paired-stream forward, and the feature heads."""
 
 import numpy as np
 import pytest
@@ -17,12 +17,17 @@ def sample_tokens(seed=0, n=2):
     return rng.normal(size=(n, CFG.visual_tokens, CFG.dim))
 
 
+def same_params(a, b):
+    return a.params.keys() == b.params.keys() and all(
+        np.array_equal(a.params[k], b.params[k]) for k in a.params)
+
+
 def test_encoder_is_deterministic_per_seed():
     a = md.FrozenEncoder(CFG)
     b = md.FrozenEncoder(CFG)
-    assert a.param_hash() == b.param_hash()
+    assert same_params(a, b)
     c = md.FrozenEncoder(md.EncoderConfig(layers=3, dim=16, heads=4, seed=99))
-    assert a.param_hash() != c.param_hash()
+    assert not same_params(a, c)
     x = sample_tokens()
     out_a = md.plain_feature(a.encode_plain(x))
     out_b = md.plain_feature(b.encode_plain(x))
@@ -47,22 +52,6 @@ def test_encode_plain_shapes_and_unbatched_input():
         enc.encode_plain(np.full_like(x, np.nan))
 
 
-def test_save_load_round_trip_is_exact(tmp_path):
-    enc = md.FrozenEncoder(CFG)
-    path = tmp_path / "enc.bin"
-    enc.save(path)
-    back = md.FrozenEncoder.load(path)
-    assert back.config == CFG
-    assert back.param_hash() == enc.param_hash()
-    x = sample_tokens()
-    assert np.array_equal(md.plain_feature(back.encode_plain(x)),
-                          md.plain_feature(enc.encode_plain(x)))
-    bad = tmp_path / "bad.bin"
-    bad.write_bytes(b"XXXXXXXX")
-    with pytest.raises(ValueError):
-        md.FrozenEncoder.load(bad)
-
-
 def test_channel_attenuation_suppresses_designated_channels():
     bias_cfg = md.EncoderConfig(layers=3, dim=16, heads=4, semantic_bias=True,
                                 bias_channels=(12, 13, 14, 15),
@@ -70,7 +59,7 @@ def test_channel_attenuation_suppresses_designated_channels():
     plain_cfg = md.EncoderConfig(layers=3, dim=16, heads=4)
     enc_b = md.FrozenEncoder(bias_cfg)
     enc_p = md.FrozenEncoder(plain_cfg)
-    assert enc_b.param_hash() == enc_p.param_hash()  # same weights, new switch
+    assert same_params(enc_b, enc_p)  # same weights, new switch
     x = sample_tokens(n=8)
     out_b = enc_b.encode_plain(x)[-1].tokens
     out_p = enc_p.encode_plain(x)[-1].tokens
@@ -163,12 +152,3 @@ def test_plain_feature_is_final_cls():
     x = sample_tokens(n=2)
     states = enc.encode_plain(x)
     assert np.array_equal(md.plain_feature(states), states[-1].tokens[:, 0, :])
-
-
-def test_probe_head_classify():
-    head = md.ProbeHead(np.array([1.0, -2.0]), bias=0.5)
-    feats = np.array([[1.0, 1.0], [2.0, 0.0]])
-    assert np.allclose(md.classify(head, feats), [-0.5, 2.5])
-    assert md.ProbeHead.zeros(3).param_vector().dim == 4
-    with pytest.raises(ValueError):
-        md.classify(head, np.ones((2, 5)))

@@ -112,13 +112,13 @@ def test_sam_step_zero_gradient_degenerates_to_sgd():
 def test_rho_zero_run_is_bit_identical_to_sgd():
     prob = small_logistic()
     cfg = op.SamConfig(rho=0.0, learning_rate=0.05, batch_size=4, steps=50, seed=5)
-    res_sam = op.run(prob, cfg)
+    w_sam, _ = op.run(prob, cfg)
 
     sampler = op.BatchSampler(prob.n_samples, 4, seed=5)
     w = prob.init_params()
     for _ in range(50):
         w, _ = op.sgd_step(prob, w, sampler.next_batch(), 0.05)
-    assert np.array_equal(res_sam.weights, w)
+    assert np.array_equal(w_sam, w)
 
 
 # -- failure handling ---------------------------------------------------------------
@@ -129,11 +129,12 @@ def test_run_marks_failure_and_keeps_last_valid_weights():
     lam = np.linalg.eigvalsh(prob.A).max()
     cfg = op.SamConfig(rho=0.0, learning_rate=1e12 / lam, batch_size=100,
                        steps=200, seed=0)
-    res = op.run(prob, cfg)
-    assert res.failed
-    assert res.records[-1].failed
-    assert np.all(np.isfinite(res.weights))
-    assert len(res.records) < 200
+    records = []
+    w, failed_step = op.run(prob, cfg, lambda t, w, rec: records.append(rec))
+    assert failed_step is not None
+    assert records[-1].failed and records[-1].step == failed_step
+    assert np.all(np.isfinite(w))
+    assert len(records) < 200
 
 
 # -- batch sampler ---------------------------------------------------------------------
@@ -171,14 +172,3 @@ def test_stability_probe_rejects_degenerate_inputs():
     single = op.LogisticProbeProblem(np.ones((4, 2)), np.ones(4))
     with pytest.raises(ValueError):
         op.stability_probe(single, np.zeros(3), 0.1, n_batches=4, batch_size=2)
-
-
-def test_records_to_csv_round_trip(tmp_path):
-    recs = [op.StepRecord(0, 0.5, 1.25, rho=0.1),
-            op.StepRecord(1, 0.25, 0.5, pop_grad_norm=0.3, inner_product=-0.1)]
-    path = tmp_path / "records.csv"
-    op.records_to_csv(recs, path)
-    lines = path.read_text().splitlines()
-    assert lines[0] == "step,loss,grad_norm,pop_grad_norm,inner_product,rho"
-    assert lines[1].startswith("0,0.5,1.25,,")
-    assert lines[2].split(",")[3] == "0.3"

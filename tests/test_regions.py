@@ -1,5 +1,5 @@
 """Region machinery checks: grid partition layout, discrepancy fields,
-anchors, refinement masks, pooling, and mask dumps."""
+anchors, refinement masks, and pooling."""
 
 import numpy as np
 import pytest
@@ -96,13 +96,3 @@ def test_layer_region_state_assembles_all_regions():
             state.masks[k],
             rg.refine_mask(cgp, rg.anchor(cgp, reg), reg, 0.5))
         assert np.allclose(state.pooled[k], rg.pool(visuals, state.masks[k]))
-
-
-def test_masks_to_csv(tmp_path):
-    masks = [np.array([[1.0, 0.0], [0.0, 1.0]])]
-    path = tmp_path / "masks.csv"
-    rg.masks_to_csv(masks, path)
-    lines = path.read_text().splitlines()
-    assert lines[0] == "layer,region,token_index,bit"
-    assert lines[1] == "0,0,0,1"
-    assert lines[4] == "0,1,1,1"

@@ -1,5 +1,5 @@
 """Synthetic task checks: determinism, balance, pattern structure, the
-counterpart operator, signal-to-noise scaling, and serialization."""
+counterpart operator, and signal-to-noise scaling."""
 
 import numpy as np
 import pytest
@@ -74,7 +74,6 @@ def test_counterpart_operator_adds_fixed_pattern():
     delta = out - x
     assert np.allclose(delta[0], delta[1])
     assert np.isclose(np.linalg.norm(delta[0]), 2.0)
-    assert np.array_equal(tk.counterpart(x, op), out)
     with pytest.raises(ValueError):
         tk.CounterpartOp(perturb_amp=-1.0)
     with pytest.raises(ValueError):
@@ -89,32 +88,3 @@ def test_expected_gsnr_scales_with_squared_amplitude():
     vals = [tk.expected_gsnr(tk.TaskSpec(semantic_amp=a), n_samples=5000)
             for a in amps]
     assert all(b > a for a, b in zip(vals, vals[1:]))
-
-
-def test_dataset_save_load_round_trip(tmp_path):
-    spec = tk.TaskSpec(semantic_amp=1.5, n_train=10, seed=2)
-    ds = tk.generate(spec, "train")
-    path = tmp_path / "ds.bin"
-    tk.save_dataset(ds, path)
-    back = tk.load_dataset(path)
-    assert back.spec == spec
-    assert back.split == "train"
-    assert np.array_equal(back.tokens, ds.tokens)
-    assert np.array_equal(back.labels, ds.labels)
-    with pytest.raises(ValueError):
-        bad = tmp_path / "bad.bin"
-        bad.write_bytes(b"NOTMAGIC" + b"\x00" * 16)
-        tk.load_dataset(bad)
-
-
-def test_dump_csv_layout(tmp_path):
-    spec = tk.TaskSpec(n_tokens=16, dim=2, n_train=3, artifact_channels=())
-    ds = tk.generate(spec, "train")
-    path = tmp_path / "ds.csv"
-    tk.dump_csv(ds, path)
-    lines = path.read_text().splitlines()
-    assert lines[0].startswith("sample,label,t0c0,t0c1,t1c0")
-    assert len(lines) == 4
-    first = lines[1].split(",")
-    assert first[0] == "0" and first[1] == str(int(ds.labels[0]))
-    assert float(first[2]) == ds.tokens[0, 0, 0]
