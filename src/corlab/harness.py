@@ -40,17 +40,12 @@ def compute_auc(scores, labels) -> float:
     n0 = s.size - n1
     if n1 == 0 or n0 == 0:
         raise ValueError("both classes must be present")
-    order = np.argsort(s, kind="mergesort")
-    sv = s[order]
-    ranks = np.empty(s.size)
-    i = 0
-    while i < s.size:
-        j = i
-        while j + 1 < s.size and sv[j + 1] == sv[i]:
-            j += 1
-        ranks[order[i:j + 1]] = 0.5 * (i + j) + 1.0
-        i = j + 1
-    return float((ranks[pos].sum() - n1 * (n1 + 1) / 2.0) / (n1 * n0))
+    # a tie block at sorted positions [lo, hi) shares the rank (lo + hi + 1) / 2
+    sv = np.sort(s)
+    lo = np.searchsorted(sv, s[pos], side="left")
+    hi = np.searchsorted(sv, s[pos], side="right")
+    ranks = (lo + hi + 1) / 2.0
+    return float((ranks.sum() - n1 * (n1 + 1) / 2.0) / (n1 * n0))
 
 
 # ---------------------------------------------------------------------------
@@ -92,8 +87,11 @@ class RunConfig:
             raise ValueError(f"standardize must be one of {STANDARDIZE_MODES}")
         if self.cadence < 1:
             raise ValueError("cadence must be >= 1")
-        if self.lr_relative is not None and self.loss != "quadratic":
-            raise ValueError("lr_relative requires the quadratic loss")
+        if self.lr_relative is not None:
+            if self.loss != "quadratic":
+                raise ValueError("lr_relative requires the quadratic loss")
+            if not (np.isfinite(self.lr_relative) and self.lr_relative > 0):
+                raise ValueError("lr_relative must be finite and positive")
 
     def to_dict(self) -> dict:
         return asdict(self)

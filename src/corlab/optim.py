@@ -8,8 +8,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import autodiff as ad
-
 
 @dataclass(frozen=True)
 class SamConfig:
@@ -20,10 +18,14 @@ class SamConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.rho < 0:
-            raise ValueError("rho must be nonnegative")
-        if self.learning_rate <= 0:
-            raise ValueError("learning_rate must be positive")
+        if not (np.isfinite(self.rho) and self.rho >= 0):
+            raise ValueError("rho must be finite and nonnegative")
+        if not (np.isfinite(self.learning_rate) and self.learning_rate > 0):
+            raise ValueError("learning_rate must be finite and positive")
+        if self.batch_size < 1:
+            raise ValueError("batch_size must be >= 1")
+        if self.steps < 1:
+            raise ValueError("steps must be >= 1")
 
 
 @dataclass
@@ -39,60 +41,44 @@ class StepRecord:
 # problems
 # ---------------------------------------------------------------------------
 
+def _sigmoid(z: np.ndarray) -> np.ndarray:
+    return 0.5 * (1.0 + np.tanh(0.5 * z))
+
+
 class LogisticProbeProblem:
     """Binary cross-entropy of a linear head over fixed features.
 
-    Mini-batch gradients run through the autodiff engine (the same path a
-    generic differentiable program would take); per-sample gradients and
-    the dense Hessian also have closed forms used by the exact-mode
-    diagnostics and cross-checked against the engine in tests.
+    Loss, gradient, per-sample gradients and the dense Hessian are closed
+    forms over the augmented features [F, 1]; tests check them against
+    the autodiff engine.
     """
 
     def __init__(self, features: np.ndarray, labels: np.ndarray):
         self.features = np.asarray(features, dtype=np.float64)
         self.labels = np.asarray(labels, dtype=np.float64)
-        self.n_samples, self.feature_dim = self.features.shape
-        self.dim = self.feature_dim + 1  # weight + bias
+        self.n_samples = self.features.shape[0]
+        self.dim = self.features.shape[1] + 1  # weight + bias
+        self._aug = np.concatenate([self.features, np.ones((self.n_samples, 1))], axis=1)
 
     def init_params(self) -> np.ndarray:
         return np.zeros(self.dim)
 
-    def _graph(self, views, data):
-        F, y = data
-        z = ad.add(ad.matmul(F, ad.reshape(views["w"], (self.feature_dim, 1))),
-                   views["b"])
-        return ad.bce_with_logits(z, y.reshape(-1, 1))
-
-    def _pv(self, w: np.ndarray) -> ad.ParamVector:
-        pv = ad.ParamVector({"w": w[:-1], "b": np.asarray(w[-1])})
-        return pv
+    def _logits(self, w: np.ndarray, idx=slice(None)) -> np.ndarray:
+        return self.features[idx] @ w[:-1] + w[-1]
 
     def loss_and_grad(self, w: np.ndarray, indices=None) -> tuple[float, np.ndarray]:
         idx = slice(None) if indices is None else np.asarray(indices)
-        data = (self.features[idx], self.labels[idx])
-        return ad.loss_and_gradient(self._graph, self._pv(w), data)
-
-    def hvp(self, w: np.ndarray, v: np.ndarray, indices=None) -> np.ndarray:
-        idx = slice(None) if indices is None else np.asarray(indices)
-        data = (self.features[idx], self.labels[idx])
-        return ad.hvp(self._graph, self._pv(w), data, v)
-
-    # closed forms (exact-mode diagnostics)
-
-    def _sigmoid(self, w: np.ndarray) -> np.ndarray:
-        z = self.features @ w[:-1] + w[-1]
-        return 0.5 * (1.0 + np.tanh(0.5 * z))
+        z, y = self._logits(w, idx), self.labels[idx]
+        loss = np.mean(np.logaddexp(0.0, z) - y * z)
+        return float(loss), self._aug[idx].T @ (_sigmoid(z) - y) / y.size
 
     def per_sample_grads(self, w: np.ndarray) -> np.ndarray:
-        resid = (self._sigmoid(w) - self.labels)[:, None]
-        aug = np.concatenate([self.features, np.ones((self.n_samples, 1))], axis=1)
-        return resid * aug
+        return (_sigmoid(self._logits(w)) - self.labels)[:, None] * self._aug
 
     def dense_hessian(self, w: np.ndarray) -> np.ndarray:
-        p = self._sigmoid(w)
+        p = _sigmoid(self._logits(w))
         s = p * (1.0 - p)
-        aug = np.concatenate([self.features, np.ones((self.n_samples, 1))], axis=1)
-        return (aug * s[:, None]).T @ aug / self.n_samples
+        return (self._aug * s[:, None]).T @ self._aug / self.n_samples
 
 
 class QuadraticProblem:
@@ -128,9 +114,6 @@ class QuadraticProblem:
     def dense_hessian(self, w):
         return self.A.copy()
 
-    def hvp(self, w, v, indices=None):
-        return self.A @ v
-
 
 # ---------------------------------------------------------------------------
 # steps and runs
@@ -157,11 +140,7 @@ def sam_step(problem, w: np.ndarray, batch_idx, lr: float,
         rec.failed = True
         return w, rec
     eps = (rho / gn) * g if gn > 0 else np.zeros_like(g)
-    try:
-        _, g_tilde = problem.loss_and_grad(w + eps, batch_idx)
-    except ad.NonFiniteError:
-        rec.failed = True
-        return w, rec
+    _, g_tilde = problem.loss_and_grad(w + eps, batch_idx)
     if not np.all(np.isfinite(g_tilde)):
         rec.failed = True
         return w, rec

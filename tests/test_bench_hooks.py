@@ -32,3 +32,17 @@ def test_meter_and_tracer_hooks_install_count_and_restore():
     assert meter.sam_steps == cfg.steps
     assert tracer.calls[("setup", "optim.sam_step")] == cfg.steps
     assert all(o.__dict__[a] is before[(o, a)] for o, a in targets)
+
+
+def test_probe_training_records_no_autodiff_tape():
+    rng = np.random.default_rng(0)
+    prob = op.LogisticProbeProblem(rng.normal(size=(16, 4)),
+                                   rng.integers(0, 2, size=16).astype(np.float64))
+    cfg = op.SamConfig(rho=0.1, learning_rate=0.1, batch_size=4, steps=5)
+    tracer = Tracer(CalibratedClock())
+    with patched(tracer.hooks()):
+        _, failed_step = op.run(prob, cfg)
+    assert failed_step is None
+    assert tracer.calls[("setup", "optim.logistic_loss_and_grad")] == 2 * cfg.steps
+    assert ("setup", "autodiff.loss_and_gradient") not in tracer.calls
+    assert tracer.counts.get(("setup", "autodiff.tape_nodes"), 0) == 0

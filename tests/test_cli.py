@@ -61,13 +61,19 @@ def test_missing_config_exits_2(capsys):
     assert "config error" in capsys.readouterr().err
 
 
-def test_malformed_config_exits_2(tmp_path, capsys):
+def test_malformed_config_exits_2(config_path, tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")
     assert cli.main(["train", "--config", str(bad)]) == 2
     bad.write_text(json.dumps({"task": {}, "encoder": {}, "optimizer": {},
                                "counterpart": {}, "head": "mlp"}))
     assert cli.main(["train", "--config", str(bad)]) == 2
+    d = json.loads(open(config_path).read())
+    d["optimizer"]["batch_size"] = 0
+    bad.write_text(json.dumps(d))
+    capsys.readouterr()
+    assert cli.main(["train", "--config", str(bad), "--quiet"]) == 2
+    assert "batch_size" in capsys.readouterr().err
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")

@@ -2,7 +2,6 @@
 pipeline, the quadratic probe surrogate, training runs with report emission,
 collapse sweeps, and the verification campaign."""
 
-import itertools
 import json
 from dataclasses import replace
 
@@ -40,19 +39,25 @@ def test_auc_hand_oracles():
 
 
 def test_auc_matches_pairwise_count_on_random_data():
+    # both sides are exact in float64: half-integer rank sums and half-integer
+    # win counts, divided once by the same pair count
     rng = np.random.default_rng(0)
+    cases = []
     for _ in range(20):
         n = int(rng.integers(5, 40))
-        scores = rng.integers(0, 6, size=n).astype(float)  # force ties
-        labels = rng.integers(0, 2, size=n)
+        cases.append(rng.integers(0, 6, size=n).astype(float))  # force ties
+    for n in (1000, 2500, 4000):
+        heavy = rng.choice([-0.0, 0.0, 1.0, -2.5, np.inf, -np.inf], size=n)
+        cases.append(np.where(rng.random(n) < 0.5, heavy,
+                              np.round(rng.normal(size=n), 1)))
+    for scores in cases:
+        labels = rng.integers(0, 2, size=scores.size)
         if labels.min() == labels.max():
             continue
-        pos = scores[labels == 1]
-        neg = scores[labels == 0]
-        wins = sum(1.0 if p > q else 0.5 if p == q else 0.0
-                   for p, q in itertools.product(pos, neg))
-        assert hn.compute_auc(scores, labels) == pytest.approx(
-            wins / (pos.size * neg.size))
+        pos = scores[labels == 1][:, None]
+        neg = scores[labels == 0][None, :]
+        wins = (pos > neg).sum() + 0.5 * (pos == neg).sum()
+        assert hn.compute_auc(scores, labels) == wins / (pos.size * neg.size)
 
 
 def test_auc_input_validation():
@@ -87,6 +92,9 @@ def test_run_config_validation():
         hn.RunConfig(cadence=0)
     with pytest.raises(ValueError):
         hn.RunConfig(loss="bce", lr_relative=1.0)
+    for bad in (0.0, -1.0, np.inf, np.nan):
+        with pytest.raises(ValueError):
+            hn.RunConfig(loss="quadratic", lr_relative=bad)
 
 
 # -- feature pipeline ---------------------------------------------------------------

@@ -4,6 +4,7 @@ failure marking, and the geometric stability probe."""
 import numpy as np
 import pytest
 
+from corlab import autodiff as ad
 from corlab import optim as op
 
 
@@ -29,6 +30,11 @@ def test_sam_config_rejects_bad_values():
         op.SamConfig(rho=-0.1)
     with pytest.raises(ValueError):
         op.SamConfig(learning_rate=0.0)
+    for bad in (dict(rho=np.inf), dict(rho=np.nan), dict(learning_rate=np.inf),
+                dict(learning_rate=np.nan), dict(batch_size=0), dict(batch_size=-5),
+                dict(steps=0), dict(steps=-3)):
+        with pytest.raises(ValueError):
+            op.SamConfig(**bad)
     op.SamConfig(rho=0.0)  # zero radius is legal
 
 
@@ -56,23 +62,32 @@ def test_quadratic_per_sample_grads_and_hessian():
     assert np.allclose(G, direct)
     assert G.mean(axis=0) == pytest.approx(prob.loss_and_grad(w)[1])
     assert np.array_equal(prob.dense_hessian(w), prob.A)
-    v = rng.normal(size=prob.dim)
-    assert np.allclose(prob.hvp(w, v), prob.A @ v)
 
 
-def test_logistic_engine_matches_closed_forms():
+def bce_graph(views, data):
+    F, y = data
+    z = ad.add(ad.matmul(F, ad.reshape(views["w"], (F.shape[1], 1))), views["b"])
+    return ad.bce_with_logits(z, y.reshape(-1, 1))
+
+
+def test_logistic_closed_forms_match_engine():
     prob = small_logistic()
     rng = np.random.default_rng(3)
     w = rng.normal(size=prob.dim)
-    loss, g = prob.loss_and_grad(w)
-    assert np.allclose(g, prob.per_sample_grads(w).mean(axis=0), atol=1e-10)
-    p = prob._sigmoid(w)
-    y = prob.labels
-    manual = -np.mean(y * np.log(p) + (1 - y) * np.log(1 - p))
-    assert np.isclose(loss, manual)
+    pv = ad.ParamVector({"w": w[:-1], "b": np.asarray(w[-1])})
+    for idx in (None, np.array([1, 4, 5, 9, 14])):
+        rows = slice(None) if idx is None else idx
+        data = (prob.features[rows], prob.labels[rows])
+        loss, g = prob.loss_and_grad(w, idx)
+        out, _ = ad.forward(bce_graph, pv, data)
+        assert np.isclose(loss, float(out.data), rtol=1e-13)
+        assert np.allclose(g, ad.gradient(bce_graph, pv, data), rtol=1e-12, atol=1e-15)
+    data = (prob.features, prob.labels)
     H = prob.dense_hessian(w)
-    v = rng.normal(size=prob.dim)
-    assert np.allclose(prob.hvp(w, v), H @ v, atol=1e-8)
+    for k, e in enumerate(np.eye(prob.dim)):
+        assert np.allclose(ad.hvp(bce_graph, pv, data, e), H[:, k], rtol=1e-12, atol=1e-15)
+    assert np.allclose(prob.loss_and_grad(w)[1], prob.per_sample_grads(w).mean(axis=0),
+                       rtol=1e-12, atol=1e-15)
 
 
 # -- hand-computed steps ----------------------------------------------------------
