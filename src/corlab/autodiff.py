@@ -392,8 +392,9 @@ def sigmoid(x):
 
 
 def gelu(x):
-    # tanh approximation
-    inner = mul(np.sqrt(2.0 / np.pi), add(x, mul(0.044715, power(x, 3.0))))
+    # tanh approximation; the cube by multiplication, since libm pow is
+    # about 20x slower than two multiplies on encoder-sized arrays
+    inner = mul(np.sqrt(2.0 / np.pi), add(x, mul(0.044715, mul(mul(x, x), x))))
     return mul(mul(0.5, x), add(1.0, tanh(inner)))
 
 

@@ -36,9 +36,7 @@ class SpectralEstimate:
 
     @property
     def gsnr(self) -> float:
-        if self.trace_cov == 0.0:
-            return 0.0 if self.grad_norm_sq == 0.0 else GSNR_INF
-        return self.grad_norm_sq / self.trace_cov
+        return signal_to_noise(self.grad_norm_sq, self.trace_cov)
 
     @property
     def cor_bound(self) -> float:
@@ -89,6 +87,15 @@ class DecompositionReport:
 # estimators
 # ---------------------------------------------------------------------------
 
+def signal_to_noise(signal: float, noise: float) -> float:
+    """signal / noise with the GSNR edge cases: no signal over no noise is
+    0, signal over no noise is GSNR_INF.  Noise <= 0, which a difference
+    of gradient moments can reach by rounding, counts as no noise."""
+    if noise <= 0.0:
+        return 0.0 if signal == 0.0 else GSNR_INF
+    return signal / noise
+
+
 def gsnr(per_sample_grads: np.ndarray, batch_size: int = 1) -> float:
     """Global gradient signal-to-noise ratio from per-sample gradients.
 
@@ -102,9 +109,7 @@ def gsnr(per_sample_grads: np.ndarray, batch_size: int = 1) -> float:
     gbar = G.mean(axis=0)
     signal = float(gbar @ gbar)
     noise = float(((G - gbar) ** 2).sum(axis=1).mean()) / batch_size
-    if noise == 0.0:
-        return 0.0 if signal == 0.0 else GSNR_INF
-    return signal / noise
+    return signal_to_noise(signal, noise)
 
 
 def trace_cov(per_sample_grads: np.ndarray, batch_size: int = 1) -> float:

@@ -293,13 +293,14 @@ def run_train(config: RunConfig, feats: FeatureSet | None = None,
         auc_hist.append(compute_auc(_logits(w, feats.train), feats.train_labels))
         if len(auc_hist) > window:
             auc_hist.pop(0)
+        gbar, m = problem.grad_moments(w)
+        signal = float(gbar @ gbar)
         steps_out.append(StepMetrics(t, rec.loss, float(np.mean(auc_hist)),
                                      rec.grad_norm,
-                                     dg.gsnr(problem.per_sample_grads(w))))
+                                     dg.signal_to_noise(signal, m - signal)))
 
+    # step 0 is always observed, so `estimates` is never empty
     w, failed_step = op.run(problem, ocfg, observe)
-    if not estimates:
-        estimates.append(_spectral_estimate(problem, w, 0))
     cor_report = dg.cor_trajectory([e.step for e in estimates],
                                    [np.sqrt(e.grad_norm_sq) for e in estimates],
                                    [e.lambda_max for e in estimates])

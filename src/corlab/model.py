@@ -20,6 +20,7 @@ from . import autodiff as ad
 from . import regions as rg
 
 LN_EPS = 1e-5
+_BLOCK_SAMPLES = 128   # samples per numpy-mode block call
 
 
 @dataclass(frozen=True)
@@ -129,6 +130,16 @@ class FrozenEncoder:
             x = ad.mul(x, keep)
         return x
 
+    def _layer(self, x: np.ndarray, l: int) -> np.ndarray:
+        """`block` over an (S, T, D) batch in fixed sample blocks written
+        into one preallocated output.  Samples never mix, so the output
+        equals one call on the whole batch while every temporary stays
+        the size of a block."""
+        out = np.empty_like(x)
+        for i in range(0, x.shape[0], _BLOCK_SAMPLES):
+            out[i:i + _BLOCK_SAMPLES] = self.block(x[i:i + _BLOCK_SAMPLES], l)
+        return out
+
     # -- plain (linear-probe) pipeline --------------------------------------
 
     def encode_plain(self, visuals: np.ndarray) -> list[TokenSequence]:
@@ -144,7 +155,7 @@ class FrozenEncoder:
         x = np.concatenate([cls, visuals], axis=1)
         states = [TokenSequence(x if batched else x[0], 0, 0)]
         for l in range(self.config.layers):
-            x = self.block(x, l)
+            x = self._layer(x, l)
             if not np.all(np.isfinite(x)):
                 raise ad.NonFiniteError(f"non-finite activation at layer {l}")
             states.append(TokenSequence(x if batched else x[0], 0, l + 1))
@@ -194,22 +205,19 @@ class FrozenEncoder:
         cgp_fields, mask_layers, region_layers = [], [], []
 
         for l in range(cfg.layers):
-            y_o, y_c = self.block(x_o, l), self.block(x_c, l)
-            for name, y in (("original", y_o), ("counterpart", y_c)):
+            x_o, x_c = self._layer(x_o, l), self._layer(x_c, l)
+            for name, y in (("original", x_o), ("counterpart", x_c)):
                 if not np.all(np.isfinite(y)):
                     raise ad.NonFiniteError(f"non-finite {name} activation at layer {l}")
-            v_o, v_c = y_o[:, 1 + K:], y_c[:, 1 + K:]
-            cgp = rg.compute_cgp(v_o, v_c)                       # (S, N, D)
-            masks = np.zeros((S, K, N))
-            pooled = np.zeros((S, K, D))
+            v_o = x_o[:, 1 + K:]
+            cgp = rg.compute_cgp(v_o, x_c[:, 1 + K:])            # (S, N, D)
+            masks = np.zeros((S, 0, N))
             if K > 0:
-                for s in range(S):
-                    state = rg.layer_region_state(cgp[s], v_o[s], region_specs, alpha)
-                    masks[s] = state.masks
-                    pooled[s] = state.pooled
-            R = y_o[:, 1:1 + K] + pooled                         # intra-layer residual
-            x_o = np.concatenate([y_o[:, :1], R, v_o], axis=1)
-            x_c = np.concatenate([y_c[:, :1], R, v_c], axis=1)
+                state = rg.layer_region_state(cgp, v_o, region_specs, alpha)
+                masks = state.masks
+                x_o[:, 1:1 + K] += state.pooled                  # intra-layer residual
+            R = x_o[:, 1:1 + K]
+            x_c[:, 1:1 + K] = R
             orig_states.append(TokenSequence(unbatch(x_o), K, l + 1))
             cpart_states.append(TokenSequence(unbatch(x_c), K, l + 1))
             cgp_fields.append(unbatch(cgp))

@@ -4,6 +4,7 @@ between the population gradient and the perturbed mini-batch gradient."""
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,10 +23,12 @@ class SamConfig:
             raise ValueError("rho must be finite and nonnegative")
         if not (np.isfinite(self.learning_rate) and self.learning_rate > 0):
             raise ValueError("learning_rate must be finite and positive")
-        if self.batch_size < 1:
-            raise ValueError("batch_size must be >= 1")
-        if self.steps < 1:
-            raise ValueError("steps must be >= 1")
+        for name in ("batch_size", "steps"):
+            v = getattr(self, name)
+            if not isinstance(v, numbers.Integral) or isinstance(v, bool):
+                raise ValueError(f"{name} must be an integer, got {v!r}")
+            if v < 1:
+                raise ValueError(f"{name} must be >= 1")
 
 
 @dataclass
@@ -48,9 +51,9 @@ def _sigmoid(z: np.ndarray) -> np.ndarray:
 class LogisticProbeProblem:
     """Binary cross-entropy of a linear head over fixed features.
 
-    Loss, gradient, per-sample gradients and the dense Hessian are closed
-    forms over the augmented features [F, 1]; tests check them against
-    the autodiff engine.
+    Loss, gradient, gradient moments, per-sample gradients and the dense
+    Hessian are closed forms over the augmented features [F, 1]; tests
+    check them against the autodiff engine.
     """
 
     def __init__(self, features: np.ndarray, labels: np.ndarray):
@@ -59,6 +62,7 @@ class LogisticProbeProblem:
         self.n_samples = self.features.shape[0]
         self.dim = self.features.shape[1] + 1  # weight + bias
         self._aug = np.concatenate([self.features, np.ones((self.n_samples, 1))], axis=1)
+        self._row_sq = np.einsum("ij,ij->i", self._aug, self._aug)   # |aug_i|^2
 
     def init_params(self) -> np.ndarray:
         return np.zeros(self.dim)
@@ -71,6 +75,13 @@ class LogisticProbeProblem:
         z, y = self._logits(w, idx), self.labels[idx]
         loss = np.mean(np.logaddexp(0.0, z) - y * z)
         return float(loss), self._aug[idx].T @ (_sigmoid(z) - y) / y.size
+
+    def grad_moments(self, w: np.ndarray) -> tuple[np.ndarray, float]:
+        """Full-sample mean gradient and mean squared per-sample gradient
+        norm; per-sample gradient i is r_i * aug_i with r = sigma(z) - y."""
+        r = _sigmoid(self._logits(w)) - self.labels
+        return (self._aug.T @ r / self.n_samples,
+                float((r * r) @ self._row_sq) / self.n_samples)
 
     def per_sample_grads(self, w: np.ndarray) -> np.ndarray:
         return (_sigmoid(self._logits(w)) - self.labels)[:, None] * self._aug
@@ -86,7 +97,9 @@ class QuadraticProblem:
 
     Mean loss and gradient over a batch reduce to the batch-mean offset and
     the per-sample quadratic forms a_i^T A a_i, both precomputed, so a step
-    costs O(P^2) regardless of batch size.
+    costs O(P^2) regardless of batch size.  Per-sample gradients differ
+    from their mean by the fixed A (a_i - mean a), so their spread is one
+    precomputed number.
     """
 
     def __init__(self, A: np.ndarray, offsets: np.ndarray):
@@ -95,6 +108,8 @@ class QuadraticProblem:
         self.n_samples, self.dim = self.offsets.shape
         self._Aa = self.offsets @ self.A.T                    # (M, P)
         self._quad = np.einsum("mi,mi->m", self.offsets, self._Aa)
+        self._Aa_mean = self._Aa.mean(axis=0)
+        self._spread = float(((self._Aa - self._Aa_mean) ** 2).sum(axis=1).mean())
 
     def init_params(self) -> np.ndarray:
         return np.zeros(self.dim)
@@ -107,6 +122,11 @@ class QuadraticProblem:
         loss = 0.5 * (w @ Aw - 2.0 * (w @ Aa_mean) + quad_mean)
         grad = Aw - Aa_mean
         return float(loss), grad
+
+    def grad_moments(self, w):
+        """Full-sample mean gradient and mean squared per-sample gradient norm."""
+        g = self.A @ w - self._Aa_mean
+        return g, float(g @ g) + self._spread
 
     def per_sample_grads(self, w):
         return self.A @ w - self._Aa

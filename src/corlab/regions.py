@@ -26,23 +26,24 @@ class RegionSpec:
 
 @dataclass
 class RegionAnchor:
-    """Centroid of in-region discrepancies and its unit direction.
+    """Centroid of in-region discrepancies and its unit direction; with a
+    leading sample axis on the field, one anchor per sample.
 
-    When the centroid norm is zero the direction is the zero vector and
+    Where the centroid norm is zero the direction is the zero vector and
     the downstream mask is empty, so the injection degrades to a no-op.
     """
 
-    c: np.ndarray
-    d: np.ndarray
-    norm: float
+    c: np.ndarray              # (..., D)
+    d: np.ndarray              # (..., D)
+    norm: np.ndarray           # (...)
 
 
 @dataclass
 class LayerRegionState:
     """Per-layer mask rows and pooled tokens for all regions."""
 
-    masks: np.ndarray          # (K, N) binary
-    pooled: np.ndarray         # (K, D)
+    masks: np.ndarray          # (..., K, N) binary
+    pooled: np.ndarray         # (..., K, D)
     anchors: list[RegionAnchor] = field(default_factory=list)
 
 
@@ -80,50 +81,46 @@ def compute_cgp(orig: np.ndarray, counterpart: np.ndarray) -> np.ndarray:
 
 
 def anchor(cgp: np.ndarray, region: RegionSpec) -> RegionAnchor:
-    """Region anchor: centroid of in-region discrepancies, unit direction."""
-    c = cgp[list(region.indices)].mean(axis=0)
-    norm = float(np.linalg.norm(c))
-    d = c / norm if norm > 0.0 else np.zeros_like(c)
+    """Region anchor of a (..., N, D) field: centroid of in-region
+    discrepancies and its unit direction."""
+    c = cgp[..., list(region.indices), :].mean(axis=-2)
+    norm = np.linalg.norm(c, axis=-1)
+    d = c / np.where(norm > 0.0, norm, np.inf)[..., None]   # zero where norm is 0
     return RegionAnchor(c, d, norm)
 
 
 def refine_mask(cgp: np.ndarray, anch: RegionAnchor, region: RegionSpec,
                 alpha: float) -> np.ndarray:
-    """Binary mask row: in-region tokens whose projection onto the anchor
-    direction strictly exceeds alpha * ||c||.  Tokens outside the region
-    are always masked out; a degenerate anchor yields an empty mask."""
+    """Binary (..., N) mask: in-region tokens whose projection onto the
+    anchor direction strictly exceeds alpha * ||c||.  Tokens outside the
+    region are always masked out; a degenerate anchor has a zero direction,
+    so every projection is 0, never above alpha * 0, and the mask is empty."""
     if alpha < 0:
         raise ValueError("alpha must be nonnegative")
-    n_tokens = cgp.shape[0]
-    mask = np.zeros(n_tokens)
-    if anch.norm == 0.0:
-        return mask
-    proj = cgp @ anch.d
-    thresh = alpha * anch.norm
-    for i in region.indices:
-        if proj[i] > thresh:
-            mask[i] = 1.0
+    idx = list(region.indices)
+    proj = np.einsum("...nd,...d->...n", cgp[..., idx, :], anch.d)
+    mask = np.zeros(cgp.shape[:-1])
+    mask[..., idx] = proj > alpha * anch.norm[..., None]
     return mask
 
 
-def pool(visuals: np.ndarray, mask_row: np.ndarray,
+def pool(visuals: np.ndarray, mask: np.ndarray,
          epsilon: float = POOL_EPSILON) -> np.ndarray:
-    """Masked average of visual tokens; empty mask pools to exactly zero."""
+    """Masked average of (..., N, D) visual tokens under a (..., N) mask;
+    an empty mask pools to exactly zero."""
     if epsilon <= 0:
         raise ValueError("epsilon must be positive")
-    num = (mask_row[:, None] * visuals).sum(axis=0)
-    return num / (mask_row.sum() + epsilon)
+    num = (mask[..., None] * visuals).sum(axis=-2)
+    return num / (mask.sum(axis=-1)[..., None] + epsilon)
 
 
 def layer_region_state(cgp: np.ndarray, visuals: np.ndarray,
                        regions: list[RegionSpec], alpha: float,
                        epsilon: float = POOL_EPSILON) -> LayerRegionState:
-    """Full per-layer pass: anchors, masks, pooled tokens for every region."""
-    anchors, masks, pooled = [], [], []
-    for reg in regions:
-        a = anchor(cgp, reg)
-        m = refine_mask(cgp, a, reg, alpha)
-        anchors.append(a)
-        masks.append(m)
-        pooled.append(pool(visuals, m, epsilon))
-    return LayerRegionState(np.array(masks), np.array(pooled), anchors)
+    """Full per-layer pass over (..., N, D) fields: anchors, masks and
+    pooled tokens for every region, stacked on the axis before N (or D)."""
+    anchors = [anchor(cgp, reg) for reg in regions]
+    masks = [refine_mask(cgp, a, reg, alpha) for a, reg in zip(anchors, regions)]
+    pooled = [pool(visuals, m, epsilon) for m in masks]
+    return LayerRegionState(np.stack(masks, axis=-2), np.stack(pooled, axis=-2),
+                            anchors)

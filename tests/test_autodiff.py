@@ -110,6 +110,19 @@ def test_gradient_of_layer_norm_gelu_chain():
     assert np.allclose(analytic, numeric, atol=1e-6)
 
 
+def test_numpy_gelu_matches_tanh_closed_form():
+    def closed(x):
+        return 0.5 * x * (1.0 + np.tanh(np.sqrt(2.0 / np.pi) * (x + 0.044715 * x ** 3)))
+
+    # 1 + tanh(.) stays above 0.3 here, so the cube's rounding stays at 1e-16
+    x = np.linspace(-1.0, 6.0, 20001)
+    np.testing.assert_allclose(ad.gelu(x), closed(x), rtol=1e-15, atol=0.0)
+    # below -1 that sum cancels and amplifies the cube's last bit, though
+    # the absolute error stays at rounding level
+    x = np.linspace(-6.0, -1.0, 20001)
+    np.testing.assert_allclose(ad.gelu(x), closed(x), rtol=0.0, atol=1e-15)
+
+
 def test_gradient_through_gather_scatter_slice_concat():
     rng = np.random.default_rng(5)
     idx = np.array([2, 0, 2])

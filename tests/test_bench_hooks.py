@@ -13,7 +13,10 @@ BENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
                      "bench")
 sys.path[:0] = [os.path.join(os.path.dirname(BENCH), "src"), BENCH]
 
+from corlab import harness as hn  # noqa: E402
+from corlab import model as md  # noqa: E402
 from corlab import optim as op  # noqa: E402
+from corlab import tasks as tk  # noqa: E402
 
 from tracing import SPAN_HOOKS, CalibratedClock, Meter, Tracer, patched  # noqa: E402
 
@@ -46,3 +49,34 @@ def test_probe_training_records_no_autodiff_tape():
     assert tracer.calls[("setup", "optim.logistic_loss_and_grad")] == 2 * cfg.steps
     assert ("setup", "autodiff.loss_and_gradient") not in tracer.calls
     assert tracer.counts.get(("setup", "autodiff.tape_nodes"), 0) == 0
+
+
+def small_config(**kw) -> hn.RunConfig:
+    defaults = dict(task=tk.TaskSpec(n_train=40, n_test=30, seed=0),
+                    encoder=md.EncoderConfig(layers=3),
+                    l_mid=2, standardize="center", loss="bce", cadence=3,
+                    optimizer=op.SamConfig(rho=0.0, learning_rate=1e-2,
+                                           batch_size=10, steps=7))
+    defaults.update(kw)
+    return hn.RunConfig(**defaults)
+
+
+def test_corit_features_make_one_region_pass_per_layer_and_split():
+    cfg = small_config(head="corit")
+    tracer = Tracer(CalibratedClock())
+    with patched(tracer.hooks()):
+        hn.build_features(cfg)
+    # train and test splits, each one batched pass per layer
+    assert tracer.calls[("setup", "regions.layer_region_state")] == 2 * cfg.encoder.layers
+
+
+def test_run_train_builds_per_sample_grads_only_at_snapshots():
+    cfg = small_config()
+    feats = hn.build_features(cfg)
+    tracer = Tracer(CalibratedClock())
+    with patched(tracer.hooks()):
+        res = hn.run_train(cfg, feats=feats)
+    snapshots = [t for t in range(cfg.optimizer.steps) if t % cfg.cadence == 0]
+    assert [e.step for e in res.estimates] == snapshots
+    assert len(res.steps) == cfg.optimizer.steps
+    assert tracer.calls[("setup", "optim.per_sample_grads")] == len(snapshots)

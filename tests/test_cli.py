@@ -74,6 +74,11 @@ def test_malformed_config_exits_2(config_path, tmp_path, capsys):
     capsys.readouterr()
     assert cli.main(["train", "--config", str(bad), "--quiet"]) == 2
     assert "batch_size" in capsys.readouterr().err
+    d["optimizer"]["batch_size"] = 500
+    d["optimizer"]["steps"] = 2.5
+    bad.write_text(json.dumps(d))
+    assert cli.main(["train", "--config", str(bad), "--quiet"]) == 2
+    assert "steps" in capsys.readouterr().err
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")

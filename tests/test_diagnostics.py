@@ -28,6 +28,10 @@ def test_gsnr_zero_signal_and_zero_noise_edges():
         dg.gsnr(np.ones(4))
     with pytest.raises(ValueError):
         dg.gsnr(np.ones((1, 4)))
+    # noise from a difference of moments can round below zero: no noise
+    assert dg.signal_to_noise(2.0, -1e-17) == dg.GSNR_INF
+    assert dg.signal_to_noise(0.0, -1e-17) == 0.0
+    assert dg.signal_to_noise(2.0, 4.0) == 0.5
 
 
 def test_spectral_estimate_derived_quantities():

@@ -8,6 +8,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from corlab import diagnostics as dg
 from corlab import harness as hn
 from corlab import model as md
 from corlab import optim as op
@@ -208,6 +209,25 @@ def test_run_train_bifurcation_collapse_and_recovery():
         rho = res.config.optimizer.rho
         assert hn._collapse_stat(problem, feats, replace(ocfg, rho=rho)) == (
             res.train_auc_window, res.train_auc, res.test_auc)
+
+
+def test_run_train_gsnr_matches_per_sample_matrix():
+    # the per-step GSNR comes from gradient moments; the (M, P) matrix of
+    # per-sample gradients along the same trajectory gives the same values
+    quad = bifurcation_config(optimizer=op.SamConfig(rho=0.05, learning_rate=1.0,
+                                                     batch_size=500, steps=30))
+    bce = bifurcation_config(loss="bce", lr_relative=None,
+                             optimizer=op.SamConfig(rho=0.05, learning_rate=1e-2,
+                                                    batch_size=20, steps=30))
+    for cfg in (quad, bce):
+        feats = hn.build_features(cfg)
+        res = hn.run_train(cfg, feats=feats)
+        problem = hn._make_problem(cfg, feats)
+        ocfg = replace(cfg.optimizer, learning_rate=hn._effective_lr(cfg, problem))
+        ws = []
+        op.run(problem, ocfg, lambda t, w, rec: ws.append(w))
+        ref = [dg.gsnr(problem.per_sample_grads(w)) for w in ws]
+        assert np.allclose([m.gsnr for m in res.steps], ref, rtol=1e-12, atol=0.0)
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")

@@ -131,6 +131,37 @@ def test_encode_corit_validation():
         enc.encode_corit(x, x, bad, alpha=0.5)
 
 
+def test_encoders_are_exact_under_any_sample_split():
+    # block calls run over fixed sample blocks and the region pass over the
+    # whole batch; neither may mix samples, so splits change no bit
+    enc = md.FrozenEncoder(CFG)
+    x = sample_tokens(seed=3, n=300)
+    assert x.shape[0] % md._BLOCK_SAMPLES != 0      # a ragged last block
+    cp = x.copy()
+    cp[:, 5:7, :] += 1.0
+    cp[::7] = x[::7]                               # some samples see no change
+    parts = (slice(0, 100), slice(100, 300))
+
+    whole = enc.encode_plain(x)
+    split = [enc.encode_plain(x[p]) for p in parts]
+    for l, st in enumerate(whole):
+        assert np.array_equal(st.tokens, np.concatenate([sp[l].tokens for sp in split]))
+
+    regions = rg.grid_partition(4)
+    whole = enc.encode_corit(x, cp, regions, alpha=0.25)
+    split = [enc.encode_corit(x[p], cp[p], regions, alpha=0.25) for p in parts]
+    assert any(m.any() for m in whole.masks)
+
+    def joined(get):
+        return [np.concatenate(layer) for layer in zip(*(get(sp) for sp in split))]
+
+    for get in (lambda t: [st.tokens for st in t.orig_states],
+                lambda t: [st.tokens for st in t.cpart_states],
+                lambda t: t.cgp_fields, lambda t: t.masks, lambda t: t.region_tokens):
+        for a, b in zip(get(whole), joined(get)):
+            assert np.array_equal(a, b)
+
+
 def test_hri_fuse_concatenates_mid_and_final_layers():
     enc = md.FrozenEncoder(CFG)
     x = sample_tokens(n=4)

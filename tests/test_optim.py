@@ -35,7 +35,12 @@ def test_sam_config_rejects_bad_values():
                 dict(steps=0), dict(steps=-3)):
         with pytest.raises(ValueError):
             op.SamConfig(**bad)
+    for name in ("batch_size", "steps"):
+        for bad in (2.5, 3.0, np.float64(4.0), True, "5", None):
+            with pytest.raises(ValueError, match=name):
+                op.SamConfig(**{name: bad})
     op.SamConfig(rho=0.0)  # zero radius is legal
+    op.SamConfig(batch_size=np.int64(8), steps=np.int32(3))  # numpy integers too
 
 
 # -- quadratic problem oracle ---------------------------------------------------
@@ -62,6 +67,18 @@ def test_quadratic_per_sample_grads_and_hessian():
     assert np.allclose(G, direct)
     assert G.mean(axis=0) == pytest.approx(prob.loss_and_grad(w)[1])
     assert np.array_equal(prob.dense_hessian(w), prob.A)
+
+
+def test_grad_moments_match_per_sample_grads():
+    rng = np.random.default_rng(4)
+    for prob in (small_quadratic(), small_logistic()):
+        for w in (np.zeros(prob.dim), rng.normal(size=prob.dim)):
+            gbar, m = prob.grad_moments(w)
+            G = prob.per_sample_grads(w)
+            # the same mean gradient, bit for bit, as the full-batch step
+            assert np.array_equal(gbar, prob.loss_and_grad(w)[1])
+            assert np.allclose(gbar, G.mean(axis=0), rtol=1e-12, atol=1e-15)
+            assert m == pytest.approx(float((G * G).sum(axis=1).mean()), rel=1e-12)
 
 
 def bce_graph(views, data):

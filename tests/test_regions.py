@@ -96,3 +96,28 @@ def test_layer_region_state_assembles_all_regions():
             state.masks[k],
             rg.refine_mask(cgp, rg.anchor(cgp, reg), reg, 0.5))
         assert np.allclose(state.pooled[k], rg.pool(visuals, state.masks[k]))
+
+
+def test_batched_layer_region_state_equals_per_sample_calls():
+    rng = np.random.default_rng(2)
+    S, N, D = 7, 16, 4
+    cgp = rng.normal(size=(S, N, D))
+    visuals = rng.normal(size=(S, N, D))
+    cgp[3] = 0.0                    # zero centroids: empty masks, zero pooling
+    cgp[5, 6] = -cgp[5, 5]          # the foreground (5, 6, 9, 10) of sample 5
+    cgp[5, 10] = -cgp[5, 9]         # sums to exactly zero
+    regions = rg.grid_partition(4)
+    for alpha in (0.0, 0.5, 1.5):
+        batched = rg.layer_region_state(cgp, visuals, regions, alpha)
+        assert batched.masks.shape == (S, 3, N)
+        assert batched.pooled.shape == (S, 3, D)
+        for s in range(S):
+            single = rg.layer_region_state(cgp[s], visuals[s], regions, alpha)
+            assert np.array_equal(batched.masks[s], single.masks)
+            assert np.array_equal(batched.pooled[s], single.pooled)
+            for a_b, a_s in zip(batched.anchors, single.anchors):
+                assert np.array_equal(a_b.norm[s], a_s.norm)
+                assert np.array_equal(a_b.d[s], a_s.d)
+        assert not batched.masks[3].any() and not batched.masks[5, 0].any()
+        assert np.array_equal(batched.pooled[3], np.zeros((3, D)))
+        assert batched.anchors[0].norm[5] == 0.0
