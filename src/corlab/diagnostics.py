@@ -107,15 +107,25 @@ def gsnr(per_sample_grads: np.ndarray, batch_size: int = 1) -> float:
     if G.ndim != 2 or G.shape[0] < 2:
         raise ValueError("need an (M, P) matrix with M >= 2")
     gbar = G.mean(axis=0)
-    signal = float(gbar @ gbar)
-    noise = float(((G - gbar) ** 2).sum(axis=1).mean()) / batch_size
-    return signal_to_noise(signal, noise)
+    return signal_to_noise(float(gbar @ gbar), trace_cov(G, batch_size))
 
 
 def trace_cov(per_sample_grads: np.ndarray, batch_size: int = 1) -> float:
     G = np.asarray(per_sample_grads, dtype=np.float64)
     gbar = G.mean(axis=0)
     return float(((G - gbar) ** 2).sum(axis=1).mean()) / batch_size
+
+
+def spectral_estimate(per_sample_grads: np.ndarray, hessian: np.ndarray,
+                      step: int = 0) -> SpectralEstimate:
+    """Exact estimate from the (M, P) per-sample gradients and the dense
+    (P, P) Hessian at one point: full eigendecomposition, no sampling."""
+    G = np.asarray(per_sample_grads, dtype=np.float64)
+    gbar = G.mean(axis=0)
+    return SpectralEstimate(lambda_max=float(np.linalg.eigvalsh(hessian).max()),
+                            trace_h=float(np.trace(hessian)),
+                            trace_cov=trace_cov(G),
+                            grad_norm_sq=float(gbar @ gbar), step=step)
 
 
 def lambda_max(hvp_oracle, dim: int, iters: int = 200, tol: float = 1e-8,

@@ -87,6 +87,14 @@ class RunConfig:
             raise ValueError(f"standardize must be one of {STANDARDIZE_MODES}")
         if self.cadence < 1:
             raise ValueError("cadence must be >= 1")
+        for task_field, enc_field in (("n_tokens", "visual_tokens"), ("dim", "dim")):
+            got, want = getattr(self.task, task_field), getattr(self.encoder, enc_field)
+            if got != want:
+                raise ValueError(f"task.{task_field} ({got}) must equal "
+                                 f"encoder.{enc_field} ({want})")
+        if self.head == "corit" and not 1 <= self.l_mid < self.encoder.layers:
+            raise ValueError(f"l_mid ({self.l_mid}) must be in "
+                             f"[1, {self.encoder.layers - 1}] for the corit head")
         if self.lr_relative is not None:
             if self.loss != "quadratic":
                 raise ValueError("lr_relative requires the quadratic loss")
@@ -160,9 +168,9 @@ def build_features(config: RunConfig) -> FeatureSet:
         if config.head == "plain-probe":
             return md.plain_feature(enc.encode_plain(tokens))
         side = int(round(np.sqrt(config.task.n_tokens)))
-        trace = enc.encode_corit(tokens, config.counterpart.apply(tokens),
-                                 rg.grid_partition(side), config.alpha)
-        return md.hri_fuse(trace.orig_states, config.l_mid)
+        heads, _ = enc.encode_corit(tokens, config.counterpart.apply(tokens),
+                                    rg.grid_partition(side), config.alpha)
+        return md.hri_fuse(heads, config.l_mid)
 
     F_tr = head_features(ds_tr.tokens)
     F_te = head_features(ds_te.tokens)
@@ -257,18 +265,6 @@ class TrainResult:
         }
 
 
-def _spectral_estimate(problem, w: np.ndarray, step: int) -> dg.SpectralEstimate:
-    # probe Hessians have closed dense forms, so the spectrum is exact here;
-    # the iterative estimators are exercised against these in the test suite
-    G = problem.per_sample_grads(w)
-    gbar = G.mean(axis=0)
-    H = problem.dense_hessian(w)
-    return dg.SpectralEstimate(lambda_max=float(np.linalg.eigvalsh(H).max()),
-                               trace_h=float(np.trace(H)),
-                               trace_cov=dg.trace_cov(G),
-                               grad_norm_sq=float(gbar @ gbar), step=step)
-
-
 def run_train(config: RunConfig, feats: FeatureSet | None = None,
               out_dir: str | None = None) -> TrainResult:
     """Deterministic training run with per-step metrics and periodic
@@ -289,7 +285,8 @@ def run_train(config: RunConfig, feats: FeatureSet | None = None,
 
     def observe(t, w, rec):
         if t % config.cadence == 0:
-            estimates.append(_spectral_estimate(problem, w, t))
+            estimates.append(dg.spectral_estimate(problem.per_sample_grads(w),
+                                                  problem.dense_hessian(w), t))
         auc_hist.append(compute_auc(_logits(w, feats.train), feats.train_labels))
         if len(auc_hist) > window:
             auc_hist.pop(0)
@@ -299,7 +296,7 @@ def run_train(config: RunConfig, feats: FeatureSet | None = None,
                                      rec.grad_norm,
                                      dg.signal_to_noise(signal, m - signal)))
 
-    # step 0 is always observed, so `estimates` is never empty
+    # step 0 is always observed, so `estimates` and `auc_hist` are never empty
     w, failed_step = op.run(problem, ocfg, observe)
     cor_report = dg.cor_trajectory([e.step for e in estimates],
                                    [np.sqrt(e.grad_norm_sq) for e in estimates],
@@ -321,8 +318,7 @@ def run_train(config: RunConfig, feats: FeatureSet | None = None,
     train_auc = compute_auc(_logits(w, feats.train), feats.train_labels)
     test_auc = compute_auc(_logits(w, feats.test), feats.test_labels)
     result = TrainResult(config, w, steps_out, estimates, cor_report, trace,
-                         train_auc, test_auc,
-                         float(np.mean(auc_hist)) if auc_hist else 0.5,
+                         train_auc, test_auc, float(np.mean(auc_hist)),
                          failed_step is not None, failed_step)
     if out_dir is not None:
         emit_run(result, out_dir)
@@ -495,14 +491,7 @@ def verify_theorem_campaign(n_instances: int = 100, seed: int = 0,
             n_features=int(rng.integers(2, 11)))
         if inst.dim > 50:
             raise AssertionError("instance exceeds the intended size budget")
-        H = inst.dense_hessian()
-        G = inst.per_sample_grads()
-        gbar = G.mean(axis=0)
-        est = dg.SpectralEstimate(
-            lambda_max=float(np.linalg.eigvalsh(H).max()),
-            trace_h=float(np.trace(H)),
-            trace_cov=dg.trace_cov(G),
-            grad_norm_sq=float(gbar @ gbar), step=i)
+        est = dg.spectral_estimate(inst.per_sample_grads(), inst.dense_hessian(), i)
         wp = 1.0 + est.trace_xi / est.trace_h if est.trace_h > 0 else float("inf")
         min_wp = min(min_wp, wp)
         report = dg.verify_decomposition(est)
@@ -525,32 +514,23 @@ class ComparisonReport:
     corit_cor: float
     plain_collapse_zone: bool
     corit_collapse_zone: bool
-    plain_empirical: float | None = None
-    corit_empirical: float | None = None
 
     @property
     def lifted(self) -> bool:
         return self.corit_cor > self.plain_cor
 
 
-def corit_vs_baseline(config: RunConfig, empirical_rhos=None,
-                      seeds=(0, 1, 2)) -> ComparisonReport:
+def corit_vs_baseline(config: RunConfig) -> ComparisonReport:
     """Head comparison on one task: identical encoder and optimizer, only
     the head mode differs.  Reports the trajectory-minimum stability bound
-    per head; optionally also the empirical collapse boundary."""
+    per head; `sweep_rho` gives the empirical collapse boundary."""
     out = {}
     for head in HEAD_MODES:
         cfg = replace(config, head=head,
                       optimizer=replace(config.optimizer, rho=0.0))
         res = run_train(cfg)
         out[head] = res.cor_report
-    emp = {"plain-probe": None, "corit": None}
-    if empirical_rhos is not None:
-        for head in HEAD_MODES:
-            cfg = replace(config, head=head)
-            emp[head] = sweep_rho(cfg, empirical_rhos, seeds=seeds).empirical_cor
     return ComparisonReport(out["plain-probe"].rho_critical,
                             out["corit"].rho_critical,
                             out["plain-probe"].collapsed_zone,
-                            out["corit"].collapsed_zone,
-                            emp["plain-probe"], emp["corit"])
+                            out["corit"].collapsed_zone)

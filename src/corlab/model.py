@@ -3,6 +3,8 @@
 The encoder is a seeded pre-norm transformer whose parameters never
 receive gradients; trainable state lives exclusively in the linear probe
 over its features (`corlab.optim`).
+The encoders take (S, N, D) visual tokens and return only the per-layer
+head tokens, [CLS] or [CLS | R], as one array with a leading layer axis.
 The block forward is written against the generic array API in
 `corlab.autodiff`, so the same code runs in fast numpy mode (batched over
 samples) and in graph mode for differentiability tests.
@@ -39,39 +41,6 @@ class EncoderConfig:
         if self.dim % self.heads != 0:
             raise ValueError("dim must be divisible by heads")
         object.__setattr__(self, "bias_channels", tuple(int(c) for c in self.bias_channels))
-
-    @property
-    def seq_len_plain(self) -> int:
-        return 1 + self.visual_tokens
-
-    @property
-    def seq_len_corit(self) -> int:
-        return 1 + self.region_count + self.visual_tokens
-
-
-@dataclass
-class TokenSequence:
-    """One per-layer snapshot; arrays may carry a leading sample axis."""
-
-    tokens: np.ndarray  # (..., 1+K+N, D)
-    n_regions: int
-    layer: int
-
-    @property
-    def cls(self) -> np.ndarray:
-        return self.tokens[..., 0, :]
-
-
-
-@dataclass
-class CoritTrace:
-    """Everything produced by a contrastive-injection forward pass."""
-
-    orig_states: list[TokenSequence]
-    cpart_states: list[TokenSequence]
-    cgp_fields: list[np.ndarray]          # per layer, (..., N, D)
-    masks: list[np.ndarray]               # per layer, (..., K, N)
-    region_tokens: list[np.ndarray]       # per layer, injected R, (..., K, D)
 
 
 class FrozenEncoder:
@@ -140,37 +109,50 @@ class FrozenEncoder:
             out[i:i + _BLOCK_SAMPLES] = self.block(x[i:i + _BLOCK_SAMPLES], l)
         return out
 
+    def _visuals(self, visuals) -> np.ndarray:
+        x = np.asarray(visuals, dtype=np.float64)
+        shape = (self.config.visual_tokens, self.config.dim)
+        if x.ndim != 3 or x.shape[1:] != shape:
+            raise ValueError(f"expected (S, {shape[0]}, {shape[1]}) visual tokens, "
+                             f"got {x.shape}")
+        return x
+
     # -- plain (linear-probe) pipeline --------------------------------------
 
-    def encode_plain(self, visuals: np.ndarray) -> list[TokenSequence]:
-        """Per-layer states for the [CLS | V] sequence; K = 0."""
-        visuals = np.asarray(visuals, dtype=np.float64)
-        batched = visuals.ndim == 3
-        if not batched:
-            visuals = visuals[None]
+    def encode_plain(self, visuals: np.ndarray) -> np.ndarray:
+        """Per-layer CLS tokens of the [CLS | V] forward on (S, N, D)
+        visuals, as one (L+1, S, 1, D) array; K = 0."""
+        visuals = self._visuals(visuals)
         if not np.all(np.isfinite(visuals)):
             raise ad.NonFiniteError("non-finite encoder input")
-        S = visuals.shape[0]
-        cls = np.broadcast_to(self.params["cls"], (S, 1, self.config.dim))
-        x = np.concatenate([cls, visuals], axis=1)
-        states = [TokenSequence(x if batched else x[0], 0, 0)]
+        S, _, D = visuals.shape
+        x = np.concatenate([np.broadcast_to(self.params["cls"], (S, 1, D)), visuals],
+                           axis=1)
+        heads = np.empty((self.config.layers + 1, S, 1, D))
+        heads[0] = x[:, :1]
         for l in range(self.config.layers):
             x = self._layer(x, l)
             if not np.all(np.isfinite(x)):
                 raise ad.NonFiniteError(f"non-finite activation at layer {l}")
-            states.append(TokenSequence(x if batched else x[0], 0, l + 1))
-        return states
+            heads[l + 1] = x[:, :1]
+        return heads
 
     # -- contrastive-injection pipeline --------------------------------------
 
     def encode_corit(self, orig_visuals: np.ndarray, cpart_visuals: np.ndarray,
-                     region_specs: list[rg.RegionSpec], alpha: float) -> CoritTrace:
+                     region_specs: list[rg.RegionSpec],
+                     alpha: float) -> tuple[np.ndarray, np.ndarray]:
         """Paired-stream forward with per-layer region-token injection.
 
         Both streams carry the shared region tokens; at every layer the
         discrepancy field over visual tokens drives the refinement masks,
         the pooled token is computed from the original stream, and the
         injected region tokens feed the next layer of both streams.
+
+        Returns `(heads, masks)`: the original stream's per-layer
+        [CLS | R] tokens, (L+1, S, 1+K, D), and the refinement masks,
+        (L, S, K, N).  A layer's full stream states and discrepancy field
+        are dropped once the next layer has used them.
         """
         cfg = self.config
         K = len(region_specs)
@@ -181,71 +163,48 @@ class FrozenEncoder:
                 raise ValueError(f"region {reg.k} indices out of range")
         if alpha < 0:
             raise ValueError("alpha must be nonnegative")
-
-        orig = np.asarray(orig_visuals, dtype=np.float64)
-        cpart = np.asarray(cpart_visuals, dtype=np.float64)
+        orig, cpart = self._visuals(orig_visuals), self._visuals(cpart_visuals)
         if orig.shape != cpart.shape:
             raise ValueError("stream shapes differ")
-        batched = orig.ndim == 3
-        if not batched:
-            orig, cpart = orig[None], cpart[None]
         S, N, D = orig.shape
 
-        def seq(visuals, R):
+        def seq(visuals):
             cls = np.broadcast_to(self.params["cls"], (S, 1, D))
-            return np.concatenate([cls, R, visuals], axis=1)
+            return np.concatenate([cls, np.zeros((S, K, D)), visuals], axis=1)
 
-        def unbatch(a):
-            return a if batched else a[0]
-
-        R = np.zeros((S, K, D))
-        x_o, x_c = seq(orig, R), seq(cpart, R)
-        orig_states = [TokenSequence(unbatch(x_o), K, 0)]
-        cpart_states = [TokenSequence(unbatch(x_c), K, 0)]
-        cgp_fields, mask_layers, region_layers = [], [], []
-
+        x_o, x_c = seq(orig), seq(cpart)
+        heads = np.empty((cfg.layers + 1, S, 1 + K, D))
+        masks = np.zeros((cfg.layers, S, K, N))
+        heads[0] = x_o[:, :1 + K]
         for l in range(cfg.layers):
-            x_o, x_c = self._layer(x_o, l), self._layer(x_c, l)
+            x_o = self._layer(x_o, l)
+            x_c = self._layer(x_c, l)
             for name, y in (("original", x_o), ("counterpart", x_c)):
                 if not np.all(np.isfinite(y)):
                     raise ad.NonFiniteError(f"non-finite {name} activation at layer {l}")
             v_o = x_o[:, 1 + K:]
             cgp = rg.compute_cgp(v_o, x_c[:, 1 + K:])            # (S, N, D)
-            masks = np.zeros((S, 0, N))
             if K > 0:
-                state = rg.layer_region_state(cgp, v_o, region_specs, alpha)
-                masks = state.masks
-                x_o[:, 1:1 + K] += state.pooled                  # intra-layer residual
-            R = x_o[:, 1:1 + K]
-            x_c[:, 1:1 + K] = R
-            orig_states.append(TokenSequence(unbatch(x_o), K, l + 1))
-            cpart_states.append(TokenSequence(unbatch(x_c), K, l + 1))
-            cgp_fields.append(unbatch(cgp))
-            mask_layers.append(unbatch(masks))
-            region_layers.append(unbatch(R))
-
-        return CoritTrace(orig_states, cpart_states, cgp_fields,
-                          mask_layers, region_layers)
+                masks[l], pooled = rg.layer_region_state(cgp, v_o, region_specs, alpha)
+                x_o[:, 1:1 + K] += pooled                        # intra-layer residual
+            x_c[:, 1:1 + K] = x_o[:, 1:1 + K]
+            heads[l + 1] = x_o[:, :1 + K]
+        return heads, masks
 
 
 # ---------------------------------------------------------------------------
 # feature heads
 # ---------------------------------------------------------------------------
 
-def hri_fuse(states: list[TokenSequence], l_mid: int) -> np.ndarray:
-    """Concatenate [CLS, R] from layer l_mid and the final layer."""
-    L = len(states) - 1
+def hri_fuse(heads: np.ndarray, l_mid: int) -> np.ndarray:
+    """Concatenate [CLS, R] from layer l_mid and the final layer of
+    (L+1, S, 1+K, D) per-layer tokens into (S, 2 (1+K) D) features."""
+    L = len(heads) - 1
     if not (1 <= l_mid < L):
         raise ValueError(f"l_mid must be in [1, {L - 1}]")
-
-    def feat(st: TokenSequence) -> np.ndarray:
-        K = st.n_regions
-        t = st.tokens[..., :1 + K, :]
-        return t.reshape(t.shape[:-2] + (-1,))
-
-    return np.concatenate([feat(states[l_mid]), feat(states[L])], axis=-1)
+    return np.concatenate([heads[l_mid], heads[L]], axis=1).reshape(heads.shape[1], -1)
 
 
-def plain_feature(states: list[TokenSequence]) -> np.ndarray:
+def plain_feature(heads: np.ndarray) -> np.ndarray:
     """Final-layer CLS token, the linear-probing baseline feature."""
-    return states[-1].cls
+    return heads[-1, :, 0]

@@ -3,7 +3,7 @@ discrepancies, region anchors, refinement masks, and region pooling."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -36,15 +36,6 @@ class RegionAnchor:
     c: np.ndarray              # (..., D)
     d: np.ndarray              # (..., D)
     norm: np.ndarray           # (...)
-
-
-@dataclass
-class LayerRegionState:
-    """Per-layer mask rows and pooled tokens for all regions."""
-
-    masks: np.ndarray          # (..., K, N) binary
-    pooled: np.ndarray         # (..., K, D)
-    anchors: list[RegionAnchor] = field(default_factory=list)
 
 
 def grid_partition(side: int) -> list[RegionSpec]:
@@ -116,11 +107,9 @@ def pool(visuals: np.ndarray, mask: np.ndarray,
 
 def layer_region_state(cgp: np.ndarray, visuals: np.ndarray,
                        regions: list[RegionSpec], alpha: float,
-                       epsilon: float = POOL_EPSILON) -> LayerRegionState:
-    """Full per-layer pass over (..., N, D) fields: anchors, masks and
-    pooled tokens for every region, stacked on the axis before N (or D)."""
-    anchors = [anchor(cgp, reg) for reg in regions]
-    masks = [refine_mask(cgp, a, reg, alpha) for a, reg in zip(anchors, regions)]
+                       epsilon: float = POOL_EPSILON) -> tuple[np.ndarray, np.ndarray]:
+    """Full per-layer pass over (..., N, D) fields: the (..., K, N) binary
+    masks and (..., K, D) pooled tokens of every region."""
+    masks = [refine_mask(cgp, anchor(cgp, reg), reg, alpha) for reg in regions]
     pooled = [pool(visuals, m, epsilon) for m in masks]
-    return LayerRegionState(np.stack(masks, axis=-2), np.stack(pooled, axis=-2),
-                            anchors)
+    return np.stack(masks, axis=-2), np.stack(pooled, axis=-2)

@@ -79,6 +79,14 @@ def test_malformed_config_exits_2(config_path, tmp_path, capsys):
     bad.write_text(json.dumps(d))
     assert cli.main(["train", "--config", str(bad), "--quiet"]) == 2
     assert "steps" in capsys.readouterr().err
+    d["optimizer"]["steps"] = 60
+    cases = ((dict(d, task=dict(d["task"], n_tokens=25)), "task.n_tokens"),
+             (dict(d, task=dict(d["task"], dim=16)), "task.dim"),
+             (dict(d, head="corit"), "l_mid"))    # the fixture's l_mid 4, 2 layers
+    for e, named in cases:
+        bad.write_text(json.dumps(e))
+        assert cli.main(["train", "--config", str(bad), "--quiet"]) == 2
+        assert named in capsys.readouterr().err
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")

@@ -96,6 +96,23 @@ def test_run_config_validation():
     for bad in (0.0, -1.0, np.inf, np.nan):
         with pytest.raises(ValueError):
             hn.RunConfig(loss="quadratic", lr_relative=bad)
+    # task and encoder must agree on the token grid and width, and the corit
+    # head needs a middle layer, all before any task is generated
+    for head in hn.HEAD_MODES:
+        with pytest.raises(ValueError, match="n_tokens"):
+            hn.RunConfig(head=head, task=tk.TaskSpec(n_tokens=25))
+        with pytest.raises(ValueError, match="task.dim"):
+            hn.RunConfig(head=head, task=tk.TaskSpec(dim=16))
+    enc = md.EncoderConfig(layers=3)
+    for bad in (0, 3, 4, -1):
+        with pytest.raises(ValueError, match="l_mid"):
+            hn.RunConfig(head="corit", encoder=enc, l_mid=bad)
+    for ok in (1, 2):
+        hn.RunConfig(head="corit", encoder=enc, l_mid=ok)
+    # plain heads never read l_mid
+    hn.RunConfig(head="plain-probe", encoder=md.EncoderConfig(layers=2), l_mid=4)
+    hn.RunConfig(task=tk.TaskSpec(n_tokens=25, dim=16),
+                 encoder=md.EncoderConfig(visual_tokens=25, dim=16))
 
 
 # -- feature pipeline ---------------------------------------------------------------
@@ -325,4 +342,3 @@ def test_corit_vs_baseline_report_structure():
     report = hn.corit_vs_baseline(cfg)
     assert report.plain_cor > 0.0 and report.corit_cor > 0.0
     assert report.lifted == (report.corit_cor > report.plain_cor)
-    assert report.plain_empirical is None and report.corit_empirical is None

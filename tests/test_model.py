@@ -1,6 +1,8 @@
 """Frozen encoder checks: determinism, the channel attenuation switch, the
 paired-stream forward, and the feature heads."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -42,12 +44,20 @@ def test_config_validation():
 def test_encode_plain_shapes_and_unbatched_input():
     enc = md.FrozenEncoder(CFG)
     x = sample_tokens(n=3)
-    states = enc.encode_plain(x)
-    assert len(states) == CFG.layers + 1
-    assert states[0].tokens.shape == (3, 1 + CFG.visual_tokens, CFG.dim)
-    single = enc.encode_plain(x[0])
-    assert single[-1].tokens.shape == (1 + CFG.visual_tokens, CFG.dim)
-    assert np.allclose(single[-1].cls, states[-1].cls[0])
+    heads = enc.encode_plain(x)
+    assert heads.shape == (CFG.layers + 1, 3, 1, CFG.dim)
+    seq = np.concatenate([np.broadcast_to(enc.params["cls"], (3, 1, CFG.dim)), x], axis=1)
+    for l in range(CFG.layers + 1):
+        assert np.array_equal(heads[l], seq[:, :1])
+        if l < CFG.layers:
+            seq = enc.block(seq, l)
+    # encoders take (S, N, D) only: one unbatched sample or a wrong token
+    # count or width is refused, not broadcast
+    for bad in (x[0], x[:, :8], x[..., :8], x[None]):
+        with pytest.raises(ValueError):
+            enc.encode_plain(bad)
+        with pytest.raises(ValueError):
+            enc.encode_corit(bad, bad, rg.grid_partition(4), alpha=0.5)
     with pytest.raises(ad.NonFiniteError):
         enc.encode_plain(np.full_like(x, np.nan))
 
@@ -61,8 +71,8 @@ def test_channel_attenuation_suppresses_designated_channels():
     enc_p = md.FrozenEncoder(plain_cfg)
     assert same_params(enc_b, enc_p)  # same weights, new switch
     x = sample_tokens(n=8)
-    out_b = enc_b.encode_plain(x)[-1].tokens
-    out_p = enc_p.encode_plain(x)[-1].tokens
+    out_b = enc_b.encode_plain(x)[-1]        # final CLS tokens
+    out_p = enc_p.encode_plain(x)[-1]
     ratio_bias = np.abs(out_b[..., 12:]).mean() / np.abs(out_p[..., 12:]).mean()
     ratio_rest = np.abs(out_b[..., :12]).mean() / np.abs(out_p[..., :12]).mean()
     assert ratio_bias < 0.5 * ratio_rest
@@ -83,14 +93,17 @@ def test_paired_streams_with_identical_inputs_are_inert():
     enc = md.FrozenEncoder(CFG)
     x = sample_tokens(n=2)
     regions = rg.grid_partition(4)
-    trace = enc.encode_corit(x, x.copy(), regions, alpha=0.5)
-    # zero discrepancy everywhere: no masks fire, nothing is pooled, and
-    # the two streams stay bit-identical layer by layer
-    for cgp, masks, R in zip(trace.cgp_fields, trace.masks, trace.region_tokens):
-        assert np.all(cgp == 0.0)
-        assert np.all(masks == 0.0)
-    for so, sc in zip(trace.orig_states, trace.cpart_states):
-        assert np.array_equal(so.tokens, sc.tokens)
+    heads, masks = enc.encode_corit(x, x.copy(), regions, alpha=0.0)
+    # zero discrepancy everywhere: no masks fire even at alpha 0, nothing is
+    # pooled, and the heads are those of the forward without injection
+    assert masks.shape == (CFG.layers, 2, 3, CFG.visual_tokens)
+    assert np.all(masks == 0.0)
+    seq = np.concatenate([np.broadcast_to(enc.params["cls"], (2, 1, CFG.dim)),
+                          np.zeros((2, 3, CFG.dim)), x], axis=1)
+    for l in range(CFG.layers + 1):
+        assert np.array_equal(heads[l], seq[:, :4])
+        if l < CFG.layers:
+            seq = enc.block(seq, l)
 
 
 def test_paired_streams_diverge_under_a_real_counterpart():
@@ -99,21 +112,19 @@ def test_paired_streams_diverge_under_a_real_counterpart():
     x2 = x.copy()
     x2[:, 5:7, :] += 1.0  # foreground tokens perturbed
     regions = rg.grid_partition(4)
-    trace = enc.encode_corit(x, x2, regions, alpha=0.25)
-    assert any(np.any(m != 0.0) for m in trace.masks)
-    assert len(trace.orig_states) == CFG.layers + 1
-    assert trace.orig_states[0].n_regions == 3
-    assert trace.orig_states[-1].tokens.shape == (2, 1 + 3 + 16, CFG.dim)
+    heads, masks = enc.encode_corit(x, x2, regions, alpha=0.25)
+    assert np.any(masks != 0.0)
+    assert heads.shape == (CFG.layers + 1, 2, 1 + 3, CFG.dim)
+    assert masks.shape == (CFG.layers, 2, 3, CFG.visual_tokens)
 
 
 def test_zero_region_paired_forward_reduces_to_plain():
     cfg0 = md.EncoderConfig(layers=3, dim=16, heads=4, region_count=0)
     enc = md.FrozenEncoder(cfg0)
     x = sample_tokens(n=2)
-    trace = enc.encode_corit(x, x + 0.5, [], alpha=0.5)
-    plain = enc.encode_plain(x)
-    for st_c, st_p in zip(trace.orig_states, plain):
-        assert np.array_equal(st_c.cls, st_p.cls)
+    heads, masks = enc.encode_corit(x, x + 0.5, [], alpha=0.5)
+    assert np.array_equal(heads, enc.encode_plain(x))
+    assert masks.shape == (cfg0.layers, 2, 0, cfg0.visual_tokens)
 
 
 def test_encode_corit_validation():
@@ -144,42 +155,57 @@ def test_encoders_are_exact_under_any_sample_split():
 
     whole = enc.encode_plain(x)
     split = [enc.encode_plain(x[p]) for p in parts]
-    for l, st in enumerate(whole):
-        assert np.array_equal(st.tokens, np.concatenate([sp[l].tokens for sp in split]))
+    assert np.array_equal(whole, np.concatenate(split, axis=1))
 
     regions = rg.grid_partition(4)
-    whole = enc.encode_corit(x, cp, regions, alpha=0.25)
+    heads, masks = enc.encode_corit(x, cp, regions, alpha=0.25)
     split = [enc.encode_corit(x[p], cp[p], regions, alpha=0.25) for p in parts]
-    assert any(m.any() for m in whole.masks)
+    assert masks.any()
+    assert np.array_equal(heads, np.concatenate([h for h, _ in split], axis=1))
+    assert np.array_equal(masks, np.concatenate([m for _, m in split], axis=1))
 
-    def joined(get):
-        return [np.concatenate(layer) for layer in zip(*(get(sp) for sp in split))]
 
-    for get in (lambda t: [st.tokens for st in t.orig_states],
-                lambda t: [st.tokens for st in t.cpart_states],
-                lambda t: t.cgp_fields, lambda t: t.masks, lambda t: t.region_tokens):
-        for a, b in zip(get(whole), joined(get)):
-            assert np.array_equal(a, b)
+def _peak_bytes(run) -> int:
+    tracemalloc.start()
+    try:
+        run()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_encoder_peak_memory_does_not_grow_with_depth():
+    # only the per-layer head tokens and masks outlive a layer, so the peak
+    # is one layer's working set whatever the depth
+    x = np.random.default_rng(4).normal(size=(400, 16, 32))
+    cp = x.copy()
+    cp[:, 5:7, :] += 1.0
+    regions = rg.grid_partition(4)
+    shallow, deep = (md.FrozenEncoder(md.EncoderConfig(layers=l)) for l in (2, 8))
+    for run in (lambda enc: enc.encode_corit(x, cp, regions, alpha=0.25),
+                lambda enc: enc.encode_plain(x)):
+        ratio = _peak_bytes(lambda: run(deep)) / _peak_bytes(lambda: run(shallow))
+        assert ratio <= 1.3, ratio
 
 
 def test_hri_fuse_concatenates_mid_and_final_layers():
     enc = md.FrozenEncoder(CFG)
     x = sample_tokens(n=4)
-    trace = enc.encode_corit(x, x + 0.1, rg.grid_partition(4), alpha=0.5)
-    feats = md.hri_fuse(trace.orig_states, l_mid=2)
+    heads, _ = enc.encode_corit(x, x + 0.1, rg.grid_partition(4), alpha=0.5)
+    feats = md.hri_fuse(heads, l_mid=2)
     K, D = 3, CFG.dim
     assert feats.shape == (4, 2 * (1 + K) * D)
-    mid = trace.orig_states[2].tokens[:, :1 + K, :].reshape(4, -1)
-    fin = trace.orig_states[-1].tokens[:, :1 + K, :].reshape(4, -1)
+    mid = heads[2].reshape(4, -1)
+    fin = heads[-1].reshape(4, -1)
     assert np.array_equal(feats, np.concatenate([mid, fin], axis=1))
     with pytest.raises(ValueError):
-        md.hri_fuse(trace.orig_states, l_mid=0)
+        md.hri_fuse(heads, l_mid=0)
     with pytest.raises(ValueError):
-        md.hri_fuse(trace.orig_states, l_mid=CFG.layers)
+        md.hri_fuse(heads, l_mid=CFG.layers)
 
 
 def test_plain_feature_is_final_cls():
     enc = md.FrozenEncoder(CFG)
     x = sample_tokens(n=2)
-    states = enc.encode_plain(x)
-    assert np.array_equal(md.plain_feature(states), states[-1].tokens[:, 0, :])
+    heads = enc.encode_plain(x)
+    assert np.array_equal(md.plain_feature(heads), heads[-1][:, 0, :])

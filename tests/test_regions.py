@@ -87,15 +87,14 @@ def test_layer_region_state_assembles_all_regions():
     cgp = rng.normal(size=(16, 4))
     visuals = rng.normal(size=(16, 4))
     regions = rg.grid_partition(4)
-    state = rg.layer_region_state(cgp, visuals, regions, alpha=0.5)
-    assert state.masks.shape == (3, 16)
-    assert state.pooled.shape == (3, 4)
-    assert len(state.anchors) == 3
+    masks, pooled = rg.layer_region_state(cgp, visuals, regions, alpha=0.5)
+    assert masks.shape == (3, 16)
+    assert pooled.shape == (3, 4)
     for k, reg in enumerate(regions):
         assert np.array_equal(
-            state.masks[k],
+            masks[k],
             rg.refine_mask(cgp, rg.anchor(cgp, reg), reg, 0.5))
-        assert np.allclose(state.pooled[k], rg.pool(visuals, state.masks[k]))
+        assert np.allclose(pooled[k], rg.pool(visuals, masks[k]))
 
 
 def test_batched_layer_region_state_equals_per_sample_calls():
@@ -107,17 +106,20 @@ def test_batched_layer_region_state_equals_per_sample_calls():
     cgp[5, 6] = -cgp[5, 5]          # the foreground (5, 6, 9, 10) of sample 5
     cgp[5, 10] = -cgp[5, 9]         # sums to exactly zero
     regions = rg.grid_partition(4)
+    anchors = [rg.anchor(cgp, reg) for reg in regions]
+    for s in range(S):
+        for a_b, reg in zip(anchors, regions):
+            a_s = rg.anchor(cgp[s], reg)
+            assert np.array_equal(a_b.norm[s], a_s.norm)
+            assert np.array_equal(a_b.d[s], a_s.d)
+    assert anchors[0].norm[5] == 0.0
     for alpha in (0.0, 0.5, 1.5):
-        batched = rg.layer_region_state(cgp, visuals, regions, alpha)
-        assert batched.masks.shape == (S, 3, N)
-        assert batched.pooled.shape == (S, 3, D)
+        masks, pooled = rg.layer_region_state(cgp, visuals, regions, alpha)
+        assert masks.shape == (S, 3, N)
+        assert pooled.shape == (S, 3, D)
         for s in range(S):
             single = rg.layer_region_state(cgp[s], visuals[s], regions, alpha)
-            assert np.array_equal(batched.masks[s], single.masks)
-            assert np.array_equal(batched.pooled[s], single.pooled)
-            for a_b, a_s in zip(batched.anchors, single.anchors):
-                assert np.array_equal(a_b.norm[s], a_s.norm)
-                assert np.array_equal(a_b.d[s], a_s.d)
-        assert not batched.masks[3].any() and not batched.masks[5, 0].any()
-        assert np.array_equal(batched.pooled[3], np.zeros((3, D)))
-        assert batched.anchors[0].norm[5] == 0.0
+            assert np.array_equal(masks[s], single[0])
+            assert np.array_equal(pooled[s], single[1])
+        assert not masks[3].any() and not masks[5, 0].any()
+        assert np.array_equal(pooled[3], np.zeros((3, D)))
