@@ -76,34 +76,6 @@ class Tensor:
     def __repr__(self):
         return f"Tensor(op={self.op}, shape={self.data.shape}, node={self.node_id})"
 
-    # operator sugar
-    def __add__(self, other):
-        return add(self, other)
-
-    def __radd__(self, other):
-        return add(other, self)
-
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __rsub__(self, other):
-        return sub(other, self)
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    def __rmul__(self, other):
-        return mul(other, self)
-
-    def __truediv__(self, other):
-        return div(self, other)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
-
-    def __neg__(self):
-        return neg(self)
-
 
 def leaf(data, requires_grad: bool = False) -> Tensor:
     return Tensor(data, requires_grad=requires_grad, op="input")
@@ -280,35 +252,6 @@ def mean(a, axis=None, keepdims: bool = False):
     return mul(sum_(a, axis=axis, keepdims=keepdims), 1.0 / float(n))
 
 
-def gather(a, indices, axis: int = 0):
-    """Take rows along `axis` (integer fancy indexing)."""
-    idx = np.asarray(indices, dtype=np.intp)
-    if not _graph_mode(a):
-        return np.take(val(a), idx, axis=axis)
-    in_shape = a.shape
-    return _node(
-        np.take(a.data, idx, axis=axis),
-        (a,),
-        lambda ct: (scatter(ct, idx, in_shape, axis=axis),),
-        "gather",
-    )
-
-
-def scatter(a, indices, shape, axis: int = 0):
-    """Adjoint of gather: add slices of `a` into a zero array of `shape`."""
-    idx = np.asarray(indices, dtype=np.intp)
-
-    def _scatter_np(x):
-        out = np.zeros(shape, dtype=np.float64)
-        moved = np.moveaxis(out, axis, 0)
-        np.add.at(moved, idx, np.moveaxis(x, axis, 0))
-        return out
-
-    if not _graph_mode(a):
-        return _scatter_np(val(a))
-    return _node(_scatter_np(a.data), (a,), lambda ct: (gather(ct, idx, axis=axis),), "scatter")
-
-
 def slice_along(a, axis: int, start: int, stop: int):
     """Contiguous slice along one axis."""
     if not _graph_mode(a):
@@ -387,10 +330,6 @@ def softplus(x):
     return add(log(add(exp(sub(x, shift)), np.exp(-shift))), shift)
 
 
-def sigmoid(x):
-    return exp(sub(x, softplus(x)))
-
-
 def gelu(x):
     # tanh approximation; the cube by multiplication, since libm pow is
     # about 20x slower than two multiplies on encoder-sized arrays
@@ -418,8 +357,8 @@ def bce_with_logits(logits, targets):
 class ParamVector:
     """Named trainable blocks flattened to one float64 vector of dim P.
 
-    Frozen parameters never enter a ParamVector.  flatten/unflatten
-    round-trips bit-exactly.
+    Frozen parameters never enter a ParamVector.  `views` reads each block
+    back out of a flat parameter Tensor bit-exactly.
     """
 
     def __init__(self, blocks: dict[str, np.ndarray]):
@@ -428,20 +367,10 @@ class ParamVector:
         self.flat = np.concatenate(
             [np.asarray(blocks[k], dtype=np.float64).ravel() for k in self.names]
         ) if self.names else np.zeros(0)
-        self.grad: np.ndarray | None = None
 
     @property
     def dim(self) -> int:
         return self.flat.size
-
-    def unflatten(self, flat: np.ndarray | None = None) -> dict[str, np.ndarray]:
-        flat = self.flat if flat is None else np.asarray(flat, dtype=np.float64)
-        out, off = {}, 0
-        for k in self.names:
-            n = int(np.prod(self.shapes[k], dtype=np.intp)) if self.shapes[k] else 1
-            out[k] = flat[off:off + n].reshape(self.shapes[k])
-            off += n
-        return out
 
     def views(self, w: Tensor) -> dict[str, Tensor]:
         """Graph views of a flat parameter Tensor, one per named block."""
@@ -457,7 +386,6 @@ class ParamVector:
         pv.names = list(self.names)
         pv.shapes = dict(self.shapes)
         pv.flat = self.flat.copy()
-        pv.grad = None if self.grad is None else self.grad.copy()
         return pv
 
 

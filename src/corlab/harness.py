@@ -92,6 +92,10 @@ class RunConfig:
             if got != want:
                 raise ValueError(f"task.{task_field} ({got}) must equal "
                                  f"encoder.{enc_field} ({want})")
+        bad = [c for c in self.counterpart.target_channels if not 0 <= c < self.task.dim]
+        if bad:
+            raise ValueError(f"counterpart.target_channels {bad} outside "
+                             f"[0, {self.task.dim})")
         if self.head == "corit" and not 1 <= self.l_mid < self.encoder.layers:
             raise ValueError(f"l_mid ({self.l_mid}) must be in "
                              f"[1, {self.encoder.layers - 1}] for the corit head")
@@ -103,9 +107,6 @@ class RunConfig:
 
     def to_dict(self) -> dict:
         return asdict(self)
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2, sort_keys=True)
 
     @classmethod
     def from_dict(cls, d: dict) -> "RunConfig":

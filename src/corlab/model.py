@@ -41,6 +41,9 @@ class EncoderConfig:
         if self.dim % self.heads != 0:
             raise ValueError("dim must be divisible by heads")
         object.__setattr__(self, "bias_channels", tuple(int(c) for c in self.bias_channels))
+        bad = [c for c in self.bias_channels if not 0 <= c < self.dim]
+        if bad:
+            raise ValueError(f"bias_channels {bad} outside [0, {self.dim})")
 
 
 class FrozenEncoder:

@@ -24,20 +24,6 @@ class RegionSpec:
         object.__setattr__(self, "indices", tuple(sorted(int(i) for i in self.indices)))
 
 
-@dataclass
-class RegionAnchor:
-    """Centroid of in-region discrepancies and its unit direction; with a
-    leading sample axis on the field, one anchor per sample.
-
-    Where the centroid norm is zero the direction is the zero vector and
-    the downstream mask is empty, so the injection degrades to a no-op.
-    """
-
-    c: np.ndarray              # (..., D)
-    d: np.ndarray              # (..., D)
-    norm: np.ndarray           # (...)
-
-
 def grid_partition(side: int) -> list[RegionSpec]:
     """Foreground / boundary / background partition of a side x side grid.
 
@@ -71,27 +57,29 @@ def compute_cgp(orig: np.ndarray, counterpart: np.ndarray) -> np.ndarray:
     return counterpart - orig
 
 
-def anchor(cgp: np.ndarray, region: RegionSpec) -> RegionAnchor:
-    """Region anchor of a (..., N, D) field: centroid of in-region
-    discrepancies and its unit direction."""
+def anchor(cgp: np.ndarray, region: RegionSpec) -> tuple[np.ndarray, np.ndarray]:
+    """Region anchor of a (..., N, D) field: the unit direction (..., D) of
+    the centroid of in-region discrepancies, and the centroid norm (...).
+    Where the norm is zero the direction is the zero vector."""
     c = cgp[..., list(region.indices), :].mean(axis=-2)
     norm = np.linalg.norm(c, axis=-1)
     d = c / np.where(norm > 0.0, norm, np.inf)[..., None]   # zero where norm is 0
-    return RegionAnchor(c, d, norm)
+    return d, norm
 
 
-def refine_mask(cgp: np.ndarray, anch: RegionAnchor, region: RegionSpec,
-                alpha: float) -> np.ndarray:
+def refine_mask(cgp: np.ndarray, region: RegionSpec, alpha: float) -> np.ndarray:
     """Binary (..., N) mask: in-region tokens whose projection onto the
-    anchor direction strictly exceeds alpha * ||c||.  Tokens outside the
-    region are always masked out; a degenerate anchor has a zero direction,
-    so every projection is 0, never above alpha * 0, and the mask is empty."""
+    region's anchor direction strictly exceeds alpha times the centroid
+    norm.  Tokens outside the region are always masked out; a degenerate
+    anchor has a zero direction, so every projection is 0, never above
+    alpha * 0, and the mask is empty, which makes the injection a no-op."""
     if alpha < 0:
         raise ValueError("alpha must be nonnegative")
+    d, norm = anchor(cgp, region)
     idx = list(region.indices)
-    proj = np.einsum("...nd,...d->...n", cgp[..., idx, :], anch.d)
+    proj = np.einsum("...nd,...d->...n", cgp[..., idx, :], d)
     mask = np.zeros(cgp.shape[:-1])
-    mask[..., idx] = proj > alpha * anch.norm[..., None]
+    mask[..., idx] = proj > alpha * norm[..., None]
     return mask
 
 
@@ -110,6 +98,6 @@ def layer_region_state(cgp: np.ndarray, visuals: np.ndarray,
                        epsilon: float = POOL_EPSILON) -> tuple[np.ndarray, np.ndarray]:
     """Full per-layer pass over (..., N, D) fields: the (..., K, N) binary
     masks and (..., K, D) pooled tokens of every region."""
-    masks = [refine_mask(cgp, anchor(cgp, reg), reg, alpha) for reg in regions]
+    masks = [refine_mask(cgp, reg, alpha) for reg in regions]
     pooled = [pool(visuals, m, epsilon) for m in masks]
     return np.stack(masks, axis=-2), np.stack(pooled, axis=-2)

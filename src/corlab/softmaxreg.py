@@ -17,8 +17,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import autodiff as ad
-
 
 def _softmax_rows(Z: np.ndarray) -> np.ndarray:
     E = np.exp(Z - Z.max(axis=1, keepdims=True))
@@ -69,20 +67,17 @@ class SoftmaxRegression:
         resid[np.arange(self.M), self.y] -= 1.0          # (M, C)
         return np.einsum("mc,mf->mcf", resid, self.X).reshape(self.M, self.dim)
 
-    def mean_grad(self) -> np.ndarray:
-        return self.per_sample_grads().mean(axis=0)
-
     def dense_hessian(self) -> np.ndarray:
         """Exact (P, P) Hessian of the mean NLL.
 
-        Per sample: (diag(p) - p p^T) kron (x x^T), averaged over samples.
+        Per sample: (diag(p) - p p^T) kron (x x^T), averaged over samples;
+        the sum over samples is one contraction of the (M, C, C) and
+        (M, F, F) blocks.
         """
-        p = self.probs()
-        P = self.dim
-        H = np.zeros((P, P))
-        for m in range(self.M):
-            A = np.diag(p[m]) - np.outer(p[m], p[m])     # (C, C)
-            H += np.kron(A, np.outer(self.X[m], self.X[m]))
+        p, X = self.probs(), self.X
+        A = p[:, :, None] * np.eye(self.C) - p[:, :, None] * p[:, None, :]
+        B = X[:, :, None] * X[:, None, :]
+        H = np.einsum("mab,mij->aibj", A, B).reshape(self.dim, self.dim)
         return H / self.M
 
     def trace_xi_direct(self) -> float:
@@ -100,21 +95,3 @@ class SoftmaxRegression:
         diag2 = (onehot - p) ** 2 - p + p ** 2           # (M, C), p_y cancels
         per_sample = (self.X ** 2).sum(axis=1) * diag2.sum(axis=1)
         return float(per_sample.mean())
-
-    # -- autodiff bridge (used to cross-check the engine) ------------------
-
-    def param_vector(self) -> ad.ParamVector:
-        return ad.ParamVector({"W": self.W})
-
-    def graph(self, views, data):
-        X, y = data
-        Z = ad.matmul(np.asarray(X), ad.swapaxes(views["W"], 0, 1))
-        lse = ad.logsumexp(Z, axis=-1, keepdims=True)
-        onehot = np.eye(self.C)[np.asarray(y, dtype=np.intp)]
-        picked = ad.sum_(ad.mul(Z, onehot), axis=-1, keepdims=True)
-        return ad.mean(ad.sub(lse, picked))
-
-    def hvp_oracle(self):
-        pv = self.param_vector()
-        data = (self.X, self.y)
-        return lambda v: ad.hvp(self.graph, pv, data, v)

@@ -8,6 +8,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import diagnostics as dg
 from . import regions as rg
 
 
@@ -49,6 +50,9 @@ class TaskSpec:
                            tuple(int(c) for c in self.artifact_channels))
         if self.artifact_amp > 0 and not self.artifact_channels:
             raise ValueError("artifact_amp > 0 requires nonempty artifact_channels")
+        bad = [c for c in self.artifact_channels if not 0 <= c < self.dim]
+        if bad:
+            raise ValueError(f"artifact_channels {bad} outside [0, {self.dim})")
         if self.noise_sigma <= 0:
             raise ValueError("noise_sigma must be positive")
 
@@ -144,30 +148,25 @@ class CounterpartOp:
         tokens = np.asarray(tokens, dtype=np.float64)
         n, d = tokens.shape[-2], tokens.shape[-1]
         idx = _region_indices(self.target_region, n)
-        if self.target_channels and max(self.target_channels) >= d:
+        if any(not 0 <= c < d for c in self.target_channels):
             raise ValueError("target channel out of range")
         if idx and max(idx) >= n:
             raise ValueError("target token out of range")
         return tokens + self.perturb_amp * self.pattern(n, d)
 
 
-def expected_gsnr(spec: TaskSpec, n_samples: int = 10_000, seed: int = 1234,
-                  batch_size: int = 1) -> float:
-    """Monte-Carlo GSNR of a zero-initialized linear probe on raw tokens.
+def expected_gsnr(spec: TaskSpec, batch_size: int = 1) -> float:
+    """Population GSNR of a zero-initialized linear probe on raw tokens.
 
-    At zero weights the per-sample loss gradient is (1/2 - y) * feature
-    (plus the matching bias coordinate), so the estimate is exact up to
-    sampling error and scales with the square of the signal amplitude.
+    At zero weights the per-sample loss gradient is (1/2 - y) * [x, 1].
+    With balanced labels, x ~ N(0, sigma^2 I) for real samples and the same
+    noise plus the shift s for fake ones, the mean gradient is -s/4, so the
+    signal is |s|^2/16, and E|g|^2 = (N*D*sigma^2 + |s|^2/2 + 1)/4.  The
+    noise is their difference over the batch size.
     """
-    from . import diagnostics as dg
-
-    rng = np.random.default_rng(seed)
     shift = (spec.semantic_amp * spec.semantic_pattern()
-             + spec.artifact_amp * spec.artifact_pattern()).ravel()
-    labels = rng.integers(0, 2, size=n_samples)
-    feats = rng.normal(scale=spec.noise_sigma,
-                       size=(n_samples, spec.n_tokens * spec.dim))
-    feats[labels == 1] += shift
-    resid = (0.5 - labels)[:, None]
-    grads = np.concatenate([resid * feats, resid], axis=1)
-    return dg.gsnr(grads, batch_size=batch_size)
+             + spec.artifact_amp * spec.artifact_pattern())
+    s2 = float((shift ** 2).sum())
+    signal = s2 / 16.0
+    second = (spec.n_tokens * spec.dim * spec.noise_sigma ** 2 + s2 / 2.0 + 1.0) / 4.0
+    return dg.signal_to_noise(signal, (second - signal) / batch_size)

@@ -1,6 +1,9 @@
 """Engine-level checks: primitive values, gradients against central
 differences, exact Hessian-vector products, and failure semantics."""
 
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -58,11 +61,6 @@ def test_logsumexp_and_softplus_are_overflow_safe():
     assert np.isclose(sp[0], 1000.0)
     assert np.isclose(sp[1], 0.0, atol=1e-12)
     assert np.isclose(sp[2], np.log(2.0))
-
-
-def test_sigmoid_matches_closed_form():
-    z = np.linspace(-20, 20, 41)
-    assert np.allclose(ad.sigmoid(z), 1.0 / (1.0 + np.exp(-z)))
 
 
 def test_bce_with_logits_matches_manual():
@@ -123,15 +121,13 @@ def test_numpy_gelu_matches_tanh_closed_form():
     np.testing.assert_allclose(ad.gelu(x), closed(x), rtol=0.0, atol=1e-15)
 
 
-def test_gradient_through_gather_scatter_slice_concat():
+def test_gradient_through_slice_concat():
     rng = np.random.default_rng(5)
-    idx = np.array([2, 0, 2])
 
     def graph(views, data):
         w = views["w"]
-        g = ad.gather(w, idx, axis=0)
         s = ad.slice_along(w, 0, 1, 3)
-        cat = ad.concat([g, s], axis=0)
+        cat = ad.concat([w, s], axis=0)   # rows 1-2 reach the loss twice
         return ad.sum_(ad.mul(cat, cat))
 
     w0 = rng.normal(size=(4, 2))
@@ -236,7 +232,32 @@ def test_param_vector_round_trip_is_bit_exact():
               "c": np.asarray(rng.normal())}
     pv = ad.ParamVector(blocks)
     assert pv.dim == 12
-    out = pv.unflatten()
+    assert np.array_equal(pv.flat, np.concatenate([v.ravel() for v in blocks.values()]))
+    with ad.Tape():
+        out = pv.views(ad.leaf(pv.flat))
     for k, v in blocks.items():
-        assert np.array_equal(out[k], np.asarray(v))
-        assert out[k].shape == np.asarray(v).shape
+        assert np.array_equal(out[k].data, v)
+        assert out[k].shape == v.shape
+
+
+# -- scope -----------------------------------------------------------------------
+
+def test_only_model_and_cli_import_autodiff():
+    # the engine is the array API of the encoder blocks and the CLI's error
+    # type; every other module is closed-form numpy.  The package's
+    # __init__ re-exports every module and is left out.
+    src = Path(ad.__file__).parent
+    importers = set()
+    for path in src.glob("*.py"):
+        if path.name == "__init__.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom):
+                names = [node.module or ""] + [a.name for a in node.names]
+            elif isinstance(node, ast.Import):
+                names = [a.name for a in node.names]
+            else:
+                continue
+            if any(n.split(".")[-1] == "autodiff" for n in names):
+                importers.add(path.stem)
+    assert importers == {"model", "cli"}

@@ -23,7 +23,7 @@ def config_path(tmp_path):
         optimizer=op.SamConfig(rho=0.05, learning_rate=1.0, batch_size=500,
                                steps=60, seed=0))
     path = tmp_path / "config.json"
-    path.write_text(cfg.to_json())
+    path.write_text(json.dumps(cfg.to_dict()))
     return str(path)
 
 
@@ -81,8 +81,15 @@ def test_malformed_config_exits_2(config_path, tmp_path, capsys):
     assert "steps" in capsys.readouterr().err
     d["optimizer"]["steps"] = 60
     cases = ((dict(d, task=dict(d["task"], n_tokens=25)), "task.n_tokens"),
-             (dict(d, task=dict(d["task"], dim=16)), "task.dim"),
-             (dict(d, head="corit"), "l_mid"))    # the fixture's l_mid 4, 2 layers
+             (dict(d, task=dict(d["task"], dim=16, artifact_channels=[15])),
+              "task.dim"),
+             (dict(d, head="corit"), "l_mid"),    # the fixture's l_mid 4, 2 layers
+             (dict(d, task=dict(d["task"], artifact_channels=[32])),
+              "artifact_channels"),
+             (dict(d, encoder=dict(d["encoder"], semantic_bias=True,
+                                   bias_channels=[40])), "bias_channels"),
+             (dict(d, counterpart=dict(d["counterpart"], target_channels=[-1])),
+              "counterpart.target_channels"))
     for e, named in cases:
         bad.write_text(json.dumps(e))
         assert cli.main(["train", "--config", str(bad), "--quiet"]) == 2
@@ -95,7 +102,7 @@ def test_divergent_run_exits_3(config_path, tmp_path):
     from dataclasses import replace
     blown = replace(cfg, lr_relative=1e9)
     path = tmp_path / "blown.json"
-    path.write_text(blown.to_json())
+    path.write_text(json.dumps(blown.to_dict()))
     assert cli.main(["train", "--config", str(path), "--quiet"]) == 3
 
 
@@ -153,7 +160,7 @@ def test_compare_subcommand(config_path, tmp_path, capsys):
     cfg = hn.RunConfig.from_json(open(config_path).read())
     from dataclasses import replace
     path = tmp_path / "cmp.json"
-    path.write_text(replace(cfg, l_mid=1).to_json())
+    path.write_text(json.dumps(replace(cfg, l_mid=1).to_dict()))
     code = cli.main(["compare", "--config", str(path)])
     assert code == 0
     payload = json.loads(capsys.readouterr().out)

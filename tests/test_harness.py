@@ -76,7 +76,7 @@ def test_run_config_json_round_trip_is_exact():
                              counterpart=tk.CounterpartOp(perturb_amp=2.5,
                                                           target_channels=(1, 2)),
                              out_dir="/tmp/somewhere")
-    back = hn.RunConfig.from_json(cfg.to_json())
+    back = hn.RunConfig.from_json(json.dumps(cfg.to_dict()))
     assert back == cfg
     assert isinstance(back.task.artifact_channels, tuple)
     assert isinstance(back.counterpart.target_channels, tuple)
@@ -102,7 +102,7 @@ def test_run_config_validation():
         with pytest.raises(ValueError, match="n_tokens"):
             hn.RunConfig(head=head, task=tk.TaskSpec(n_tokens=25))
         with pytest.raises(ValueError, match="task.dim"):
-            hn.RunConfig(head=head, task=tk.TaskSpec(dim=16))
+            hn.RunConfig(head=head, task=tk.TaskSpec(dim=16, artifact_channels=(15,)))
     enc = md.EncoderConfig(layers=3)
     for bad in (0, 3, 4, -1):
         with pytest.raises(ValueError, match="l_mid"):
@@ -111,8 +111,21 @@ def test_run_config_validation():
         hn.RunConfig(head="corit", encoder=enc, l_mid=ok)
     # plain heads never read l_mid
     hn.RunConfig(head="plain-probe", encoder=md.EncoderConfig(layers=2), l_mid=4)
-    hn.RunConfig(task=tk.TaskSpec(n_tokens=25, dim=16),
-                 encoder=md.EncoderConfig(visual_tokens=25, dim=16))
+    narrow = dict(task=tk.TaskSpec(n_tokens=25, dim=16, artifact_channels=(8, 15)),
+                  encoder=md.EncoderConfig(visual_tokens=25, dim=16))
+    hn.RunConfig(**narrow, counterpart=tk.CounterpartOp(target_channels=(0, 15)))
+    # channel indices must lie in [0, dim), checked before any task is
+    # generated; the counterpart's against the task's width
+    with pytest.raises(ValueError, match="counterpart.target_channels"):
+        hn.RunConfig(**narrow)          # the default targets are 24-31
+    with pytest.raises(ValueError, match="counterpart.target_channels"):
+        hn.RunConfig(counterpart=tk.CounterpartOp(target_channels=(-1,)))
+    with pytest.raises(ValueError, match="artifact_channels"):
+        tk.TaskSpec(artifact_channels=(32,))
+    for bad in ((40,), (-1,), (0, 32)):
+        with pytest.raises(ValueError, match="bias_channels"):
+            md.EncoderConfig(semantic_bias=True, bias_channels=bad)
+    md.EncoderConfig(semantic_bias=True, bias_channels=(0, 31))
 
 
 # -- feature pipeline ---------------------------------------------------------------

@@ -38,16 +38,16 @@ def test_anchor_centroid_and_unit_direction():
     cgp[1] = [3.0, 0.0, 0.0]
     cgp[2] = [0.0, 4.0, 0.0]
     region = rg.RegionSpec(0, (1, 2))
-    a = rg.anchor(cgp, region)
-    assert np.allclose(a.c, [1.5, 2.0, 0.0])
-    assert a.norm == pytest.approx(2.5)
-    assert np.allclose(a.d, [0.6, 0.8, 0.0])
+    d, norm = rg.anchor(cgp, region)
+    assert np.allclose(norm * d, [1.5, 2.0, 0.0])   # the centroid
+    assert norm == pytest.approx(2.5)
+    assert np.allclose(d, [0.6, 0.8, 0.0])
 
 
 def test_anchor_degenerate_region_gives_zero_direction():
-    a = rg.anchor(np.zeros((4, 3)), rg.RegionSpec(0, (0, 1)))
-    assert a.norm == 0.0
-    assert np.all(a.d == 0.0)
+    d, norm = rg.anchor(np.zeros((4, 3)), rg.RegionSpec(0, (0, 1)))
+    assert norm == 0.0
+    assert np.all(d == 0.0)
 
 
 def test_refine_mask_thresholds_in_region_projections():
@@ -56,20 +56,19 @@ def test_refine_mask_thresholds_in_region_projections():
     cgp[1] = [4.0, 0.0]    # above threshold
     cgp[2] = [2.0, 0.0]    # region centroid pulls the threshold here
     region = rg.RegionSpec(0, (1, 2))
-    a = rg.anchor(cgp, region)   # centroid (3, 0), norm 3
-    mask = rg.refine_mask(cgp, a, region, alpha=1.0)
+    # the anchor is the centroid (3, 0), norm 3
+    mask = rg.refine_mask(cgp, region, alpha=1.0)
     assert mask.tolist() == [0.0, 1.0, 0.0, 0.0, 0.0]
     # alpha = 0 keeps every in-region token with positive projection
-    mask0 = rg.refine_mask(cgp, a, region, alpha=0.0)
+    mask0 = rg.refine_mask(cgp, region, alpha=0.0)
     assert mask0.tolist() == [0.0, 1.0, 1.0, 0.0, 0.0]
     with pytest.raises(ValueError):
-        rg.refine_mask(cgp, a, region, alpha=-0.5)
+        rg.refine_mask(cgp, region, alpha=-0.5)
 
 
 def test_refine_mask_degenerate_anchor_is_empty():
     region = rg.RegionSpec(0, (0, 1))
-    a = rg.anchor(np.zeros((3, 2)), region)
-    assert np.all(rg.refine_mask(np.zeros((3, 2)), a, region, 0.5) == 0.0)
+    assert np.all(rg.refine_mask(np.zeros((3, 2)), region, 0.5) == 0.0)
 
 
 def test_pool_masked_average_and_empty_mask():
@@ -93,7 +92,7 @@ def test_layer_region_state_assembles_all_regions():
     for k, reg in enumerate(regions):
         assert np.array_equal(
             masks[k],
-            rg.refine_mask(cgp, rg.anchor(cgp, reg), reg, 0.5))
+            rg.refine_mask(cgp, reg, 0.5))
         assert np.allclose(pooled[k], rg.pool(visuals, masks[k]))
 
 
@@ -108,11 +107,11 @@ def test_batched_layer_region_state_equals_per_sample_calls():
     regions = rg.grid_partition(4)
     anchors = [rg.anchor(cgp, reg) for reg in regions]
     for s in range(S):
-        for a_b, reg in zip(anchors, regions):
-            a_s = rg.anchor(cgp[s], reg)
-            assert np.array_equal(a_b.norm[s], a_s.norm)
-            assert np.array_equal(a_b.d[s], a_s.d)
-    assert anchors[0].norm[5] == 0.0
+        for (d_b, norm_b), reg in zip(anchors, regions):
+            d_s, norm_s = rg.anchor(cgp[s], reg)
+            assert np.array_equal(norm_b[s], norm_s)
+            assert np.array_equal(d_b[s], d_s)
+    assert anchors[0][1][5] == 0.0
     for alpha in (0.0, 0.5, 1.5):
         masks, pooled = rg.layer_region_state(cgp, visuals, regions, alpha)
         assert masks.shape == (S, 3, N)

@@ -1,8 +1,10 @@
 """Softmax-regression exactness: closed-form gradients and Hessians against
-the autodiff engine and finite differences, plus the residual-trace identity."""
+the autodiff engine, a per-sample kron reference and finite differences,
+plus the residual-trace identity."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from corlab import autodiff as ad
 from corlab import diagnostics as dg
@@ -11,6 +13,30 @@ from corlab import softmaxreg as sr
 
 def instance(seed=0, **kw):
     return sr.SoftmaxRegression.random(np.random.default_rng(seed), **kw)
+
+
+def nll_graph(views, data):
+    """Mean NLL of softmax(X W^T) as an engine graph over the block W."""
+    X, y = data
+    Z = ad.matmul(X, ad.swapaxes(views["W"], 0, 1))
+    lse = ad.logsumexp(Z, axis=-1, keepdims=True)
+    onehot = np.eye(views["W"].shape[0])[y]
+    picked = ad.sum_(ad.mul(Z, onehot), axis=-1, keepdims=True)
+    return ad.mean(ad.sub(lse, picked))
+
+
+def engine_args(inst):
+    return nll_graph, ad.ParamVector({"W": inst.W}), (inst.X, inst.y)
+
+
+def kron_hessian(inst):
+    """Per-sample sum of (diag p - p p^T) kron (x x^T), over M."""
+    p = inst.probs()
+    H = np.zeros((inst.dim, inst.dim))
+    for m in range(inst.M):
+        A = np.diag(p[m]) - np.outer(p[m], p[m])
+        H += np.kron(A, np.outer(inst.X[m], inst.X[m]))
+    return H / inst.M
 
 
 def test_probs_rows_are_distributions():
@@ -23,14 +49,14 @@ def test_probs_rows_are_distributions():
 
 def test_loss_matches_engine():
     inst = instance(1)
-    out, _ = ad.forward(inst.graph, inst.param_vector(), (inst.X, inst.y))
+    out, _ = ad.forward(*engine_args(inst))
     assert np.isclose(inst.loss(), float(out.data))
 
 
 def test_mean_grad_matches_engine_and_finite_differences():
     inst = instance(2, n_samples=7, n_classes=3, n_features=4)
-    engine = ad.gradient(inst.graph, inst.param_vector(), (inst.X, inst.y))
-    closed = inst.mean_grad()
+    engine = ad.gradient(*engine_args(inst))
+    closed = inst.per_sample_grads().mean(axis=0)
     assert np.allclose(engine, closed, atol=1e-10)
 
     h = 1e-6
@@ -50,18 +76,28 @@ def test_dense_hessian_matches_engine_hvp():
     inst = instance(3, n_samples=5, n_classes=3, n_features=3)
     H = inst.dense_hessian()
     assert np.allclose(H, H.T)
-    oracle = inst.hvp_oracle()
     for k in range(inst.dim):
         e = np.zeros(inst.dim)
         e[k] = 1.0
-        assert np.allclose(oracle(e), H[:, k], atol=1e-9)
+        assert np.allclose(ad.hvp(*engine_args(inst), e), H[:, k], atol=1e-9)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.integers(1, 40), st.integers(2, 6), st.integers(1, 10),
+       st.integers(0, 2 ** 32 - 1))
+def test_dense_hessian_matches_kron_reference(M, C, F, seed):
+    inst = sr.SoftmaxRegression.random(np.random.default_rng(seed), n_samples=M,
+                                       n_classes=C, n_features=F)
+    ref = kron_hessian(inst)
+    np.testing.assert_allclose(inst.dense_hessian(), ref, rtol=0.0,
+                               atol=1e-14 * max(1.0, np.abs(ref).max()))
 
 
 def test_per_sample_grads_average_to_mean_grad():
     inst = instance(4, n_samples=9)
     G = inst.per_sample_grads()
     assert G.shape == (9, inst.dim)
-    assert np.allclose(G.mean(axis=0), inst.mean_grad())
+    assert np.allclose(G.mean(axis=0), ad.gradient(*engine_args(inst)), atol=1e-12)
 
 
 def test_residual_trace_identity():
