@@ -32,8 +32,6 @@ def _load_config(args) -> hn.RunConfig:
                       optimizer=replace(cfg.optimizer, seed=args.seed))
     if args.rho is not None:
         cfg = replace(cfg, optimizer=replace(cfg.optimizer, rho=args.rho))
-    if args.out is not None:
-        cfg = replace(cfg, out_dir=args.out)
     return cfg
 
 
@@ -42,18 +40,16 @@ def _emit(args, text: str) -> None:
         print(text)
 
 
-def _write_json(out_dir: str | None, name: str, payload: dict) -> None:
-    if out_dir is None:
-        return
-    os.makedirs(out_dir, exist_ok=True)
-    with open(os.path.join(out_dir, name), "w", encoding="utf-8",
-              newline="\n") as fh:
-        fh.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+def _report(args, name: str, payload: dict) -> None:
+    """Write `payload` as report `name` under --out, if given, and echo it."""
+    if args.out is not None:
+        hn.write_report(args.out, name, payload)
+    _emit(args, json.dumps(payload, sort_keys=True))
 
 
 def cmd_train(args) -> int:
     cfg = _load_config(args)
-    res = hn.run_train(cfg, out_dir=cfg.out_dir)
+    res = hn.run_train(cfg, out_dir=args.out)
     _emit(args, json.dumps(res.summary(), sort_keys=True))
     return EXIT_NUMERICAL if res.failed else EXIT_OK
 
@@ -61,7 +57,7 @@ def cmd_train(args) -> int:
 def cmd_diagnose(args) -> int:
     cfg = _load_config(args)
     cfg = replace(cfg, optimizer=replace(cfg.optimizer, rho=0.0))
-    res = hn.run_train(cfg, out_dir=cfg.out_dir)
+    res = hn.run_train(cfg, out_dir=args.out)
     payload = res.summary()
     payload["estimates"] = [e.to_dict() for e in res.estimates]
     _emit(args, json.dumps(payload, sort_keys=True))
@@ -71,18 +67,7 @@ def cmd_diagnose(args) -> int:
 def cmd_sweep(args) -> int:
     cfg = _load_config(args)
     rhos = [float(r) for r in args.rhos.split(",")]
-    result = hn.sweep_rho(cfg, rhos)
-    payload = {
-        "schema_version": hn.SCHEMA_VERSION,
-        "entries": [asdict(e) for e in result.entries],
-        "empirical_cor": result.empirical_cor,
-        "theoretical_cor": result.theoretical_cor,
-        "all_collapsed": result.all_collapsed,
-        "none_collapsed": result.none_collapsed,
-        "monotone": result.monotone,
-    }
-    _write_json(cfg.out_dir, "sweep.json", payload)
-    _emit(args, json.dumps(payload, sort_keys=True))
+    _report(args, "sweep.json", asdict(hn.sweep_rho(cfg, rhos)))
     return EXIT_OK
 
 
@@ -101,7 +86,7 @@ def cmd_landscape(args) -> int:
     sample = dg.landscape_sample(loss_fn, res.weights,
                                  [slice(0, dim - 1), slice(dim - 1, dim)],
                                  seed=cfg.optimizer.seed)
-    out_dir = cfg.out_dir or "."
+    out_dir = args.out or "."
     os.makedirs(out_dir, exist_ok=True)
     dg.landscape_to_csv(sample, os.path.join(out_dir, "landscape.csv"))
     _emit(args, f"landscape grid written ({len(sample['non_finite_cells'])} "
@@ -111,17 +96,9 @@ def cmd_landscape(args) -> int:
 
 def cmd_verify(args) -> int:
     report = hn.verify_theorem_campaign(args.instances, seed=args.seed or 0)
-    payload = {
-        "schema_version": hn.SCHEMA_VERSION,
-        "n_instances": report.n_instances,
-        "n_passed": report.n_passed,
-        "max_rel_gap": report.max_rel_gap,
-        "min_wellposed": report.min_wellposed,
-        "elapsed_s": report.elapsed_s,
-        "failures": report.failures,
-    }
-    _write_json(args.out, "verify_theorem.json", payload)
-    _emit(args, json.dumps({k: payload[k] for k in
+    if args.out is not None:
+        hn.write_report(args.out, "verify_theorem.json", asdict(report))
+    _emit(args, json.dumps({k: getattr(report, k) for k in
                             ("n_instances", "n_passed", "max_rel_gap")},
                            sort_keys=True))
     return EXIT_OK if report.passed else EXIT_ASSERTION
@@ -130,16 +107,7 @@ def cmd_verify(args) -> int:
 def cmd_compare(args) -> int:
     cfg = _load_config(args)
     report = hn.corit_vs_baseline(cfg)
-    payload = {
-        "schema_version": hn.SCHEMA_VERSION,
-        "plain_cor": report.plain_cor,
-        "corit_cor": report.corit_cor,
-        "plain_collapse_zone": report.plain_collapse_zone,
-        "corit_collapse_zone": report.corit_collapse_zone,
-        "lifted": report.lifted,
-    }
-    _write_json(cfg.out_dir, "compare.json", payload)
-    _emit(args, json.dumps(payload, sort_keys=True))
+    _report(args, "compare.json", dict(asdict(report), lifted=report.lifted))
     return EXIT_OK
 
 

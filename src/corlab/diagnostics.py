@@ -10,6 +10,14 @@ import numpy as np
 
 GSNR_INF = float("inf")
 COLLAPSE_ZONE_THRESHOLD = 0.05
+WELLPOSED_TOL = 1e-9              # slack on 1 + TrXi/TrH >= 0
+DECOMPOSITION_REL_FLOOR = 1e-12   # relative-gap denominator floor
+# phase segmentation of a GSNR trace
+PHASE_SMOOTH_WINDOW = 5           # moving-average width on log GSNR
+PHASE_RISE_SLOPE = 0.05           # smoothed log-slope that counts as rising
+PHASE_RISE_RUN = 3                # consecutive rising steps that start the rise
+PHASE_DECAY_RUN = 5               # consecutive falling steps that start the decay
+PHASE_LOG_FLOOR = 1e-12           # GSNR floor before the log
 
 
 # ---------------------------------------------------------------------------
@@ -188,14 +196,15 @@ def hessian_trace(hvp_oracle, dim: int, probes: int = 100, seed: int = 0,
 
 
 def misspecification_trace(trace_cov: float, grad_norm_sq: float,
-                           trace_h: float, tol: float = 1e-9) -> float:
+                           trace_h: float) -> float:
     """Residual trace from the rearranged Hessian-covariance identity.
 
-    Asserts the well-posedness guarantee 1 + TrXi/TrH >= 0 (up to `tol`)
-    whenever TrH > 0; a violation signals inconsistent inputs.
+    Asserts the well-posedness guarantee 1 + TrXi/TrH >= 0 (up to
+    `WELLPOSED_TOL`) whenever TrH > 0; a violation signals inconsistent
+    inputs.
     """
     trace_xi = trace_cov + grad_norm_sq - trace_h
-    if trace_h > 0 and 1.0 + trace_xi / trace_h < -tol:
+    if trace_h > 0 and 1.0 + trace_xi / trace_h < -WELLPOSED_TOL:
         raise ValueError(
             f"well-posedness violated: 1 + TrXi/TrH = {1 + trace_xi / trace_h:.3e}"
         )
@@ -211,8 +220,7 @@ def statistical_term(s: float) -> float:
     return float(np.sqrt(s / (1.0 + s)))
 
 
-def verify_decomposition(spec: SpectralEstimate,
-                         rel_floor: float = 1e-12) -> DecompositionReport:
+def verify_decomposition(spec: SpectralEstimate) -> DecompositionReport:
     """Check the tripartite factorization of the per-step stability bound.
 
     LHS is ||grad|| / lambda_max computed directly; RHS is the product
@@ -227,12 +235,11 @@ def verify_decomposition(spec: SpectralEstimate,
     stat = statistical_term(spec.gsnr)
     rhs = float(geometric * misspec * stat)
     lhs = spec.cor_bound
-    rel_gap = abs(lhs - rhs) / max(lhs, rel_floor)
+    rel_gap = abs(lhs - rhs) / max(lhs, DECOMPOSITION_REL_FLOOR)
     return DecompositionReport(float(geometric), misspec, stat, lhs, rhs, float(rel_gap))
 
 
-def cor_trajectory(steps, grad_norms, lambda_maxes,
-                   collapse_threshold: float = COLLAPSE_ZONE_THRESHOLD) -> CorReport:
+def cor_trajectory(steps, grad_norms, lambda_maxes) -> CorReport:
     """Per-step stability bounds ||grad_t|| / lambda_max_t and their minimum.
 
     Steps with lambda_max <= 0 are excluded (locally indefinite landscape);
@@ -250,39 +257,37 @@ def cor_trajectory(steps, grad_norms, lambda_maxes,
     i = int(np.argmin(bounds))
     rho_crit = bounds[i]
     return CorReport(kept_steps, bounds, rho_crit, kept_steps[i],
-                     rho_crit < collapse_threshold, excluded)
+                     rho_crit < COLLAPSE_ZONE_THRESHOLD, excluded)
 
 
 # ---------------------------------------------------------------------------
 # GSNR phase detection
 # ---------------------------------------------------------------------------
 
-def phase_detect(values, cor_bounds=None, smooth_window: int = 5,
-                 rise_slope: float = 0.05, rise_run: int = 3,
-                 decay_run: int = 5, floor: float = 1e-12) -> GsnrTrace:
+def phase_detect(values, cor_bounds=None) -> GsnrTrace:
     """Segment a GSNR trajectory into plateau / rise / decay phases.
 
     The log-trace is smoothed with a moving average; the rise phase starts
-    at the first step whose smoothed slope exceeds `rise_slope` for
-    `rise_run` consecutive steps, the decay phase at the first later step
-    whose slope is negative for `decay_run` consecutive steps.  When no
-    rise is detected the whole run is the pre-optimization phase (the
-    collapse case).
+    at the first step whose smoothed slope exceeds `PHASE_RISE_SLOPE` for
+    `PHASE_RISE_RUN` consecutive steps, the decay phase at the first later
+    step whose slope is negative for `PHASE_DECAY_RUN` consecutive steps.
+    When no rise is detected the whole run is the pre-optimization phase
+    (the collapse case).
     """
     v = np.asarray(values, dtype=np.float64)
     if v.size < 10:
         raise ValueError("need at least 10 steps")
-    logv = np.log(np.maximum(v, floor))
-    kernel = np.ones(smooth_window) / smooth_window
+    logv = np.log(np.maximum(v, PHASE_LOG_FLOOR))
+    kernel = np.ones(PHASE_SMOOTH_WINDOW) / PHASE_SMOOTH_WINDOW
     smoothed = np.convolve(logv, kernel, mode="same")
     slope = np.diff(smoothed)
 
     rise_start = None
     run = 0
     for i, s in enumerate(slope):
-        run = run + 1 if s > rise_slope else 0
-        if run >= rise_run:
-            rise_start = i - rise_run + 2  # first step of the sustained rise
+        run = run + 1 if s > PHASE_RISE_SLOPE else 0
+        if run >= PHASE_RISE_RUN:
+            rise_start = i - PHASE_RISE_RUN + 2  # first step of the sustained rise
             break
 
     decay_start = None
@@ -290,8 +295,8 @@ def phase_detect(values, cor_bounds=None, smooth_window: int = 5,
         run = 0
         for i in range(rise_start, slope.size):
             run = run + 1 if slope[i] < 0 else 0
-            if run >= decay_run:
-                decay_start = i - decay_run + 2
+            if run >= PHASE_DECAY_RUN:
+                decay_start = i - PHASE_DECAY_RUN + 2
                 break
 
     # bottleneck: argmin of the stability bound (or of the GSNR itself when
@@ -346,7 +351,6 @@ def landscape_sample(loss_fn, params_flat: np.ndarray, block_slices,
                 grid[i, j] = loss_fn(w0 + a * d1 + b * d2)
             except ArithmeticError:
                 grid[i, j] = np.nan
-                flagged.append((i, j))
             if not np.isfinite(grid[i, j]):
                 flagged.append((i, j))
     return {"ticks": ticks, "grid": grid, "non_finite_cells": flagged,

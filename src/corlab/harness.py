@@ -5,6 +5,7 @@ campaigns, and report emission."""
 from __future__ import annotations
 
 import json
+import numbers
 import os
 import time
 from dataclasses import dataclass, field, asdict, replace
@@ -19,6 +20,8 @@ from . import tasks as tk
 
 SCHEMA_VERSION = 1
 COLLAPSE_AUC_THRESHOLD = 0.55
+BISECTION_RESOLUTION = 1e-3     # rho width at which sweep bisection stops
+FACTORIZATION_REL_TOL = 1e-6    # campaign pass threshold on both relative gaps
 HEAD_MODES = ("plain-probe", "corit")
 LOSS_MODES = ("bce", "quadratic")
 STANDARDIZE_MODES = ("none", "center", "whiten")
@@ -76,7 +79,6 @@ class RunConfig:
     loss: str = "bce"
     standardize: str = "center"
     lr_relative: float | None = None
-    out_dir: str | None = None
 
     def __post_init__(self):
         if self.head not in HEAD_MODES:
@@ -85,8 +87,14 @@ class RunConfig:
             raise ValueError(f"loss must be one of {LOSS_MODES}")
         if self.standardize not in STANDARDIZE_MODES:
             raise ValueError(f"standardize must be one of {STANDARDIZE_MODES}")
+        for name in ("cadence", "l_mid"):
+            v = getattr(self, name)
+            if not isinstance(v, numbers.Integral) or isinstance(v, bool):
+                raise ValueError(f"{name} must be an integer, got {v!r}")
         if self.cadence < 1:
             raise ValueError("cadence must be >= 1")
+        if not (np.isfinite(self.alpha) and self.alpha >= 0):
+            raise ValueError(f"alpha must be finite and nonnegative, got {self.alpha!r}")
         for task_field, enc_field in (("n_tokens", "visual_tokens"), ("dim", "dim")):
             got, want = getattr(self.task, task_field), getattr(self.encoder, enc_field)
             if got != want:
@@ -111,15 +119,10 @@ class RunConfig:
     @classmethod
     def from_dict(cls, d: dict) -> "RunConfig":
         d = dict(d)
-        task = dict(d.pop("task"))
-        task["artifact_channels"] = tuple(task["artifact_channels"])
-        enc = dict(d.pop("encoder"))
-        enc["bias_channels"] = tuple(enc["bias_channels"])
-        cp = dict(d.pop("counterpart"))
-        cp["target_channels"] = tuple(cp["target_channels"])
-        return cls(task=tk.TaskSpec(**task), encoder=md.EncoderConfig(**enc),
+        return cls(task=tk.TaskSpec(**d.pop("task")),
+                   encoder=md.EncoderConfig(**d.pop("encoder")),
                    optimizer=op.SamConfig(**d.pop("optimizer")),
-                   counterpart=tk.CounterpartOp(**cp), **d)
+                   counterpart=tk.CounterpartOp(**d.pop("counterpart")), **d)
 
     @classmethod
     def from_json(cls, text: str) -> "RunConfig":
@@ -249,7 +252,6 @@ class TrainResult:
 
     def summary(self) -> dict:
         return {
-            "schema_version": SCHEMA_VERSION,
             "config": self.config.to_dict(),
             "train_auc": self.train_auc,
             "test_auc": self.test_auc,
@@ -326,6 +328,16 @@ def run_train(config: RunConfig, feats: FeatureSet | None = None,
     return result
 
 
+def write_report(out_dir: str, name: str, payload: dict) -> None:
+    """Write `payload` as the JSON report `out_dir/name`, the one report
+    format: `schema_version` added, keys sorted, indent 2, trailing newline."""
+    os.makedirs(out_dir, exist_ok=True)
+    with open(os.path.join(out_dir, name), "w", encoding="utf-8",
+              newline="\n") as fh:
+        fh.write(json.dumps({"schema_version": SCHEMA_VERSION, **payload},
+                            indent=2, sort_keys=True) + "\n")
+
+
 def emit_run(result: TrainResult, out_dir: str) -> None:
     os.makedirs(out_dir, exist_ok=True)
     with open(os.path.join(out_dir, "steps.csv"), "w", encoding="utf-8",
@@ -334,14 +346,9 @@ def emit_run(result: TrainResult, out_dir: str) -> None:
         for m in result.steps:
             fh.write(f"{m.step},{m.loss!r},{m.train_auc_window!r},"
                      f"{m.grad_norm!r},{m.gsnr!r}\n")
-    with open(os.path.join(out_dir, "diagnostics.json"), "w",
-              encoding="utf-8", newline="\n") as fh:
-        payload = {"schema_version": SCHEMA_VERSION,
-                   "estimates": [e.to_dict() for e in result.estimates]}
-        fh.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
-    with open(os.path.join(out_dir, "summary.json"), "w",
-              encoding="utf-8", newline="\n") as fh:
-        fh.write(json.dumps(result.summary(), indent=2, sort_keys=True) + "\n")
+    write_report(out_dir, "diagnostics.json",
+                 {"estimates": [e.to_dict() for e in result.estimates]})
+    write_report(out_dir, "summary.json", result.summary())
 
 
 # ---------------------------------------------------------------------------
@@ -358,9 +365,12 @@ class SweepEntry:
 
 @dataclass
 class SweepResult:
+    """`theoretical_cor` is always None (JSON null): a sweep trains no
+    zero-radius run, so it has no trajectory minimum to report."""
+
     entries: list[SweepEntry]
     empirical_cor: float
-    theoretical_cor: float
+    theoretical_cor: float | None = None
     all_collapsed: bool = False
     none_collapsed: bool = False
     monotone: bool = True
@@ -385,8 +395,7 @@ def _collapse_stat(problem, feats: FeatureSet,
             compute_auc(_logits(w, feats.test), feats.test_labels))
 
 
-def sweep_rho(config: RunConfig, rho_list, seeds=(0, 1, 2),
-              resolution: float = 1e-3) -> SweepResult:
+def sweep_rho(config: RunConfig, rho_list, seeds=(0, 1, 2)) -> SweepResult:
     """Collapse sweep over ascending rho values with boundary bisection.
 
     Each rho is labeled collapsed by majority vote over per-seed runs
@@ -423,27 +432,22 @@ def sweep_rho(config: RunConfig, rho_list, seeds=(0, 1, 2),
         entries.append(SweepEntry(r, tr, te, coll))
 
     flags = [e.collapsed for e in entries]
-    monotone = all(not (flags[i] and not flags[j])
-                   for i in range(len(flags)) for j in range(i + 1, len(flags)))
-    theoretical = run_train(replace(config, optimizer=replace(config.optimizer, rho=0.0)),
-                            feats=cache[seeds[0]][0]).cor_report.rho_critical
+    monotone = flags == sorted(flags)     # no recovery above a collapsed rho
 
     if all(flags):
-        return SweepResult(entries, rhos[0], theoretical,
-                           all_collapsed=True, monotone=monotone)
+        return SweepResult(entries, rhos[0], all_collapsed=True, monotone=monotone)
     if not any(flags):
-        return SweepResult(entries, rhos[-1], theoretical,
-                           none_collapsed=True, monotone=monotone)
+        return SweepResult(entries, rhos[-1], none_collapsed=True, monotone=monotone)
     hi_i = flags.index(True)
     lo = 0.0 if hi_i == 0 else rhos[hi_i - 1]
     hi = rhos[hi_i]
-    while hi - lo > resolution:
+    while hi - lo > BISECTION_RESOLUTION:
         mid = 0.5 * (lo + hi)
         if probe(mid)[0]:
             hi = mid
         else:
             lo = mid
-    return SweepResult(entries, 0.5 * (lo + hi), theoretical, monotone=monotone)
+    return SweepResult(entries, 0.5 * (lo + hi), monotone=monotone)
 
 
 # ---------------------------------------------------------------------------
@@ -464,8 +468,7 @@ class CampaignReport:
         return self.n_passed == self.n_instances
 
 
-def verify_theorem_campaign(n_instances: int = 100, seed: int = 0,
-                            rel_tol: float = 1e-6) -> CampaignReport:
+def verify_theorem_campaign(n_instances: int = 100, seed: int = 0) -> CampaignReport:
     """Exact-mode factorization check on random softmax-regression instances.
 
     Every spectral quantity is computed densely (eigendecomposition, full
@@ -499,7 +502,8 @@ def verify_theorem_campaign(n_instances: int = 100, seed: int = 0,
         max_gap = max(max_gap, report.rel_gap)
         xi_direct = inst.trace_xi_direct()
         xi_gap = abs(xi_direct - est.trace_xi) / max(abs(est.trace_xi), est.trace_h)
-        if report.rel_gap < rel_tol and xi_gap < rel_tol and wp >= -1e-9:
+        if (report.rel_gap < FACTORIZATION_REL_TOL and xi_gap < FACTORIZATION_REL_TOL
+                and wp >= -dg.WELLPOSED_TOL):
             passed += 1
         else:
             failures.append({"instance": i, "estimate": est.to_dict(),

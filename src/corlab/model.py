@@ -14,6 +14,7 @@ Token layout is always [CLS | R_1..R_K | V_1..V_N].
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -21,7 +22,6 @@ import numpy as np
 from . import autodiff as ad
 from . import regions as rg
 
-LN_EPS = 1e-5
 _BLOCK_SAMPLES = 128   # samples per numpy-mode block call
 
 
@@ -31,13 +31,16 @@ class EncoderConfig:
     dim: int = 32
     heads: int = 4
     visual_tokens: int = 16
-    region_count: int = 3
     seed: int = 0
     semantic_bias: bool = False
     bias_channels: tuple[int, ...] = ()
     bias_attenuation: float = 0.5  # per-layer scale on bias_channels
 
     def __post_init__(self):
+        if not isinstance(self.layers, numbers.Integral) or isinstance(self.layers, bool):
+            raise ValueError(f"layers must be an integer, got {self.layers!r}")
+        if self.layers < 1:
+            raise ValueError("layers must be >= 1")
         if self.dim % self.heads != 0:
             raise ValueError("dim must be divisible by heads")
         object.__setattr__(self, "bias_channels", tuple(int(c) for c in self.bias_channels))
@@ -90,8 +93,8 @@ class FrozenEncoder:
 
     def block(self, x, l: int):
         """Pre-norm transformer block on a (..., T, D) sequence."""
-        x = ad.add(x, self._attention(ad.layer_norm(x, LN_EPS), l))
-        x = ad.add(x, ad.matmul(ad.gelu(ad.matmul(ad.layer_norm(x, LN_EPS),
+        x = ad.add(x, self._attention(ad.layer_norm(x), l))
+        x = ad.add(x, ad.matmul(ad.gelu(ad.matmul(ad.layer_norm(x),
                                                   self.params[f"l{l}.w1"])),
                                 self.params[f"l{l}.w2"]))
         if self.config.semantic_bias and self.config.bias_channels:
@@ -159,8 +162,6 @@ class FrozenEncoder:
         """
         cfg = self.config
         K = len(region_specs)
-        if K != cfg.region_count:
-            raise ValueError(f"expected {cfg.region_count} regions, got {K}")
         for reg in region_specs:
             if reg.indices and (min(reg.indices) < 0 or max(reg.indices) >= cfg.visual_tokens):
                 raise ValueError(f"region {reg.k} indices out of range")

@@ -83,21 +83,18 @@ def refine_mask(cgp: np.ndarray, region: RegionSpec, alpha: float) -> np.ndarray
     return mask
 
 
-def pool(visuals: np.ndarray, mask: np.ndarray,
-         epsilon: float = POOL_EPSILON) -> np.ndarray:
+def pool(visuals: np.ndarray, mask: np.ndarray) -> np.ndarray:
     """Masked average of (..., N, D) visual tokens under a (..., N) mask;
     an empty mask pools to exactly zero."""
-    if epsilon <= 0:
-        raise ValueError("epsilon must be positive")
     num = (mask[..., None] * visuals).sum(axis=-2)
-    return num / (mask.sum(axis=-1)[..., None] + epsilon)
+    return num / (mask.sum(axis=-1)[..., None] + POOL_EPSILON)
 
 
 def layer_region_state(cgp: np.ndarray, visuals: np.ndarray,
-                       regions: list[RegionSpec], alpha: float,
-                       epsilon: float = POOL_EPSILON) -> tuple[np.ndarray, np.ndarray]:
+                       regions: list[RegionSpec],
+                       alpha: float) -> tuple[np.ndarray, np.ndarray]:
     """Full per-layer pass over (..., N, D) fields: the (..., K, N) binary
     masks and (..., K, D) pooled tokens of every region."""
     masks = [refine_mask(cgp, reg, alpha) for reg in regions]
-    pooled = [pool(visuals, m, epsilon) for m in masks]
+    pooled = [pool(visuals, m) for m in masks]
     return np.stack(masks, axis=-2), np.stack(pooled, axis=-2)

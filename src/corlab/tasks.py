@@ -53,8 +53,11 @@ class TaskSpec:
         bad = [c for c in self.artifact_channels if not 0 <= c < self.dim]
         if bad:
             raise ValueError(f"artifact_channels {bad} outside [0, {self.dim})")
-        if self.noise_sigma <= 0:
-            raise ValueError("noise_sigma must be positive")
+        for name in ("semantic_amp", "artifact_amp"):
+            if not np.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite")
+        if not (np.isfinite(self.noise_sigma) and self.noise_sigma > 0):
+            raise ValueError("noise_sigma must be finite and positive")
 
     @property
     def semantic_channels(self) -> tuple[int, ...]:
@@ -129,8 +132,8 @@ class CounterpartOp:
     seed: int = 0
 
     def __post_init__(self):
-        if self.perturb_amp < 0:
-            raise ValueError("perturb_amp must be nonnegative")
+        if not (np.isfinite(self.perturb_amp) and self.perturb_amp >= 0):
+            raise ValueError("perturb_amp must be finite and nonnegative")
         object.__setattr__(self, "target_channels",
                            tuple(int(c) for c in self.target_channels))
 

@@ -13,17 +13,20 @@ from corlab import optim as op
 from corlab import tasks as tk
 
 
-@pytest.fixture()
-def config_path(tmp_path):
-    cfg = hn.RunConfig(
+def small_config(**kw) -> hn.RunConfig:
+    return hn.RunConfig(
         task=tk.TaskSpec(artifact_amp=30.0, artifact_region="boundary",
                          n_train=120, n_test=120, seed=0),
         encoder=md.EncoderConfig(layers=2),
         loss="quadratic", standardize="whiten", lr_relative=1.95,
         optimizer=op.SamConfig(rho=0.05, learning_rate=1.0, batch_size=500,
-                               steps=60, seed=0))
+                               steps=60, seed=0), **kw)
+
+
+@pytest.fixture()
+def config_path(tmp_path):
     path = tmp_path / "config.json"
-    path.write_text(json.dumps(cfg.to_dict()))
+    path.write_text(json.dumps(small_config().to_dict()))
     return str(path)
 
 
@@ -39,6 +42,12 @@ def test_train_writes_reports_and_exits_zero(config_path, tmp_path, capsys):
     assert not summary["collapsed"]
     printed = json.loads(capsys.readouterr().out)
     assert printed["train_auc"] == summary["train_auc"]
+    # the output directory is not part of the experiment
+    other = tmp_path / "elsewhere"
+    assert cli.main(["train", "--config", config_path, "--out", str(other),
+                     "--rho", "0.01", "--quiet"]) == 0
+    for name in ("steps.csv", "diagnostics.json", "summary.json"):
+        assert (other / name).read_bytes() == (out / name).read_bytes()
 
 
 def test_seed_override_changes_both_task_and_optimizer(config_path, capsys):
@@ -89,7 +98,16 @@ def test_malformed_config_exits_2(config_path, tmp_path, capsys):
              (dict(d, encoder=dict(d["encoder"], semantic_bias=True,
                                    bias_channels=[40])), "bias_channels"),
              (dict(d, counterpart=dict(d["counterpart"], target_channels=[-1])),
-              "counterpart.target_channels"))
+              "counterpart.target_channels"),
+             (dict(d, cadence=2.5), "cadence"),
+             (dict(d, cadence=True), "cadence"),
+             (dict(d, head="corit", l_mid=1.5), "l_mid"),
+             (dict(d, head="corit", l_mid=1, alpha=float("nan")), "alpha"),
+             (dict(d, head="corit", l_mid=1, alpha=-0.5), "alpha"),
+             (dict(d, encoder=dict(d["encoder"], layers=0)), "layers"),
+             (dict(d, task=dict(d["task"], noise_sigma=float("nan"))), "noise_sigma"),
+             (dict(d, task=dict(d["task"], artifact_amp=float("nan"))),
+              "artifact_amp"))
     for e, named in cases:
         bad.write_text(json.dumps(e))
         assert cli.main(["train", "--config", str(bad), "--quiet"]) == 2
@@ -118,7 +136,12 @@ def test_diagnose_forces_zero_radius_and_emits_estimates(config_path, capsys):
         assert key in est
 
 
-def test_sweep_rho_subcommand_writes_json(config_path, tmp_path, capsys):
+def test_sweep_rho_subcommand_writes_json(config_path, tmp_path, capsys,
+                                          monkeypatch):
+    def no_train_run(*args, **kwargs):
+        raise AssertionError("a sweep trains only its probe runs")
+
+    monkeypatch.setattr(hn, "run_train", no_train_run)
     out = tmp_path / "sweep"
     code = cli.main(["sweep-rho", "--config", config_path, "--out", str(out),
                      "--rhos", "0.005,0.02,0.08"])
@@ -127,6 +150,7 @@ def test_sweep_rho_subcommand_writes_json(config_path, tmp_path, capsys):
     assert [e["collapsed"] for e in payload["entries"]] == [False, False, True]
     assert 0.02 < payload["empirical_cor"] < 0.08
     assert payload["monotone"]
+    assert payload["theoretical_cor"] is None
 
 
 def test_landscape_subcommand_writes_grid(config_path, tmp_path):
@@ -165,3 +189,25 @@ def test_compare_subcommand(config_path, tmp_path, capsys):
     assert code == 0
     payload = json.loads(capsys.readouterr().out)
     assert set(payload) >= {"plain_cor", "corit_cor", "lifted"}
+
+
+@pytest.fixture(scope="module")
+def report_dir(tmp_path_factory):
+    """Every JSON report the CLI writes, from one small config."""
+    out = tmp_path_factory.mktemp("reports")
+    path = out / "config.json"
+    path.write_text(json.dumps(small_config(l_mid=1).to_dict()))
+    for argv in (["train", "--rho", "0.01"], ["sweep-rho"], ["compare"],
+                 ["verify-theorem", "--instances", "10"]):
+        assert cli.main(argv + ["--config", str(path), "--out", str(out),
+                                "--quiet"]) == 0
+    return out
+
+
+@pytest.mark.parametrize("name", ["summary.json", "diagnostics.json", "sweep.json",
+                                  "verify_theorem.json", "compare.json"])
+def test_json_reports_share_one_versioned_format(report_dir, name):
+    text = (report_dir / name).read_text()
+    payload = json.loads(text)
+    assert payload["schema_version"] == hn.SCHEMA_VERSION
+    assert text == json.dumps(payload, indent=2, sort_keys=True) + "\n"

@@ -219,7 +219,15 @@ def test_landscape_center_cell_is_exact_and_grid_is_symmetric_input():
     assert out["grid"][c, c] == loss(w0)
     assert out["non_finite_cells"] == []
     d1, d2 = out["directions"]
-    assert abs(d1 @ d2) < 1e-8 or True  # block rescale may break orthogonality
+    assert abs(d1 @ d2) < 1e-8   # one block: the rescale keeps them orthogonal
+    # two blocks, as the CLI passes [w, b]: each direction takes the
+    # weights' norm block by block
+    blocks = [slice(0, 2), slice(2, 3)]
+    out = dg.landscape_sample(loss, w0, blocks, resolution=5)
+    assert out["grid"][c, c] == loss(w0)
+    for d in out["directions"]:
+        for sl in blocks:
+            assert np.linalg.norm(d[sl]) == pytest.approx(np.linalg.norm(w0[sl]))
     with pytest.raises(ValueError):
         dg.landscape_sample(loss, w0, [slice(0, 3)], resolution=4)
 
@@ -234,6 +242,17 @@ def test_landscape_flags_non_finite_cells():
                               grid_half_width=2.0, resolution=5)
     assert len(out["non_finite_cells"]) > 0
     assert np.isnan(out["grid"]).sum() == len(out["non_finite_cells"])
+
+    # a loss that raises is flagged once per cell, like one that returns NaN
+    def raising(w):
+        if np.linalg.norm(w) > 1.0:
+            raise FloatingPointError("overflow")
+        return float(w @ w)
+
+    out = dg.landscape_sample(raising, np.zeros(3), [slice(0, 3)],
+                              grid_half_width=2.0, resolution=5)
+    assert np.isnan(out["grid"]).sum() == 20
+    assert len(out["non_finite_cells"]) == len(set(out["non_finite_cells"])) == 20
 
 
 def test_landscape_to_csv(tmp_path):

@@ -74,8 +74,7 @@ def test_run_config_json_round_trip_is_exact():
     cfg = bifurcation_config(cadence=17, alpha=0.6, l_mid=1,
                              head="corit",
                              counterpart=tk.CounterpartOp(perturb_amp=2.5,
-                                                          target_channels=(1, 2)),
-                             out_dir="/tmp/somewhere")
+                                                          target_channels=(1, 2)))
     back = hn.RunConfig.from_json(json.dumps(cfg.to_dict()))
     assert back == cfg
     assert isinstance(back.task.artifact_channels, tuple)
@@ -91,6 +90,25 @@ def test_run_config_validation():
         hn.RunConfig(standardize="zscore")
     with pytest.raises(ValueError):
         hn.RunConfig(cadence=0)
+    # integers must be integers (not bool), floats finite; the field is named
+    for bad in (2.5, True, 3.0):
+        with pytest.raises(ValueError, match="cadence"):
+            hn.RunConfig(cadence=bad)
+        with pytest.raises(ValueError, match="l_mid"):
+            hn.RunConfig(head="corit", l_mid=bad)
+        with pytest.raises(ValueError, match="layers"):
+            md.EncoderConfig(layers=bad)
+    for bad in (0, -1):
+        with pytest.raises(ValueError, match="layers"):
+            md.EncoderConfig(layers=bad)
+    for bad in (np.nan, np.inf, -0.5):
+        with pytest.raises(ValueError, match="alpha"):
+            hn.RunConfig(head="corit", alpha=bad)
+    for name in ("noise_sigma", "semantic_amp", "artifact_amp"):
+        with pytest.raises(ValueError, match=name):
+            tk.TaskSpec(**{name: np.nan})
+    with pytest.raises(ValueError, match="perturb_amp"):
+        tk.CounterpartOp(perturb_amp=np.nan)
     with pytest.raises(ValueError):
         hn.RunConfig(loss="bce", lr_relative=1.0)
     for bad in (0.0, -1.0, np.inf, np.nan):

@@ -119,7 +119,7 @@ def test_paired_streams_diverge_under_a_real_counterpart():
 
 
 def test_zero_region_paired_forward_reduces_to_plain():
-    cfg0 = md.EncoderConfig(layers=3, dim=16, heads=4, region_count=0)
+    cfg0 = md.EncoderConfig(layers=3, dim=16, heads=4)
     enc = md.FrozenEncoder(cfg0)
     x = sample_tokens(n=2)
     heads, masks = enc.encode_corit(x, x + 0.5, [], alpha=0.5)
@@ -131,8 +131,6 @@ def test_encode_corit_validation():
     enc = md.FrozenEncoder(CFG)
     x = sample_tokens()
     regions = rg.grid_partition(4)
-    with pytest.raises(ValueError):
-        enc.encode_corit(x, x, regions[:2], alpha=0.5)
     with pytest.raises(ValueError):
         enc.encode_corit(x, x, regions, alpha=-1.0)
     with pytest.raises(ValueError):

@@ -77,8 +77,6 @@ def test_pool_masked_average_and_empty_mask():
     pooled = rg.pool(visuals, mask)
     assert np.allclose(pooled, [3.0, 1.0], atol=1e-5)
     assert np.array_equal(rg.pool(visuals, np.zeros(3)), np.zeros(2))
-    with pytest.raises(ValueError):
-        rg.pool(visuals, mask, epsilon=0.0)
 
 
 def test_layer_region_state_assembles_all_regions():
