@@ -4,7 +4,7 @@ and loss-landscape sampling."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, asdict
 
 import numpy as np
 
@@ -18,6 +18,7 @@ PHASE_RISE_SLOPE = 0.05           # smoothed log-slope that counts as rising
 PHASE_RISE_RUN = 3                # consecutive rising steps that start the rise
 PHASE_DECAY_RUN = 5               # consecutive falling steps that start the decay
 PHASE_LOG_FLOOR = 1e-12           # GSNR floor before the log
+PHASE_MIN_STEPS = 10              # shorter traces are not segmented
 
 
 # ---------------------------------------------------------------------------
@@ -48,6 +49,10 @@ class SpectralEstimate:
 
     @property
     def cor_bound(self) -> float:
+        """SAM stability bound ||grad|| / lambda_max.  A step with
+        lambda_max <= 0 sets no stability limit, so its bound is inf."""
+        if self.lambda_max <= 0:
+            return float("inf")
         return float(np.sqrt(self.grad_norm_sq)) / self.lambda_max
 
     def to_dict(self) -> dict:
@@ -59,23 +64,18 @@ class SpectralEstimate:
 
 @dataclass
 class CorReport:
-    """Per-step stability bounds and their trajectory minimum."""
+    """Trajectory minimum of the per-step stability bound."""
 
-    steps: list[int]
-    bounds: list[float]
     rho_critical: float
     argmin_step: int
     collapsed_zone: bool
-    excluded_steps: list[int] = field(default_factory=list)
 
 
 @dataclass
 class GsnrTrace:
-    steps: list[int]
-    values: list[float]
-    phase_boundaries: tuple[int | None, int | None] = (None, None)
-    bottleneck_step: int | None = None
-    bottleneck_gsnr: float | None = None
+    phase_boundaries: tuple[int | None, int | None]
+    bottleneck_step: int
+    bottleneck_gsnr: float
 
 
 @dataclass
@@ -195,22 +195,6 @@ def hessian_trace(hvp_oracle, dim: int, probes: int = 100, seed: int = 0,
     return float(vals.mean()), se
 
 
-def misspecification_trace(trace_cov: float, grad_norm_sq: float,
-                           trace_h: float) -> float:
-    """Residual trace from the rearranged Hessian-covariance identity.
-
-    Asserts the well-posedness guarantee 1 + TrXi/TrH >= 0 (up to
-    `WELLPOSED_TOL`) whenever TrH > 0; a violation signals inconsistent
-    inputs.
-    """
-    trace_xi = trace_cov + grad_norm_sq - trace_h
-    if trace_h > 0 and 1.0 + trace_xi / trace_h < -WELLPOSED_TOL:
-        raise ValueError(
-            f"well-posedness violated: 1 + TrXi/TrH = {1 + trace_xi / trace_h:.3e}"
-        )
-    return trace_xi
-
-
 def statistical_term(s: float) -> float:
     """f(s) = sqrt(s / (1 + s)), strictly increasing on [0, inf)."""
     if s < 0:
@@ -225,10 +209,13 @@ def verify_decomposition(spec: SpectralEstimate) -> DecompositionReport:
 
     LHS is ||grad|| / lambda_max computed directly; RHS is the product
     geometric * misspecification * statistical assembled from traces.
+    Raises when TrH > 0 and 1 + TrXi/TrH < -`WELLPOSED_TOL`, which only
+    inconsistent inputs reach.
     """
-    trace_xi = misspecification_trace(spec.trace_cov, spec.grad_norm_sq, spec.trace_h)
     geometric = spec.kappa_s / np.sqrt(spec.trace_h)
-    radicand = 1.0 + trace_xi / spec.trace_h
+    radicand = 1.0 + spec.trace_xi / spec.trace_h
+    if spec.trace_h > 0 and radicand < -WELLPOSED_TOL:
+        raise ValueError(f"well-posedness violated: 1 + TrXi/TrH = {radicand:.3e}")
     if radicand < 0:
         radicand = 0.0  # within well-posedness tolerance
     misspec = float(np.sqrt(radicand))
@@ -239,25 +226,16 @@ def verify_decomposition(spec: SpectralEstimate) -> DecompositionReport:
     return DecompositionReport(float(geometric), misspec, stat, lhs, rhs, float(rel_gap))
 
 
-def cor_trajectory(steps, grad_norms, lambda_maxes) -> CorReport:
-    """Per-step stability bounds ||grad_t|| / lambda_max_t and their minimum.
-
-    Steps with lambda_max <= 0 are excluded (locally indefinite landscape);
-    argmin takes the first occurrence on ties.
-    """
-    kept_steps, bounds, excluded = [], [], []
-    for t, gn, lam in zip(steps, grad_norms, lambda_maxes):
-        if lam <= 0:
-            excluded.append(int(t))
-            continue
-        kept_steps.append(int(t))
-        bounds.append(float(gn) / float(lam))
-    if not bounds:
-        raise ValueError("no step with positive lambda_max")
-    i = int(np.argmin(bounds))
-    rho_crit = bounds[i]
-    return CorReport(kept_steps, bounds, rho_crit, kept_steps[i],
-                     rho_crit < COLLAPSE_ZONE_THRESHOLD, excluded)
+def cor_trajectory(estimates) -> CorReport:
+    """Trajectory minimum of the per-step `cor_bound`, first occurrence on
+    ties.  A step with lambda_max <= 0 has an infinite bound and never wins;
+    raises when no bound is finite."""
+    bounds = [e.cor_bound for e in estimates]
+    finite = [b for b in bounds if np.isfinite(b)]
+    if not finite:
+        raise ValueError("no step with a finite stability bound")
+    i = bounds.index(min(finite))
+    return CorReport(bounds[i], estimates[i].step, bounds[i] < COLLAPSE_ZONE_THRESHOLD)
 
 
 # ---------------------------------------------------------------------------
@@ -271,16 +249,19 @@ def phase_detect(values, cor_bounds=None) -> GsnrTrace:
     at the first step whose smoothed slope exceeds `PHASE_RISE_SLOPE` for
     `PHASE_RISE_RUN` consecutive steps, the decay phase at the first later
     step whose slope is negative for `PHASE_DECAY_RUN` consecutive steps.
-    When no rise is detected the whole run is the pre-optimization phase
-    (the collapse case).
+    When no rise is detected, or the trace is shorter than
+    `PHASE_MIN_STEPS` and so is not segmented, the whole run is the
+    pre-optimization phase (the collapse case).
     """
     v = np.asarray(values, dtype=np.float64)
-    if v.size < 10:
-        raise ValueError("need at least 10 steps")
-    logv = np.log(np.maximum(v, PHASE_LOG_FLOOR))
-    kernel = np.ones(PHASE_SMOOTH_WINDOW) / PHASE_SMOOTH_WINDOW
-    smoothed = np.convolve(logv, kernel, mode="same")
-    slope = np.diff(smoothed)
+    crit = v if cor_bounds is None else np.asarray(cor_bounds, dtype=np.float64)
+    if crit.size != v.size:
+        raise ValueError("cor_bounds must align with the GSNR trace")
+    slope = np.zeros(0)
+    if v.size >= PHASE_MIN_STEPS:
+        logv = np.log(np.maximum(v, PHASE_LOG_FLOOR))
+        kernel = np.ones(PHASE_SMOOTH_WINDOW) / PHASE_SMOOTH_WINDOW
+        slope = np.diff(np.convolve(logv, kernel, mode="same"))
 
     rise_start = None
     run = 0
@@ -301,14 +282,9 @@ def phase_detect(values, cor_bounds=None) -> GsnrTrace:
 
     # bottleneck: argmin of the stability bound (or of the GSNR itself when
     # no bounds are supplied), restricted to the pre-optimization phase
-    crit = v if cor_bounds is None else np.asarray(cor_bounds, dtype=np.float64)
-    if crit.size != v.size:
-        raise ValueError("cor_bounds must align with the GSNR trace")
-    steps = list(range(v.size))
     end = v.size if rise_start is None else max(rise_start, 1)
     t_star = int(np.argmin(crit[:end]))
-    return GsnrTrace(steps, [float(x) for x in v],
-                     (rise_start, decay_start), t_star, float(v[t_star]))
+    return GsnrTrace((rise_start, decay_start), t_star, float(v[t_star]))
 
 
 # ---------------------------------------------------------------------------

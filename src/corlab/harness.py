@@ -301,22 +301,12 @@ def run_train(config: RunConfig, feats: FeatureSet | None = None,
 
     # step 0 is always observed, so `estimates` and `auc_hist` are never empty
     w, failed_step = op.run(problem, ocfg, observe)
-    cor_report = dg.cor_trajectory([e.step for e in estimates],
-                                   [np.sqrt(e.grad_norm_sq) for e in estimates],
-                                   [e.lambda_max for e in estimates])
-    gsnr_vals = [e.gsnr for e in estimates]
-    bounds = [e.cor_bound for e in estimates]
-    if len(gsnr_vals) >= 10:
-        trace = dg.phase_detect(gsnr_vals, bounds)
-        remap = lambda i: None if i is None else estimates[i].step
-        trace = dg.GsnrTrace([e.step for e in estimates], trace.values,
-                             (remap(trace.phase_boundaries[0]),
-                              remap(trace.phase_boundaries[1])),
-                             remap(trace.bottleneck_step), trace.bottleneck_gsnr)
-    else:
-        i = int(np.argmin(bounds))
-        trace = dg.GsnrTrace([e.step for e in estimates], gsnr_vals,
-                             (None, None), estimates[i].step, gsnr_vals[i])
+    cor_report = dg.cor_trajectory(estimates)
+    trace = dg.phase_detect([e.gsnr for e in estimates],
+                            [e.cor_bound for e in estimates])
+    step = lambda i: None if i is None else estimates[i].step
+    trace = replace(trace, phase_boundaries=tuple(map(step, trace.phase_boundaries)),
+                    bottleneck_step=step(trace.bottleneck_step))
 
     train_auc = compute_auc(_logits(w, feats.train), feats.train_labels)
     test_auc = compute_auc(_logits(w, feats.test), feats.test_labels)
@@ -473,10 +463,10 @@ def verify_theorem_campaign(n_instances: int = 100, seed: int = 0) -> CampaignRe
 
     Every spectral quantity is computed densely (eigendecomposition, full
     per-sample gradients), so the identity must hold to numerical rounding.
-    An instance passes when the factorization closes and the residual
-    trace from its direct definition matches trace_cov + |g|^2 - tr H;
-    the factorization alone is assembled from that difference and holds
-    for any Hessian.
+    An instance passes when the factorization closes and the residual trace
+    from its direct definition matches trace_cov + |g|^2 - tr H and is well
+    posed (1 + TrXi/TrH >= 0); taken from that difference, both the
+    factorization and the well-posedness ratio hold for any Hessian.
     """
     from . import softmaxreg as sr
 
@@ -496,11 +486,11 @@ def verify_theorem_campaign(n_instances: int = 100, seed: int = 0) -> CampaignRe
         if inst.dim > 50:
             raise AssertionError("instance exceeds the intended size budget")
         est = dg.spectral_estimate(inst.per_sample_grads(), inst.dense_hessian(), i)
-        wp = 1.0 + est.trace_xi / est.trace_h if est.trace_h > 0 else float("inf")
+        xi_direct = inst.trace_xi_direct()
+        wp = 1.0 + xi_direct / est.trace_h if est.trace_h > 0 else float("inf")
         min_wp = min(min_wp, wp)
         report = dg.verify_decomposition(est)
         max_gap = max(max_gap, report.rel_gap)
-        xi_direct = inst.trace_xi_direct()
         xi_gap = abs(xi_direct - est.trace_xi) / max(abs(est.trace_xi), est.trace_h)
         if (report.rel_gap < FACTORIZATION_REL_TOL and xi_gap < FACTORIZATION_REL_TOL
                 and wp >= -dg.WELLPOSED_TOL):
@@ -528,12 +518,15 @@ class ComparisonReport:
 def corit_vs_baseline(config: RunConfig) -> ComparisonReport:
     """Head comparison on one task: identical encoder and optimizer, only
     the head mode differs.  Reports the trajectory-minimum stability bound
-    per head; `sweep_rho` gives the empirical collapse boundary."""
+    per head, and raises when either run fails; `sweep_rho` gives the
+    empirical collapse boundary."""
     out = {}
     for head in HEAD_MODES:
         cfg = replace(config, head=head,
                       optimizer=replace(config.optimizer, rho=0.0))
         res = run_train(cfg)
+        if res.failed:
+            raise FloatingPointError(f"{head} run failed at step {res.failed_step}")
         out[head] = res.cor_report
     return ComparisonReport(out["plain-probe"].rho_critical,
                             out["corit"].rho_critical,

@@ -37,10 +37,16 @@ class EncoderConfig:
     bias_attenuation: float = 0.5  # per-layer scale on bias_channels
 
     def __post_init__(self):
-        if not isinstance(self.layers, numbers.Integral) or isinstance(self.layers, bool):
-            raise ValueError(f"layers must be an integer, got {self.layers!r}")
-        if self.layers < 1:
-            raise ValueError("layers must be >= 1")
+        for name in ("layers", "dim", "heads", "visual_tokens"):
+            v = getattr(self, name)
+            if not isinstance(v, numbers.Integral) or isinstance(v, bool):
+                raise ValueError(f"{name} must be an integer, got {v!r}")
+            if v < 1:
+                raise ValueError(f"{name} must be >= 1")
+        if not isinstance(self.semantic_bias, bool):
+            raise ValueError(f"semantic_bias must be a boolean, got {self.semantic_bias!r}")
+        if not np.isfinite(self.bias_attenuation):
+            raise ValueError("bias_attenuation must be finite")
         if self.dim % self.heads != 0:
             raise ValueError("dim must be divisible by heads")
         object.__setattr__(self, "bias_channels", tuple(int(c) for c in self.bias_channels))

@@ -4,6 +4,7 @@ in for image-level self-blending."""
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -58,6 +59,12 @@ class TaskSpec:
                 raise ValueError(f"{name} must be finite")
         if not (np.isfinite(self.noise_sigma) and self.noise_sigma > 0):
             raise ValueError("noise_sigma must be finite and positive")
+        for name in ("n_train", "n_test"):
+            v = getattr(self, name)
+            if not isinstance(v, numbers.Integral) or isinstance(v, bool):
+                raise ValueError(f"{name} must be an integer, got {v!r}")
+            if v < 2:
+                raise ValueError(f"{name} must be >= 2, so both classes appear")
 
     @property
     def semantic_channels(self) -> tuple[int, ...]:

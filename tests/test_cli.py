@@ -107,7 +107,14 @@ def test_malformed_config_exits_2(config_path, tmp_path, capsys):
              (dict(d, encoder=dict(d["encoder"], layers=0)), "layers"),
              (dict(d, task=dict(d["task"], noise_sigma=float("nan"))), "noise_sigma"),
              (dict(d, task=dict(d["task"], artifact_amp=float("nan"))),
-              "artifact_amp"))
+              "artifact_amp"),
+             (dict(d, encoder=dict(d["encoder"], heads=0)), "heads"),
+             (dict(d, encoder=dict(d["encoder"], dim=32.0)), "dim"),
+             (dict(d, encoder=dict(d["encoder"], semantic_bias="no")), "semantic_bias"),
+             (dict(d, encoder=dict(d["encoder"], bias_attenuation=float("nan"))),
+              "bias_attenuation"),
+             (dict(d, task=dict(d["task"], n_train=1)), "n_train"),
+             (dict(d, task=dict(d["task"], n_test=2.5)), "n_test"))
     for e, named in cases:
         bad.write_text(json.dumps(e))
         assert cli.main(["train", "--config", str(bad), "--quiet"]) == 2
@@ -122,6 +129,40 @@ def test_divergent_run_exits_3(config_path, tmp_path):
     path = tmp_path / "blown.json"
     path.write_text(json.dumps(blown.to_dict()))
     assert cli.main(["train", "--config", str(path), "--quiet"]) == 3
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_compare_refuses_failed_runs(tmp_path, capsys):
+    from dataclasses import replace
+    path = tmp_path / "blown.json"
+    path.write_text(json.dumps(replace(small_config(l_mid=1), lr_relative=1e9).to_dict()))
+    out = tmp_path / "cmp"
+    assert cli.main(["compare", "--config", str(path), "--out", str(out),
+                     "--quiet"]) == 3
+    assert "plain-probe run failed at step" in capsys.readouterr().err
+    assert not (out / "compare.json").exists()
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("learning_rate", [1e6, 1e12])
+def test_saturated_bce_probe_is_diagnosed_not_crashed(tmp_path, learning_rate):
+    # the probe saturates after step 0, so later snapshots have lambda_max 0:
+    # they set no stability limit and the COR comes from step 0
+    cfg = hn.RunConfig(task=tk.TaskSpec(n_train=40, n_test=30, seed=0),
+                       encoder=md.EncoderConfig(layers=3), l_mid=2, cadence=3,
+                       optimizer=op.SamConfig(rho=0.0, learning_rate=learning_rate,
+                                              batch_size=10, steps=7))
+    path = tmp_path / "saturated.json"
+    path.write_text(json.dumps(cfg.to_dict()))
+    for cmd in ("train", "diagnose", "compare"):
+        assert cli.main([cmd, "--config", str(path), "--out", str(tmp_path / cmd),
+                         "--quiet"]) == 0
+    summary = json.loads((tmp_path / "train" / "summary.json").read_text())
+    estimates = json.loads((tmp_path / "train" / "diagnostics.json").read_text())["estimates"]
+    assert [e["lambda_max"] > 0 for e in estimates] == [True, False, False]
+    assert [e["cor_bound"] for e in estimates[1:]] == [float("inf")] * 2
+    assert summary["theoretical_cor"] == estimates[0]["cor_bound"]
+    assert summary["cor_argmin_step"] == 0
 
 
 def test_diagnose_forces_zero_radius_and_emits_estimates(config_path, capsys):

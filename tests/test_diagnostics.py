@@ -2,8 +2,11 @@
 stability-bound factorization, trajectory minima, phase segmentation, and
 landscape sampling."""
 
+import json
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from corlab import diagnostics as dg
 
@@ -43,6 +46,12 @@ def test_spectral_estimate_derived_quantities():
     assert est.cor_bound == pytest.approx(1.5)
     d = est.to_dict()
     assert d["step"] == 7 and d["kappa_s"] == pytest.approx(3.0)
+    # a step with lambda_max <= 0 sets no stability limit
+    for lam in (0.0, -1.0):
+        flat = dg.SpectralEstimate(lambda_max=lam, trace_h=6.0, trace_cov=4.0,
+                                   grad_norm_sq=9.0)
+        assert flat.cor_bound == float("inf")
+        assert '"cor_bound": Infinity' in json.dumps(flat.to_dict())
 
 
 # -- top eigenvalue and trace ----------------------------------------------------
@@ -108,13 +117,13 @@ def test_statistical_term_limits_and_monotonicity():
         dg.statistical_term(-1e-3)
 
 
-def test_misspecification_trace_identity_and_guard():
-    assert dg.misspecification_trace(4.0, 9.0, 6.0) == pytest.approx(7.0)
+def test_verify_decomposition_wellposedness_boundary_and_guard():
     # the boundary case 1 + trace_xi/trace_h == 0 is still well posed
-    assert dg.misspecification_trace(0.0, 0.0, 10.0) == pytest.approx(-10.0)
+    rep = dg.verify_decomposition(dg.SpectralEstimate(1.0, 10.0, 0.0, 0.0))
+    assert rep.misspecification == 0.0 and rep.rel_gap == 0.0
     # but inconsistent inputs that push the ratio below -tol must raise
-    with pytest.raises(ValueError):
-        dg.misspecification_trace(-3.0, 0.0, 1.0)
+    with pytest.raises(ValueError, match="well-posedness"):
+        dg.verify_decomposition(dg.SpectralEstimate(1.0, 1.0, -3.0, 0.0))
 
 
 def test_verify_decomposition_exact_when_residual_vanishes():
@@ -138,27 +147,60 @@ def test_verify_decomposition_holds_with_nonzero_residual():
                                     * rep.statistical)
 
 
+positive = st.floats(1e-6, 1e6)
+
+
+@settings(max_examples=2000, deadline=None, derandomize=True)
+@given(positive, positive, positive, positive)
+def test_verify_decomposition_closes_to_rounding(lam, trace_h, trace_cov, g2):
+    # 1 + TrXi/TrH cancels when TrH dwarfs trace_cov + |g|^2, so the gap
+    # allowed grows with that ratio
+    rep = dg.verify_decomposition(dg.SpectralEstimate(lam, trace_h, trace_cov, g2))
+    assert rep.rel_gap <= 1e-14 * (1.0 + trace_h / (trace_cov + g2))
+
+
 # -- trajectory minima ---------------------------------------------------------------
 
+def bound_estimates(steps, grad_norms, lambda_maxes):
+    return [dg.SpectralEstimate(lam, 1.0, 1.0, gn * gn, t)
+            for t, gn, lam in zip(steps, grad_norms, lambda_maxes)]
+
+
 def test_cor_trajectory_minimum_and_exclusions():
-    steps = [0, 10, 20, 30]
-    grads = [4.0, 1.0, 1.0, 8.0]
-    lams = [2.0, -1.0, 20.0, 2.0]
-    rep = dg.cor_trajectory(steps, grads, lams)
-    assert rep.excluded_steps == [10]
-    assert rep.steps == [0, 20, 30]
+    rep = dg.cor_trajectory(bound_estimates([0, 10, 20, 30], [4.0, 1.0, 1.0, 8.0],
+                                            [2.0, -1.0, 20.0, 2.0]))
     assert rep.rho_critical == pytest.approx(0.05)
-    assert rep.argmin_step == 20
+    assert rep.argmin_step == 20   # the lambda_max < 0 step at 10 never wins
     assert not rep.collapsed_zone  # threshold is strict
-    rep2 = dg.cor_trajectory([0, 1], [0.4, 0.04], [2.0, 1.0])
+    rep2 = dg.cor_trajectory(bound_estimates([0, 1], [0.4, 0.04], [2.0, 1.0]))
     assert rep2.collapsed_zone and rep2.argmin_step == 1
-    with pytest.raises(ValueError):
-        dg.cor_trajectory([0], [1.0], [-1.0])
+    for lam in (-1.0, 0.0):
+        with pytest.raises(ValueError):
+            dg.cor_trajectory(bound_estimates([0], [1.0], [lam]))
 
 
 def test_cor_trajectory_tie_takes_first_occurrence():
-    rep = dg.cor_trajectory([3, 5, 9], [1.0, 1.0, 1.0], [4.0, 4.0, 2.0])
+    rep = dg.cor_trajectory(bound_estimates([3, 5, 9], [1.0, 1.0, 1.0],
+                                            [4.0, 4.0, 2.0]))
     assert rep.argmin_step == 3
+
+
+@settings(max_examples=500, deadline=None, derandomize=True)
+@given(st.lists(st.tuples(st.floats(0.0, 1e6),
+                          st.one_of(st.just(0.0), st.floats(-1e3, 1e3))),
+                min_size=1, max_size=12))
+def test_cor_trajectory_is_first_minimum_of_finite_bounds(steps):
+    ests = [dg.SpectralEstimate(lam, 1.0, 1.0, g2, t)
+            for t, (g2, lam) in enumerate(steps)]
+    finite = [(e.cor_bound, e.step) for e in ests if np.isfinite(e.cor_bound)]
+    if not finite:
+        with pytest.raises(ValueError):
+            dg.cor_trajectory(ests)
+        return
+    rep = dg.cor_trajectory(ests)
+    best = min(b for b, _ in finite)
+    assert (rep.rho_critical, rep.argmin_step) == next(f for f in finite
+                                                       if f[0] == best)
 
 
 # -- phase segmentation ----------------------------------------------------------------
@@ -199,8 +241,12 @@ def test_phase_detect_bottleneck_prefers_supplied_bounds():
 
 
 def test_phase_detect_input_validation():
-    with pytest.raises(ValueError):
-        dg.phase_detect(np.ones(5))
+    # a trace too short to segment is all pre-optimization
+    short = dg.phase_detect([3.0, 1.0, 2.0, 1.0, 5.0])
+    assert short.phase_boundaries == (None, None)
+    assert (short.bottleneck_step, short.bottleneck_gsnr) == (1, 1.0)
+    short = dg.phase_detect(np.ones(5), cor_bounds=[3.0, 2.0, 0.5, 0.5, 1.0])
+    assert short.bottleneck_step == 2
     with pytest.raises(ValueError):
         dg.phase_detect(np.ones(20), cor_bounds=np.ones(19))
 

@@ -107,6 +107,21 @@ def test_run_config_validation():
     for name in ("noise_sigma", "semantic_amp", "artifact_amp"):
         with pytest.raises(ValueError, match=name):
             tk.TaskSpec(**{name: np.nan})
+    for name in ("dim", "heads", "visual_tokens"):
+        for bad in (0, -1, 2.5, True, 4.0):
+            with pytest.raises(ValueError, match=name):
+                md.EncoderConfig(**{name: bad})
+    for bad in ("no", 1, None):
+        with pytest.raises(ValueError, match="semantic_bias"):
+            md.EncoderConfig(semantic_bias=bad)
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="bias_attenuation"):
+            md.EncoderConfig(bias_attenuation=bad)
+    for name in ("n_train", "n_test"):
+        for bad in (1, 0, 2.5, True, 200.0):
+            with pytest.raises(ValueError, match=name):
+                tk.TaskSpec(**{name: bad})
+    tk.TaskSpec(n_train=2, n_test=2)
     with pytest.raises(ValueError, match="perturb_amp"):
         tk.CounterpartOp(perturb_amp=np.nan)
     with pytest.raises(ValueError):
@@ -363,6 +378,18 @@ def test_verify_theorem_campaign_fails_a_wrong_hessian(monkeypatch):
     assert not report.passed
     assert report.n_passed == 0
     assert all(f["xi_rel_gap"] > 1e-6 for f in report.failures)
+
+
+def test_verify_theorem_campaign_wellposedness_reads_the_direct_residual(monkeypatch):
+    # 1 + TrXi/TrH from the derived TrXi is (trace_cov + |g|^2) / tr H >= 0
+    # for any Hessian; from the direct residual, a Hessian planted too small
+    # makes it negative on the instances whose residual trace is negative
+    dense_hessian = sr.SoftmaxRegression.dense_hessian
+    monkeypatch.setattr(sr.SoftmaxRegression, "dense_hessian",
+                        lambda self: 0.01 * dense_hessian(self))
+    report = hn.verify_theorem_campaign(100, seed=0)
+    assert not report.passed
+    assert report.min_wellposed < -1e-9
 
 
 def test_corit_vs_baseline_report_structure():
