@@ -408,13 +408,10 @@ def forward(graph, params: ParamVector, x):
     return out, tape
 
 
-def grad_nodes(output: Tensor, tape: Tape, inputs: list[Tensor], seed=None) -> list[Tensor | None]:
+def grad_nodes(output: Tensor, tape: Tape, inputs: list[Tensor]) -> list[Tensor | None]:
     """Cotangents of `inputs` w.r.t. `output`, as live graph nodes."""
-    if seed is not None and np.shape(val(seed)) != output.data.shape:
-        raise ValueError(f"seed shape {np.shape(val(seed))} != output shape {output.data.shape}")
     with tape:
-        seed_t = leaf(np.ones_like(output.data) if seed is None else val(seed))
-        cotangents: dict[int, Tensor] = {output.node_id: seed_t}
+        cotangents: dict[int, Tensor] = {output.node_id: leaf(np.ones_like(output.data))}
         for node in reversed(tape.nodes[: output.node_id + 1]):
             if node.vjp is None:
                 continue
@@ -429,9 +426,9 @@ def grad_nodes(output: Tensor, tape: Tape, inputs: list[Tensor], seed=None) -> l
         return [cotangents.get(t.node_id) for t in inputs]
 
 
-def backward(tape: Tape, seed=None) -> np.ndarray:
+def backward(tape: Tape) -> np.ndarray:
     """Gradient of the tape's output w.r.t. its flat parameter vector."""
-    (g,) = grad_nodes(tape.output, tape, [tape.root_param], seed=seed)
+    (g,) = grad_nodes(tape.output, tape, [tape.root_param])
     if g is None:
         return np.zeros_like(tape.root_param.data)
     return g.data.copy()

@@ -30,7 +30,7 @@ def _load_config(args) -> hn.RunConfig:
     if args.seed is not None:
         cfg = replace(cfg, task=replace(cfg.task, seed=args.seed),
                       optimizer=replace(cfg.optimizer, seed=args.seed))
-    if args.rho is not None:
+    if getattr(args, "rho", None) is not None:
         cfg = replace(cfg, optimizer=replace(cfg.optimizer, rho=args.rho))
     return cfg
 
@@ -116,39 +116,30 @@ def build_parser() -> argparse.ArgumentParser:
                                 description="SAM collapse laboratory")
     sub = p.add_subparsers(dest="command", required=True)
 
-    def common(sp):
-        sp.add_argument("--config", default=None, help="run config JSON path")
+    def command(name, fn, help, config=True, rho=True):
+        """A subcommand with only the shared flags it reads, spelled out in
+        full (no prefix abbreviations), so any other flag exits 2."""
+        sp = sub.add_parser(name, help=help, allow_abbrev=False)
+        if config:
+            sp.add_argument("--config", default=None, help="run config JSON path")
         sp.add_argument("--out", default=None, help="output directory")
         sp.add_argument("--seed", type=int, default=None, help="seed override")
-        sp.add_argument("--rho", type=float, default=None, help="rho override")
+        if rho:
+            sp.add_argument("--rho", type=float, default=None, help="rho override")
         sp.add_argument("--quiet", action="store_true")
+        sp.set_defaults(fn=fn)
+        return sp
 
-    sp = sub.add_parser("train", help="single training run with metrics")
-    common(sp)
-    sp.set_defaults(fn=cmd_train)
-
-    sp = sub.add_parser("sweep-rho", help="collapse sweep with bisection")
-    common(sp)
-    sp.add_argument("--rhos", default="0.005,0.02,0.08",
-                    help="comma-separated ascending rho list")
-    sp.set_defaults(fn=cmd_sweep)
-
-    sp = sub.add_parser("diagnose", help="rho=0 run with spectral diagnostics")
-    common(sp)
-    sp.set_defaults(fn=cmd_diagnose)
-
-    sp = sub.add_parser("landscape", help="loss surface grid around the fit")
-    common(sp)
-    sp.set_defaults(fn=cmd_landscape)
-
-    sp = sub.add_parser("verify-theorem", help="factorization identity campaign")
-    common(sp)
-    sp.add_argument("--instances", type=int, default=100)
-    sp.set_defaults(fn=cmd_verify)
-
-    sp = sub.add_parser("compare", help="plain probe vs region-token head")
-    common(sp)
-    sp.set_defaults(fn=cmd_compare)
+    command("train", cmd_train, "single training run with metrics")
+    sweep = command("sweep-rho", cmd_sweep, "collapse sweep with bisection", rho=False)
+    sweep.add_argument("--rhos", default="0.005,0.02,0.08",
+                       help="comma-separated ascending rho list")
+    command("diagnose", cmd_diagnose, "rho=0 run with spectral diagnostics", rho=False)
+    command("landscape", cmd_landscape, "loss surface grid around the fit")
+    verify = command("verify-theorem", cmd_verify, "factorization identity campaign",
+                     config=False, rho=False)
+    verify.add_argument("--instances", type=int, default=100)
+    command("compare", cmd_compare, "plain probe vs region-token head", rho=False)
     return p
 
 

@@ -93,8 +93,10 @@ class RunConfig:
                 raise ValueError(f"{name} must be an integer, got {v!r}")
         if self.cadence < 1:
             raise ValueError("cadence must be >= 1")
-        if not (np.isfinite(self.alpha) and self.alpha >= 0):
-            raise ValueError(f"alpha must be finite and nonnegative, got {self.alpha!r}")
+        v = self.alpha
+        if (isinstance(v, bool) or not isinstance(v, numbers.Real)
+                or not (np.isfinite(v) and v >= 0)):
+            raise ValueError(f"alpha must be finite and nonnegative, got {v!r}")
         for task_field, enc_field in (("n_tokens", "visual_tokens"), ("dim", "dim")):
             got, want = getattr(self.task, task_field), getattr(self.encoder, enc_field)
             if got != want:
@@ -110,8 +112,10 @@ class RunConfig:
         if self.lr_relative is not None:
             if self.loss != "quadratic":
                 raise ValueError("lr_relative requires the quadratic loss")
-            if not (np.isfinite(self.lr_relative) and self.lr_relative > 0):
-                raise ValueError("lr_relative must be finite and positive")
+            v = self.lr_relative
+            if (isinstance(v, bool) or not isinstance(v, numbers.Real)
+                    or not (np.isfinite(v) and v > 0)):
+                raise ValueError(f"lr_relative must be finite and positive, got {v!r}")
 
     def to_dict(self) -> dict:
         return asdict(self)

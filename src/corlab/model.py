@@ -37,22 +37,23 @@ class EncoderConfig:
     bias_attenuation: float = 0.5  # per-layer scale on bias_channels
 
     def __post_init__(self):
-        for name in ("layers", "dim", "heads", "visual_tokens"):
+        for name, lo in (("layers", 1), ("dim", 1), ("heads", 1), ("visual_tokens", 1),
+                         ("seed", 0)):
             v = getattr(self, name)
-            if not isinstance(v, numbers.Integral) or isinstance(v, bool):
-                raise ValueError(f"{name} must be an integer, got {v!r}")
-            if v < 1:
-                raise ValueError(f"{name} must be >= 1")
+            if not isinstance(v, numbers.Integral) or isinstance(v, bool) or v < lo:
+                raise ValueError(f"{name} must be an integer >= {lo}, got {v!r}")
         if not isinstance(self.semantic_bias, bool):
             raise ValueError(f"semantic_bias must be a boolean, got {self.semantic_bias!r}")
-        if not np.isfinite(self.bias_attenuation):
-            raise ValueError("bias_attenuation must be finite")
+        v = self.bias_attenuation
+        if isinstance(v, bool) or not isinstance(v, numbers.Real) or not np.isfinite(v):
+            raise ValueError(f"bias_attenuation must be a finite number, got {v!r}")
         if self.dim % self.heads != 0:
             raise ValueError("dim must be divisible by heads")
-        object.__setattr__(self, "bias_channels", tuple(int(c) for c in self.bias_channels))
-        bad = [c for c in self.bias_channels if not 0 <= c < self.dim]
+        object.__setattr__(self, "bias_channels", tuple(self.bias_channels))
+        bad = [c for c in self.bias_channels if isinstance(c, bool)
+               or not isinstance(c, numbers.Integral) or not 0 <= c < self.dim]
         if bad:
-            raise ValueError(f"bias_channels {bad} outside [0, {self.dim})")
+            raise ValueError(f"bias_channels {bad!r} must be integers in [0, {self.dim})")
 
 
 class FrozenEncoder:
@@ -152,11 +153,12 @@ class FrozenEncoder:
     # -- contrastive-injection pipeline --------------------------------------
 
     def encode_corit(self, orig_visuals: np.ndarray, cpart_visuals: np.ndarray,
-                     region_specs: list[rg.RegionSpec],
+                     regions: list[tuple[int, ...]],
                      alpha: float) -> tuple[np.ndarray, np.ndarray]:
         """Paired-stream forward with per-layer region-token injection.
 
-        Both streams carry the shared region tokens; at every layer the
+        `regions` are K nonempty index sets over the visual tokens.  Both
+        streams carry the shared region tokens; at every layer the
         discrepancy field over visual tokens drives the refinement masks,
         the pooled token is computed from the original stream, and the
         injected region tokens feed the next layer of both streams.
@@ -167,12 +169,11 @@ class FrozenEncoder:
         are dropped once the next layer has used them.
         """
         cfg = self.config
-        K = len(region_specs)
-        for reg in region_specs:
-            if reg.indices and (min(reg.indices) < 0 or max(reg.indices) >= cfg.visual_tokens):
-                raise ValueError(f"region {reg.k} indices out of range")
-        if alpha < 0:
-            raise ValueError("alpha must be nonnegative")
+        K = len(regions)
+        for k, idx in enumerate(regions):
+            if not idx or not all(0 <= i < cfg.visual_tokens for i in idx):
+                raise ValueError(f"region {k} must be a nonempty index set in "
+                                 f"[0, {cfg.visual_tokens})")
         orig, cpart = self._visuals(orig_visuals), self._visuals(cpart_visuals)
         if orig.shape != cpart.shape:
             raise ValueError("stream shapes differ")
@@ -184,7 +185,7 @@ class FrozenEncoder:
 
         x_o, x_c = seq(orig), seq(cpart)
         heads = np.empty((cfg.layers + 1, S, 1 + K, D))
-        masks = np.zeros((cfg.layers, S, K, N))
+        masks = np.empty((cfg.layers, S, K, N))
         heads[0] = x_o[:, :1 + K]
         for l in range(cfg.layers):
             x_o = self._layer(x_o, l)
@@ -194,9 +195,8 @@ class FrozenEncoder:
                     raise ad.NonFiniteError(f"non-finite {name} activation at layer {l}")
             v_o = x_o[:, 1 + K:]
             cgp = rg.compute_cgp(v_o, x_c[:, 1 + K:])            # (S, N, D)
-            if K > 0:
-                masks[l], pooled = rg.layer_region_state(cgp, v_o, region_specs, alpha)
-                x_o[:, 1:1 + K] += pooled                        # intra-layer residual
+            masks[l], pooled = rg.layer_region_state(cgp, v_o, regions, alpha)
+            x_o[:, 1:1 + K] += pooled                            # intra-layer residual
             x_c[:, 1:1 + K] = x_o[:, 1:1 + K]
             heads[l + 1] = x_o[:, :1 + K]
         return heads, masks

@@ -19,16 +19,18 @@ class SamConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if not (np.isfinite(self.rho) and self.rho >= 0):
-            raise ValueError("rho must be finite and nonnegative")
-        if not (np.isfinite(self.learning_rate) and self.learning_rate > 0):
-            raise ValueError("learning_rate must be finite and positive")
-        for name in ("batch_size", "steps"):
+        for name in ("rho", "learning_rate"):
             v = getattr(self, name)
-            if not isinstance(v, numbers.Integral) or isinstance(v, bool):
-                raise ValueError(f"{name} must be an integer, got {v!r}")
-            if v < 1:
-                raise ValueError(f"{name} must be >= 1")
+            if isinstance(v, bool) or not isinstance(v, numbers.Real) or not np.isfinite(v):
+                raise ValueError(f"{name} must be a finite number, got {v!r}")
+        if self.rho < 0:
+            raise ValueError("rho must be nonnegative")
+        if self.learning_rate <= 0:
+            raise ValueError("learning_rate must be positive")
+        for name, lo in (("batch_size", 1), ("steps", 1), ("seed", 0)):
+            v = getattr(self, name)
+            if not isinstance(v, numbers.Integral) or isinstance(v, bool) or v < lo:
+                raise ValueError(f"{name} must be an integer >= {lo}, got {v!r}")
 
 
 @dataclass
@@ -36,7 +38,6 @@ class StepRecord:
     step: int
     loss: float
     grad_norm: float
-    rho: float = 0.0
     failed: bool = False
 
 
@@ -141,7 +142,7 @@ class QuadraticProblem:
 
 def sgd_step(problem, w: np.ndarray, batch_idx, lr: float) -> tuple[np.ndarray, StepRecord]:
     loss, g = problem.loss_and_grad(w, batch_idx)
-    rec = StepRecord(step=-1, loss=loss, grad_norm=float(np.linalg.norm(g)), rho=0.0)
+    rec = StepRecord(step=-1, loss=loss, grad_norm=float(np.linalg.norm(g)))
     if not (np.isfinite(loss) and np.all(np.isfinite(g))):
         rec.failed = True
         return w, rec
@@ -155,7 +156,7 @@ def sam_step(problem, w: np.ndarray, batch_idx, lr: float,
     perturbation, so the step degenerates to SGD."""
     loss, g = problem.loss_and_grad(w, batch_idx)
     gn = float(np.linalg.norm(g))
-    rec = StepRecord(step=-1, loss=loss, grad_norm=gn, rho=rho)
+    rec = StepRecord(step=-1, loss=loss, grad_norm=gn)
     if not (np.isfinite(loss) and np.all(np.isfinite(g))):
         rec.failed = True
         return w, rec

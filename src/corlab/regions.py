@@ -1,31 +1,18 @@
 """Training-free contrastive-region machinery: per-layer feature
-discrepancies, region anchors, refinement masks, and region pooling."""
+discrepancies, and the refinement masks and pooled tokens of regions
+given as index sets over the visual tokens."""
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
 POOL_EPSILON = 1e-6
+REGION_LABELS = ("foreground", "boundary", "background")   # grid_partition order
 
 
-@dataclass(frozen=True)
-class RegionSpec:
-    """A named set of visual-token indices (0-based)."""
-
-    k: int
-    indices: tuple[int, ...]
-    label: str = "custom"  # foreground / boundary / background / custom
-
-    def __post_init__(self):
-        if len(self.indices) == 0:
-            raise ValueError(f"region {self.k} has an empty index set")
-        object.__setattr__(self, "indices", tuple(sorted(int(i) for i in self.indices)))
-
-
-def grid_partition(side: int) -> list[RegionSpec]:
-    """Foreground / boundary / background partition of a side x side grid.
+def grid_partition(side: int) -> list[tuple[int, ...]]:
+    """Foreground / boundary / background index sets of a side x side grid,
+    in `REGION_LABELS` order.
 
     The inner block is foreground, the four corners are background, and
     the remaining ring is boundary.  For the default 4x4 grid this gives
@@ -43,9 +30,7 @@ def grid_partition(side: int) -> list[RegionSpec]:
                 ring.append(i)
             else:
                 fg.append(i)
-    return [RegionSpec(0, tuple(fg), "foreground"),
-            RegionSpec(1, tuple(ring), "boundary"),
-            RegionSpec(2, tuple(bg), "background")]
+    return [tuple(fg), tuple(ring), tuple(bg)]
 
 
 def compute_cgp(orig: np.ndarray, counterpart: np.ndarray) -> np.ndarray:
@@ -57,44 +42,34 @@ def compute_cgp(orig: np.ndarray, counterpart: np.ndarray) -> np.ndarray:
     return counterpart - orig
 
 
-def anchor(cgp: np.ndarray, region: RegionSpec) -> tuple[np.ndarray, np.ndarray]:
-    """Region anchor of a (..., N, D) field: the unit direction (..., D) of
-    the centroid of in-region discrepancies, and the centroid norm (...).
-    Where the norm is zero the direction is the zero vector."""
-    c = cgp[..., list(region.indices), :].mean(axis=-2)
-    norm = np.linalg.norm(c, axis=-1)
-    d = c / np.where(norm > 0.0, norm, np.inf)[..., None]   # zero where norm is 0
-    return d, norm
-
-
-def refine_mask(cgp: np.ndarray, region: RegionSpec, alpha: float) -> np.ndarray:
-    """Binary (..., N) mask: in-region tokens whose projection onto the
-    region's anchor direction strictly exceeds alpha times the centroid
-    norm.  Tokens outside the region are always masked out; a degenerate
-    anchor has a zero direction, so every projection is 0, never above
-    alpha * 0, and the mask is empty, which makes the injection a no-op."""
-    if alpha < 0:
-        raise ValueError("alpha must be nonnegative")
-    d, norm = anchor(cgp, region)
-    idx = list(region.indices)
-    proj = np.einsum("...nd,...d->...n", cgp[..., idx, :], d)
-    mask = np.zeros(cgp.shape[:-1])
-    mask[..., idx] = proj > alpha * norm[..., None]
-    return mask
-
-
 def pool(visuals: np.ndarray, mask: np.ndarray) -> np.ndarray:
     """Masked average of (..., N, D) visual tokens under a (..., N) mask;
     an empty mask pools to exactly zero."""
-    num = (mask[..., None] * visuals).sum(axis=-2)
+    num = np.einsum("...n,...nd->...d", mask, visuals)
     return num / (mask.sum(axis=-1)[..., None] + POOL_EPSILON)
 
 
 def layer_region_state(cgp: np.ndarray, visuals: np.ndarray,
-                       regions: list[RegionSpec],
+                       regions: list[tuple[int, ...]],
                        alpha: float) -> tuple[np.ndarray, np.ndarray]:
-    """Full per-layer pass over (..., N, D) fields: the (..., K, N) binary
-    masks and (..., K, D) pooled tokens of every region."""
-    masks = [refine_mask(cgp, reg, alpha) for reg in regions]
-    pooled = [pool(visuals, m) for m in masks]
-    return np.stack(masks, axis=-2), np.stack(pooled, axis=-2)
+    """Per-layer pass of K nonempty index sets over (..., N, D) fields:
+    the (..., K, N) binary masks and (..., K, D) pooled tokens.
+
+    With the (K, N) 0/1 membership matrix M, each region's anchor is the
+    centroid of its in-region discrepancies, a unit direction and a norm
+    (the direction is zero where the norm is).  A token is masked in when
+    it lies in the region and its projection onto the direction strictly
+    exceeds alpha times the norm, so a degenerate anchor gives an empty
+    mask and the injection is a no-op.
+    """
+    if alpha < 0:
+        raise ValueError("alpha must be nonnegative")
+    M = np.zeros((len(regions), cgp.shape[-2]))
+    for k, idx in enumerate(regions):
+        M[k, list(idx)] = 1.0
+    c = np.einsum("kn,...nd->...kd", M, cgp) / M.sum(axis=1)[:, None]
+    norm = np.linalg.norm(c, axis=-1)
+    d = c / np.where(norm > 0.0, norm, np.inf)[..., None]   # zero where norm is 0
+    proj = np.einsum("...nd,...kd->...kn", cgp, d)
+    masks = M * (proj > alpha * norm[..., None])
+    return masks, pool(visuals[..., None, :, :], masks)

@@ -17,10 +17,7 @@ def _region_indices(label: str, n_tokens: int) -> tuple[int, ...]:
     side = int(round(np.sqrt(n_tokens)))
     if side * side != n_tokens:
         raise ValueError("region labels require a square token grid")
-    for spec in rg.grid_partition(side):
-        if spec.label == label:
-            return spec.indices
-    raise ValueError(f"unknown region label {label!r}")
+    return rg.grid_partition(side)[rg.REGION_LABELS.index(label)]
 
 
 def _unit_pattern(seed_key: tuple, shape: tuple) -> np.ndarray:
@@ -47,24 +44,28 @@ class TaskSpec:
     seed: int = 0
 
     def __post_init__(self):
-        object.__setattr__(self, "artifact_channels",
-                           tuple(int(c) for c in self.artifact_channels))
+        for name, lo in (("n_tokens", 1), ("dim", 1), ("n_train", 2), ("n_test", 2),
+                         ("seed", 0)):   # n_train, n_test >= 2: both classes appear
+            v = getattr(self, name)
+            if not isinstance(v, numbers.Integral) or isinstance(v, bool) or v < lo:
+                raise ValueError(f"{name} must be an integer >= {lo}, got {v!r}")
+        if round(np.sqrt(self.n_tokens)) ** 2 != self.n_tokens:
+            raise ValueError(f"n_tokens ({self.n_tokens}) must be a square token grid")
+        if self.artifact_region not in rg.REGION_LABELS:
+            raise ValueError(f"artifact_region must be one of {rg.REGION_LABELS}")
+        for name in ("semantic_amp", "artifact_amp", "noise_sigma"):
+            v = getattr(self, name)
+            if isinstance(v, bool) or not isinstance(v, numbers.Real) or not np.isfinite(v):
+                raise ValueError(f"{name} must be a finite number, got {v!r}")
+        if self.noise_sigma <= 0:
+            raise ValueError("noise_sigma must be positive")
+        object.__setattr__(self, "artifact_channels", tuple(self.artifact_channels))
         if self.artifact_amp > 0 and not self.artifact_channels:
             raise ValueError("artifact_amp > 0 requires nonempty artifact_channels")
-        bad = [c for c in self.artifact_channels if not 0 <= c < self.dim]
+        bad = [c for c in self.artifact_channels if isinstance(c, bool)
+               or not isinstance(c, numbers.Integral) or not 0 <= c < self.dim]
         if bad:
-            raise ValueError(f"artifact_channels {bad} outside [0, {self.dim})")
-        for name in ("semantic_amp", "artifact_amp"):
-            if not np.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite")
-        if not (np.isfinite(self.noise_sigma) and self.noise_sigma > 0):
-            raise ValueError("noise_sigma must be finite and positive")
-        for name in ("n_train", "n_test"):
-            v = getattr(self, name)
-            if not isinstance(v, numbers.Integral) or isinstance(v, bool):
-                raise ValueError(f"{name} must be an integer, got {v!r}")
-            if v < 2:
-                raise ValueError(f"{name} must be >= 2, so both classes appear")
+            raise ValueError(f"artifact_channels {bad!r} must be integers in [0, {self.dim})")
 
     @property
     def semantic_channels(self) -> tuple[int, ...]:
@@ -92,8 +93,6 @@ class TaskSpec:
 
 @dataclass
 class Dataset:
-    spec: TaskSpec
-    split: str
     tokens: np.ndarray   # (S, N, D)
     labels: np.ndarray   # (S,) uint8; 0 = real, 1 = fake
 
@@ -125,7 +124,7 @@ def generate(spec: TaskSpec, split: str) -> Dataset:
             x = x + sem + art
         tokens[i] = x
         labels[i] = label
-    return Dataset(spec, split, tokens, labels)
+    return Dataset(tokens, labels)
 
 
 @dataclass(frozen=True)
@@ -139,10 +138,20 @@ class CounterpartOp:
     seed: int = 0
 
     def __post_init__(self):
-        if not (np.isfinite(self.perturb_amp) and self.perturb_amp >= 0):
-            raise ValueError("perturb_amp must be finite and nonnegative")
-        object.__setattr__(self, "target_channels",
-                           tuple(int(c) for c in self.target_channels))
+        v = self.perturb_amp
+        if (isinstance(v, bool) or not isinstance(v, numbers.Real)
+                or not (np.isfinite(v) and v >= 0)):
+            raise ValueError(f"perturb_amp must be finite and nonnegative, got {v!r}")
+        if (not isinstance(self.seed, numbers.Integral) or isinstance(self.seed, bool)
+                or self.seed < 0):
+            raise ValueError(f"seed must be an integer >= 0, got {self.seed!r}")
+        if self.target_region not in rg.REGION_LABELS:
+            raise ValueError(f"target_region must be one of {rg.REGION_LABELS}")
+        object.__setattr__(self, "target_channels", tuple(self.target_channels))
+        bad = [c for c in self.target_channels
+               if isinstance(c, bool) or not isinstance(c, numbers.Integral)]
+        if bad:
+            raise ValueError(f"target_channels {bad!r} must be integers")
 
     def pattern(self, n_tokens: int, dim: int) -> np.ndarray:
         idx = _region_indices(self.target_region, n_tokens)
@@ -157,11 +166,8 @@ class CounterpartOp:
         """Counterpart tokens; label semantics are unchanged by design."""
         tokens = np.asarray(tokens, dtype=np.float64)
         n, d = tokens.shape[-2], tokens.shape[-1]
-        idx = _region_indices(self.target_region, n)
         if any(not 0 <= c < d for c in self.target_channels):
             raise ValueError("target channel out of range")
-        if idx and max(idx) >= n:
-            raise ValueError("target token out of range")
         return tokens + self.perturb_amp * self.pattern(n, d)
 
 

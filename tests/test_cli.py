@@ -114,7 +114,30 @@ def test_malformed_config_exits_2(config_path, tmp_path, capsys):
              (dict(d, encoder=dict(d["encoder"], bias_attenuation=float("nan"))),
               "bias_attenuation"),
              (dict(d, task=dict(d["task"], n_train=1)), "n_train"),
-             (dict(d, task=dict(d["task"], n_test=2.5)), "n_test"))
+             (dict(d, task=dict(d["task"], n_test=2.5)), "n_test"),
+             (dict(d, task=dict(d["task"], artifact_channels=[24.7])),
+              "artifact_channels"),
+             (dict(d, counterpart=dict(d["counterpart"], target_channels=["25"])),
+              "target_channels"),
+             (dict(d, encoder=dict(d["encoder"], semantic_bias=True,
+                                   bias_channels=[24.7])), "bias_channels"),
+             (dict(d, task=dict(d["task"], seed=1.5)), "seed must be"),
+             (dict(d, task=dict(d["task"], seed=-1)), "seed must be"),
+             (dict(d, optimizer=dict(d["optimizer"], seed=-1)), "seed must be"),
+             (dict(d, encoder=dict(d["encoder"], seed=1.5)), "seed must be"),
+             (dict(d, counterpart=dict(d["counterpart"], seed="3")), "seed must be"),
+             (dict(d, counterpart=dict(d["counterpart"], target_region="foregrond")),
+              "target_region"),
+             (dict(d, task=dict(d["task"], artifact_region="foregrond")),
+              "artifact_region"),
+             (dict(d, task=dict(d["task"], n_tokens=15),
+                   encoder=dict(d["encoder"], visual_tokens=15)), "n_tokens"),
+             (dict(d, task=dict(d["task"], noise_sigma="1")), "noise_sigma"),
+             (dict(d, optimizer=dict(d["optimizer"], rho=True)), "rho"),
+             (dict(d, head="corit", l_mid=1, alpha=True), "alpha"),
+             (dict(d, lr_relative="1.95"), "lr_relative"),
+             (dict(d, counterpart=dict(d["counterpart"], perturb_amp=True)),
+              "perturb_amp"))
     for e, named in cases:
         bad.write_text(json.dumps(e))
         assert cli.main(["train", "--config", str(bad), "--quiet"]) == 2
@@ -122,6 +145,20 @@ def test_malformed_config_exits_2(config_path, tmp_path, capsys):
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("argv", [["verify-theorem", "--config", "/nonexistent.json"],
+                                  ["verify-theorem", "--rho", "9"],
+                                  ["diagnose", "--rho", "0.9"],
+                                  ["sweep-rho", "--rho", "5.0"],
+                                  ["compare", "--rho", "0.1"]])
+def test_subcommands_refuse_flags_they_do_not_read(argv, capsys):
+    # verify-theorem reads no config; sweep-rho sets rho per probe, and
+    # diagnose and compare force it to 0
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {argv[1]}" in capsys.readouterr().err
+
+
 def test_divergent_run_exits_3(config_path, tmp_path):
     cfg = hn.RunConfig.from_json(open(config_path).read())
     from dataclasses import replace
@@ -238,10 +275,10 @@ def report_dir(tmp_path_factory):
     out = tmp_path_factory.mktemp("reports")
     path = out / "config.json"
     path.write_text(json.dumps(small_config(l_mid=1).to_dict()))
-    for argv in (["train", "--rho", "0.01"], ["sweep-rho"], ["compare"],
-                 ["verify-theorem", "--instances", "10"]):
-        assert cli.main(argv + ["--config", str(path), "--out", str(out),
-                                "--quiet"]) == 0
+    config = ["--config", str(path)]
+    for argv in (["train", "--rho", "0.01"] + config, ["sweep-rho"] + config,
+                 ["compare"] + config, ["verify-theorem", "--instances", "10"]):
+        assert cli.main(argv + ["--out", str(out), "--quiet"]) == 0
     return out
 
 

@@ -122,6 +122,37 @@ def test_run_config_validation():
             with pytest.raises(ValueError, match=name):
                 tk.TaskSpec(**{name: bad})
     tk.TaskSpec(n_train=2, n_test=2)
+    # seeds are integers >= 0 and channel entries integers, with no bool or
+    # string coerced; regions are grid labels on a square token grid
+    for cls in (tk.TaskSpec, md.EncoderConfig, tk.CounterpartOp, op.SamConfig):
+        for bad in (1.5, -1, "3", True):
+            with pytest.raises(ValueError, match="seed"):
+                cls(seed=bad)
+    for bad in ((24.7,), ("25",), (True,), (24, np.float64(25.0))):
+        with pytest.raises(ValueError, match="artifact_channels"):
+            tk.TaskSpec(artifact_channels=bad)
+        with pytest.raises(ValueError, match="target_channels"):
+            tk.CounterpartOp(target_channels=bad)
+        with pytest.raises(ValueError, match="bias_channels"):
+            md.EncoderConfig(bias_channels=bad)
+    assert tk.TaskSpec(artifact_channels=[np.int64(24)]).artifact_channels == (24,)
+    with pytest.raises(ValueError, match="artifact_region"):
+        tk.TaskSpec(artifact_region="foregrond")
+    with pytest.raises(ValueError, match="target_region"):
+        tk.CounterpartOp(target_region="foregrond")
+    for bad in (15, 8, 16.0, 0):
+        with pytest.raises(ValueError, match="n_tokens"):
+            tk.TaskSpec(n_tokens=bad)
+    # float fields take real numbers only
+    for cls, name in ((tk.TaskSpec, "semantic_amp"), (tk.TaskSpec, "artifact_amp"),
+                      (tk.TaskSpec, "noise_sigma"), (tk.CounterpartOp, "perturb_amp"),
+                      (md.EncoderConfig, "bias_attenuation"), (hn.RunConfig, "alpha")):
+        for bad in (True, "1", None):
+            with pytest.raises(ValueError, match=name):
+                cls(**{name: bad})
+    for bad in (True, "1.95"):
+        with pytest.raises(ValueError, match="lr_relative"):
+            hn.RunConfig(loss="quadratic", lr_relative=bad)
     with pytest.raises(ValueError, match="perturb_amp"):
         tk.CounterpartOp(perturb_amp=np.nan)
     with pytest.raises(ValueError):

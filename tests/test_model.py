@@ -135,9 +135,11 @@ def test_encode_corit_validation():
         enc.encode_corit(x, x, regions, alpha=-1.0)
     with pytest.raises(ValueError):
         enc.encode_corit(x, x[:, :8], regions, alpha=0.5)
-    bad = [rg.RegionSpec(0, (99,)), regions[1], regions[2]]
-    with pytest.raises(ValueError):
-        enc.encode_corit(x, x, bad, alpha=0.5)
+    # a region must be a nonempty index set over the visual tokens; the
+    # error names its position
+    for bad in ((), (99,), (-1,), (3, 16)):
+        with pytest.raises(ValueError, match="region 1 "):
+            enc.encode_corit(x, x, [regions[0], bad, regions[2]], alpha=0.5)
 
 
 def test_encoders_are_exact_under_any_sample_split():

@@ -35,12 +35,20 @@ def test_sam_config_rejects_bad_values():
                 dict(steps=0), dict(steps=-3)):
         with pytest.raises(ValueError):
             op.SamConfig(**bad)
-    for name in ("batch_size", "steps"):
+    for name in ("batch_size", "steps", "seed"):
         for bad in (2.5, 3.0, np.float64(4.0), True, "5", None):
             with pytest.raises(ValueError, match=name):
                 op.SamConfig(**{name: bad})
+    with pytest.raises(ValueError, match="seed"):
+        op.SamConfig(seed=-1)
+    # float fields take real numbers only: no bools, no strings
+    for name in ("rho", "learning_rate"):
+        for bad in (True, "0.1", None):
+            with pytest.raises(ValueError, match=name):
+                op.SamConfig(**{name: bad})
     op.SamConfig(rho=0.0)  # zero radius is legal
-    op.SamConfig(batch_size=np.int64(8), steps=np.int32(3))  # numpy integers too
+    op.SamConfig(batch_size=np.int64(8), steps=np.int32(3), seed=np.uint64(7))  # numpy too
+    op.SamConfig(rho=0, learning_rate=np.float32(0.5))
 
 
 # -- quadratic problem oracle ---------------------------------------------------
@@ -128,7 +136,7 @@ def test_sam_step_by_hand():
     _, g_tilde = prob.loss_and_grad(w + eps)
     w1, rec = op.sam_step(prob, w, None, lr, rho)
     assert np.array_equal(w1, w - lr * g_tilde)
-    assert rec.rho == rho
+    assert rec.grad_norm == np.linalg.norm(g) and not rec.failed
 
 
 def test_sam_step_zero_gradient_degenerates_to_sgd():

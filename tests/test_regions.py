@@ -1,27 +1,40 @@
 """Region machinery checks: grid partition layout, discrepancy fields,
-anchors, refinement masks, and pooling."""
+region anchors and refinement masks through `layer_region_state`, and
+pooling."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from corlab import regions as rg
 
 
+def reference_region_state(cgp, visuals, regions, alpha):
+    """The per-region loop: gather a region's discrepancies, take the unit
+    direction and norm of their centroid, threshold the in-region
+    projections, pool the masked visuals, and stack over regions."""
+    masks, pooled = [], []
+    for idx in regions:
+        idx = sorted(idx)
+        c = cgp[..., idx, :].mean(axis=-2)
+        norm = np.linalg.norm(c, axis=-1)
+        d = c / np.where(norm > 0.0, norm, np.inf)[..., None]
+        proj = np.einsum("...nd,...d->...n", cgp[..., idx, :], d)
+        m = np.zeros(cgp.shape[:-1])
+        m[..., idx] = proj > alpha * norm[..., None]
+        masks.append(m)
+        pooled.append((m[..., None] * visuals).sum(axis=-2)
+                      / (m.sum(axis=-1)[..., None] + rg.POOL_EPSILON))
+    return np.stack(masks, axis=-2), np.stack(pooled, axis=-2)
+
+
 def test_grid_partition_4x4_exact_index_sets():
+    assert rg.REGION_LABELS == ("foreground", "boundary", "background")
     fg, ring, bg = rg.grid_partition(4)
-    assert fg.label == "foreground" and fg.indices == (5, 6, 9, 10)
-    assert bg.label == "background" and bg.indices == (0, 3, 12, 15)
-    assert ring.label == "boundary"
-    assert ring.indices == (1, 2, 4, 7, 8, 11, 13, 14)
-    all_idx = sorted(fg.indices + ring.indices + bg.indices)
-    assert all_idx == list(range(16))
-
-
-def test_region_spec_sorts_and_rejects_empty():
-    spec = rg.RegionSpec(0, (3, 1, 2))
-    assert spec.indices == (1, 2, 3)
-    with pytest.raises(ValueError):
-        rg.RegionSpec(0, ())
+    assert fg == (5, 6, 9, 10)
+    assert ring == (1, 2, 4, 7, 8, 11, 13, 14)
+    assert bg == (0, 3, 12, 15)
+    assert sorted(fg + ring + bg) == list(range(16))
 
 
 def test_compute_cgp_is_plain_difference():
@@ -34,20 +47,28 @@ def test_compute_cgp_is_plain_difference():
 
 
 def test_anchor_centroid_and_unit_direction():
+    # region (1, 2) has centroid (1.5, 2, 0): norm 2.5, direction (0.6, 0.8, 0)
     cgp = np.zeros((4, 3))
-    cgp[1] = [3.0, 0.0, 0.0]
-    cgp[2] = [0.0, 4.0, 0.0]
-    region = rg.RegionSpec(0, (1, 2))
-    d, norm = rg.anchor(cgp, region)
-    assert np.allclose(norm * d, [1.5, 2.0, 0.0])   # the centroid
-    assert norm == pytest.approx(2.5)
-    assert np.allclose(d, [0.6, 0.8, 0.0])
+    cgp[1] = [3.0, 0.0, 0.0]    # projection 1.8
+    cgp[2] = [0.0, 4.0, 0.0]    # projection 3.2
+    visuals = np.eye(4, 3)
+    # the thresholds alpha * 2.5 sit just either side of the projections
+    for alpha, mask in ((0.0, [0, 1, 1, 0]), (0.719, [0, 1, 1, 0]),
+                        (0.721, [0, 0, 1, 0]), (1.279, [0, 0, 1, 0]),
+                        (1.281, [0, 0, 0, 0])):
+        masks, _ = rg.layer_region_state(cgp, visuals, [(1, 2)], alpha)
+        assert masks.tolist() == [mask]
 
 
 def test_anchor_degenerate_region_gives_zero_direction():
-    d, norm = rg.anchor(np.zeros((4, 3)), rg.RegionSpec(0, (0, 1)))
-    assert norm == 0.0
-    assert np.all(d == 0.0)
+    # region (0, 1) cancels exactly, so its direction is zero and no token
+    # projects above even alpha 0; region (2, 3) is unaffected
+    cgp = np.array([[1.0, 2.0], [-1.0, -2.0], [3.0, 0.0], [1.0, 0.0]])
+    visuals = np.arange(8.0).reshape(4, 2)
+    masks, pooled = rg.layer_region_state(cgp, visuals, [(0, 1), (2, 3)], 0.0)
+    assert masks.tolist() == [[0, 0, 0, 0], [0, 0, 1, 1]]
+    assert np.array_equal(pooled[0], np.zeros(2))
+    assert np.allclose(pooled[1], [5.0, 6.0], atol=1e-5)
 
 
 def test_refine_mask_thresholds_in_region_projections():
@@ -55,20 +76,23 @@ def test_refine_mask_thresholds_in_region_projections():
     cgp[0] = [10.0, 0.0]   # outside the region: must stay masked out
     cgp[1] = [4.0, 0.0]    # above threshold
     cgp[2] = [2.0, 0.0]    # region centroid pulls the threshold here
-    region = rg.RegionSpec(0, (1, 2))
+    visuals = np.ones((5, 2))
     # the anchor is the centroid (3, 0), norm 3
-    mask = rg.refine_mask(cgp, region, alpha=1.0)
-    assert mask.tolist() == [0.0, 1.0, 0.0, 0.0, 0.0]
+    masks, _ = rg.layer_region_state(cgp, visuals, [(1, 2)], alpha=1.0)
+    assert masks.tolist() == [[0.0, 1.0, 0.0, 0.0, 0.0]]
     # alpha = 0 keeps every in-region token with positive projection
-    mask0 = rg.refine_mask(cgp, region, alpha=0.0)
-    assert mask0.tolist() == [0.0, 1.0, 1.0, 0.0, 0.0]
+    masks0, _ = rg.layer_region_state(cgp, visuals, [(1, 2)], alpha=0.0)
+    assert masks0.tolist() == [[0.0, 1.0, 1.0, 0.0, 0.0]]
     with pytest.raises(ValueError):
-        rg.refine_mask(cgp, region, alpha=-0.5)
+        rg.layer_region_state(cgp, visuals, [(1, 2)], alpha=-0.5)
 
 
 def test_refine_mask_degenerate_anchor_is_empty():
-    region = rg.RegionSpec(0, (0, 1))
-    assert np.all(rg.refine_mask(np.zeros((3, 2)), region, 0.5) == 0.0)
+    visuals = np.random.default_rng(5).normal(size=(2, 16, 3))
+    masks, pooled = rg.layer_region_state(np.zeros((2, 16, 3)), visuals,
+                                          rg.grid_partition(4), 0.5)
+    assert masks.shape == (2, 3, 16) and not masks.any()
+    assert np.array_equal(pooled, np.zeros((2, 3, 3)))
 
 
 def test_pool_masked_average_and_empty_mask():
@@ -87,11 +111,12 @@ def test_layer_region_state_assembles_all_regions():
     masks, pooled = rg.layer_region_state(cgp, visuals, regions, alpha=0.5)
     assert masks.shape == (3, 16)
     assert pooled.shape == (3, 4)
-    for k, reg in enumerate(regions):
-        assert np.array_equal(
-            masks[k],
-            rg.refine_mask(cgp, reg, 0.5))
-        assert np.allclose(pooled[k], rg.pool(visuals, masks[k]))
+    for k, idx in enumerate(regions):
+        assert set(np.flatnonzero(masks[k])) <= set(idx)
+        assert np.array_equal(pooled[k], rg.pool(visuals, masks[k]))
+    ref_masks, ref_pooled = reference_region_state(cgp, visuals, regions, 0.5)
+    assert np.array_equal(masks, ref_masks)
+    assert np.array_equal(pooled, ref_pooled)
 
 
 def test_batched_layer_region_state_equals_per_sample_calls():
@@ -103,13 +128,6 @@ def test_batched_layer_region_state_equals_per_sample_calls():
     cgp[5, 6] = -cgp[5, 5]          # the foreground (5, 6, 9, 10) of sample 5
     cgp[5, 10] = -cgp[5, 9]         # sums to exactly zero
     regions = rg.grid_partition(4)
-    anchors = [rg.anchor(cgp, reg) for reg in regions]
-    for s in range(S):
-        for (d_b, norm_b), reg in zip(anchors, regions):
-            d_s, norm_s = rg.anchor(cgp[s], reg)
-            assert np.array_equal(norm_b[s], norm_s)
-            assert np.array_equal(d_b[s], d_s)
-    assert anchors[0][1][5] == 0.0
     for alpha in (0.0, 0.5, 1.5):
         masks, pooled = rg.layer_region_state(cgp, visuals, regions, alpha)
         assert masks.shape == (S, 3, N)
@@ -120,3 +138,43 @@ def test_batched_layer_region_state_equals_per_sample_calls():
             assert np.array_equal(pooled[s], single[1])
         assert not masks[3].any() and not masks[5, 0].any()
         assert np.array_equal(pooled[3], np.zeros((3, D)))
+
+
+@settings(max_examples=1000, deadline=None, derandomize=True)
+@given(st.integers(1, 40), st.integers(1, 40), st.integers(1, 5),
+       st.sampled_from([(), (1,), (3,)]), st.sampled_from(["normal", "cancel", "zero"]),
+       st.sampled_from([0.0, 0.5, 0.75, 1.5]), st.integers(0, 2**32 - 1))
+def test_layer_region_state_equals_the_per_region_loop(D, N, K, lead, field, alpha, seed):
+    rng = np.random.default_rng(seed)
+    cgp = rng.normal(size=lead + (N, D))
+    visuals = rng.normal(size=lead + (N, D))
+    regions = [tuple(int(i) for i in rng.choice(N, size=rng.integers(1, N + 1),
+                                                replace=False))
+               for _ in range(K)]      # random subsets, free to overlap
+    if field == "zero":
+        cgp[...] = 0.0
+    elif field == "cancel":
+        # region 0's discrepancies cancel pairwise in summation order, so its
+        # centroid is exactly zero
+        idx = sorted(regions[0])
+        for i, j in zip(idx[::2], idx[1::2]):
+            cgp[..., j, :] = -cgp[..., i, :]
+        if len(idx) % 2:
+            cgp[..., idx[-1], :] = 0.0
+    masks, pooled = rg.layer_region_state(cgp, visuals, regions, alpha)
+    ref_masks, ref_pooled = reference_region_state(cgp, visuals, regions, alpha)
+    if D >= 2:
+        assert np.array_equal(masks, ref_masks)
+        assert np.array_equal(pooled, ref_pooled)
+        if field != "normal":
+            assert not masks[..., 0, :].any()
+        return
+    # at D = 1 einsum sums the tokens in another order.  Masks agree except
+    # where a centroid cancels: exactly zero in the loop's order, it is only
+    # rounding-small in einsum's, so its tokens may still fire
+    agree = (masks == ref_masks).all(axis=-1)
+    cancelled = np.stack([cgp[..., sorted(r), :].sum(axis=-2)[..., 0] == 0.0
+                          for r in regions], axis=-1)
+    assert np.all(agree | (cancelled & (field == "cancel")))
+    err = np.abs(pooled - ref_pooled).max(axis=-1)
+    assert np.all(err[agree] <= 1e-15 * np.abs(visuals).max())
