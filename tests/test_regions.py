@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from corlab import model as md
 from corlab import regions as rg
 
 
@@ -35,6 +36,23 @@ def test_grid_partition_4x4_exact_index_sets():
     assert ring == (1, 2, 4, 7, 8, 11, 13, 14)
     assert bg == (0, 3, 12, 15)
     assert sorted(fg + ring + bg) == list(range(16))
+
+
+def test_region_spec_sorts_and_rejects_empty():
+    # a region is an index set: its order changes nothing, and an empty one
+    # is refused before any layer runs
+    rng = np.random.default_rng(1)
+    cgp = rng.normal(size=(2, 16, 8))
+    visuals = rng.normal(size=(2, 16, 8))
+    ordered = [(1, 2, 3), (5, 6, 9, 10)]
+    shuffled = [(3, 1, 2), (10, 5, 9, 6)]
+    for got, want in zip(rg.layer_region_state(cgp, visuals, shuffled, 0.3),
+                         rg.layer_region_state(cgp, visuals, ordered, 0.3)):
+        assert np.array_equal(got, want)
+    enc = md.FrozenEncoder(md.EncoderConfig(layers=2, dim=8, heads=2,
+                                            visual_tokens=16))
+    with pytest.raises(ValueError, match="region 0 "):
+        enc.encode_corit(visuals, visuals, [(), (1, 2)], alpha=0.5)
 
 
 def test_compute_cgp_is_plain_difference():
