@@ -5,7 +5,6 @@ campaigns, and report emission."""
 from __future__ import annotations
 
 import json
-import numbers
 import os
 import time
 from dataclasses import dataclass, field, asdict, replace
@@ -13,6 +12,7 @@ from dataclasses import dataclass, field, asdict, replace
 import numpy as np
 
 from . import diagnostics as dg
+from . import fields
 from . import model as md
 from . import optim as op
 from . import regions as rg
@@ -22,6 +22,7 @@ SCHEMA_VERSION = 1
 COLLAPSE_AUC_THRESHOLD = 0.55
 BISECTION_RESOLUTION = 1e-3     # rho width at which sweep bisection stops
 FACTORIZATION_REL_TOL = 1e-6    # campaign pass threshold on both relative gaps
+WHITEN_RIDGE = 1e-6             # added to the feature covariance before whitening
 HEAD_MODES = ("plain-probe", "corit")
 LOSS_MODES = ("bce", "quadratic")
 STANDARDIZE_MODES = ("none", "center", "whiten")
@@ -81,41 +82,26 @@ class RunConfig:
     lr_relative: float | None = None
 
     def __post_init__(self):
-        if self.head not in HEAD_MODES:
-            raise ValueError(f"head must be one of {HEAD_MODES}")
-        if self.loss not in LOSS_MODES:
-            raise ValueError(f"loss must be one of {LOSS_MODES}")
-        if self.standardize not in STANDARDIZE_MODES:
-            raise ValueError(f"standardize must be one of {STANDARDIZE_MODES}")
-        for name in ("cadence", "l_mid"):
-            v = getattr(self, name)
-            if not isinstance(v, numbers.Integral) or isinstance(v, bool):
-                raise ValueError(f"{name} must be an integer, got {v!r}")
-        if self.cadence < 1:
-            raise ValueError("cadence must be >= 1")
-        v = self.alpha
-        if (isinstance(v, bool) or not isinstance(v, numbers.Real)
-                or not (np.isfinite(v) and v >= 0)):
-            raise ValueError(f"alpha must be finite and nonnegative, got {v!r}")
+        fields.choice("head", self.head, HEAD_MODES)
+        fields.choice("loss", self.loss, LOSS_MODES)
+        fields.choice("standardize", self.standardize, STANDARDIZE_MODES)
+        fields.integer("cadence", self.cadence, 1)
+        fields.integer("l_mid", self.l_mid, None)
+        fields.real("alpha", self.alpha, 0, strict=False)
         for task_field, enc_field in (("n_tokens", "visual_tokens"), ("dim", "dim")):
             got, want = getattr(self.task, task_field), getattr(self.encoder, enc_field)
             if got != want:
                 raise ValueError(f"task.{task_field} ({got}) must equal "
                                  f"encoder.{enc_field} ({want})")
-        bad = [c for c in self.counterpart.target_channels if not 0 <= c < self.task.dim]
-        if bad:
-            raise ValueError(f"counterpart.target_channels {bad} outside "
-                             f"[0, {self.task.dim})")
+        fields.channels("counterpart.target_channels", self.counterpart.target_channels,
+                        self.task.dim)
         if self.head == "corit" and not 1 <= self.l_mid < self.encoder.layers:
             raise ValueError(f"l_mid ({self.l_mid}) must be in "
                              f"[1, {self.encoder.layers - 1}] for the corit head")
         if self.lr_relative is not None:
             if self.loss != "quadratic":
                 raise ValueError("lr_relative requires the quadratic loss")
-            v = self.lr_relative
-            if (isinstance(v, bool) or not isinstance(v, numbers.Real)
-                    or not (np.isfinite(v) and v > 0)):
-                raise ValueError(f"lr_relative must be finite and positive, got {v!r}")
+            fields.real("lr_relative", self.lr_relative, 0, strict=True)
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -147,13 +133,13 @@ class Standardizer:
         return G if self.transform is None else G @ self.transform
 
 
-def fit_standardizer(F: np.ndarray, mode: str, ridge: float = 1e-6) -> Standardizer:
+def fit_standardizer(F: np.ndarray, mode: str) -> Standardizer:
     if mode == "none":
         return Standardizer(np.zeros(F.shape[1]), None)
     mu = F.mean(axis=0)
     if mode == "center":
         return Standardizer(mu, None)
-    C = np.cov(F - mu, rowvar=False) + ridge * np.eye(F.shape[1])
+    C = np.cov(F - mu, rowvar=False) + WHITEN_RIDGE * np.eye(F.shape[1])
     evals, evecs = np.linalg.eigh(C)
     return Standardizer(mu, evecs @ np.diag(evals ** -0.5) @ evecs.T)
 

@@ -14,12 +14,12 @@ Token layout is always [CLS | R_1..R_K | V_1..V_N].
 
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import autodiff as ad
+from . import fields
 from . import regions as rg
 
 _BLOCK_SAMPLES = 128   # samples per numpy-mode block call
@@ -39,29 +39,22 @@ class EncoderConfig:
     def __post_init__(self):
         for name, lo in (("layers", 1), ("dim", 1), ("heads", 1), ("visual_tokens", 1),
                          ("seed", 0)):
-            v = getattr(self, name)
-            if not isinstance(v, numbers.Integral) or isinstance(v, bool) or v < lo:
-                raise ValueError(f"{name} must be an integer >= {lo}, got {v!r}")
-        if not isinstance(self.semantic_bias, bool):
+            fields.integer(name, getattr(self, name), lo)
+        if not isinstance(self.semantic_bias, bool):   # 1 in (False, True) holds
             raise ValueError(f"semantic_bias must be a boolean, got {self.semantic_bias!r}")
-        v = self.bias_attenuation
-        if isinstance(v, bool) or not isinstance(v, numbers.Real) or not np.isfinite(v):
-            raise ValueError(f"bias_attenuation must be a finite number, got {v!r}")
+        fields.real("bias_attenuation", self.bias_attenuation, None, strict=False)
         if self.dim % self.heads != 0:
             raise ValueError("dim must be divisible by heads")
-        object.__setattr__(self, "bias_channels", tuple(self.bias_channels))
-        bad = [c for c in self.bias_channels if isinstance(c, bool)
-               or not isinstance(c, numbers.Integral) or not 0 <= c < self.dim]
-        if bad:
-            raise ValueError(f"bias_channels {bad!r} must be integers in [0, {self.dim})")
+        object.__setattr__(self, "bias_channels",
+                           fields.channels("bias_channels", self.bias_channels, self.dim))
 
 
 class FrozenEncoder:
     """Seeded immutable transformer; parameters are plain float64 arrays."""
 
-    def __init__(self, config: EncoderConfig, params: dict[str, np.ndarray] | None = None):
+    def __init__(self, config: EncoderConfig):
         self.config = config
-        self.params = params if params is not None else self._init_params(config)
+        self.params = self._init_params(config)
 
     @staticmethod
     def _init_params(cfg: EncoderConfig) -> dict[str, np.ndarray]:

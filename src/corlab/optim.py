@@ -4,10 +4,11 @@ between the population gradient and the perturbed mini-batch gradient."""
 
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
+
+from . import fields
 
 
 @dataclass(frozen=True)
@@ -19,18 +20,10 @@ class SamConfig:
     seed: int = 0
 
     def __post_init__(self):
-        for name in ("rho", "learning_rate"):
-            v = getattr(self, name)
-            if isinstance(v, bool) or not isinstance(v, numbers.Real) or not np.isfinite(v):
-                raise ValueError(f"{name} must be a finite number, got {v!r}")
-        if self.rho < 0:
-            raise ValueError("rho must be nonnegative")
-        if self.learning_rate <= 0:
-            raise ValueError("learning_rate must be positive")
+        fields.real("rho", self.rho, 0, strict=False)
+        fields.real("learning_rate", self.learning_rate, 0, strict=True)
         for name, lo in (("batch_size", 1), ("steps", 1), ("seed", 0)):
-            v = getattr(self, name)
-            if not isinstance(v, numbers.Integral) or isinstance(v, bool) or v < lo:
-                raise ValueError(f"{name} must be an integer >= {lo}, got {v!r}")
+            fields.integer(name, getattr(self, name), lo)
 
 
 @dataclass
@@ -110,15 +103,18 @@ class QuadraticProblem:
         self._Aa = self.offsets @ self.A.T                    # (M, P)
         self._quad = np.einsum("mi,mi->m", self.offsets, self._Aa)
         self._Aa_mean = self._Aa.mean(axis=0)
+        self._quad_mean = self._quad.mean()
         self._spread = float(((self._Aa - self._Aa_mean) ** 2).sum(axis=1).mean())
 
     def init_params(self) -> np.ndarray:
         return np.zeros(self.dim)
 
     def loss_and_grad(self, w, indices=None):
-        idx = slice(None) if indices is None else np.asarray(indices)
-        Aa_mean = self._Aa[idx].mean(axis=0)
-        quad_mean = self._quad[idx].mean()
+        if indices is None:       # the full batch reads the means computed once
+            Aa_mean, quad_mean = self._Aa_mean, self._quad_mean
+        else:
+            idx = np.asarray(indices)
+            Aa_mean, quad_mean = self._Aa[idx].mean(axis=0), self._quad[idx].mean()
         Aw = self.A @ w
         loss = 0.5 * (w @ Aw - 2.0 * (w @ Aa_mean) + quad_mean)
         grad = Aw - Aa_mean

@@ -7,6 +7,7 @@ from __future__ import annotations
 import numpy as np
 
 POOL_EPSILON = 1e-6
+ANCHOR_REL_FLOOR = 1e-12   # degenerate anchor: centroid norm <= this x mean token norm
 REGION_LABELS = ("foreground", "boundary", "background")   # grid_partition order
 
 
@@ -56,11 +57,11 @@ def layer_region_state(cgp: np.ndarray, visuals: np.ndarray,
     the (..., K, N) binary masks and (..., K, D) pooled tokens.
 
     With the (K, N) 0/1 membership matrix M, each region's anchor is the
-    centroid of its in-region discrepancies, a unit direction and a norm
-    (the direction is zero where the norm is).  A token is masked in when
-    it lies in the region and its projection onto the direction strictly
-    exceeds alpha times the norm, so a degenerate anchor gives an empty
-    mask and the injection is a no-op.
+    centroid of its in-region discrepancies, a unit direction and a norm;
+    the direction is zero where the norm is at most `ANCHOR_REL_FLOOR` times
+    the region's mean discrepancy norm.  A token is masked in when it lies in
+    the region and its projection onto the direction strictly exceeds alpha
+    times the norm, so a degenerate anchor gives an empty mask: a no-op.
     """
     if alpha < 0:
         raise ValueError("alpha must be nonnegative")
@@ -69,7 +70,8 @@ def layer_region_state(cgp: np.ndarray, visuals: np.ndarray,
         M[k, list(idx)] = 1.0
     c = np.einsum("kn,...nd->...kd", M, cgp) / M.sum(axis=1)[:, None]
     norm = np.linalg.norm(c, axis=-1)
-    d = c / np.where(norm > 0.0, norm, np.inf)[..., None]   # zero where norm is 0
+    scale = np.einsum("kn,...n->...k", M, np.linalg.norm(cgp, axis=-1)) / M.sum(axis=1)
+    d = c / np.where(norm > ANCHOR_REL_FLOOR * scale, norm, np.inf)[..., None]
     proj = np.einsum("...nd,...kd->...kn", cgp, d)
     masks = M * (proj > alpha * norm[..., None])
     return masks, pool(visuals[..., None, :, :], masks)

@@ -44,11 +44,10 @@ class SoftmaxRegression:
 
     @classmethod
     def random(cls, rng: np.random.Generator, n_samples: int = 4,
-               n_features: int = 3, n_classes: int = 3,
-               weight_scale: float = 1.0) -> "SoftmaxRegression":
+               n_features: int = 3, n_classes: int = 3) -> "SoftmaxRegression":
         X = rng.normal(size=(n_samples, n_features))
         y = rng.integers(0, n_classes, size=n_samples)
-        W = weight_scale * rng.normal(size=(n_classes, n_features))
+        W = rng.normal(size=(n_classes, n_features))
         return cls(X, y, W)
 
     # -- closed-form quantities -------------------------------------------

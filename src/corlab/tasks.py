@@ -4,12 +4,12 @@ in for image-level self-blending."""
 
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import diagnostics as dg
+from . import fields
 from . import regions as rg
 
 
@@ -46,26 +46,18 @@ class TaskSpec:
     def __post_init__(self):
         for name, lo in (("n_tokens", 1), ("dim", 1), ("n_train", 2), ("n_test", 2),
                          ("seed", 0)):   # n_train, n_test >= 2: both classes appear
-            v = getattr(self, name)
-            if not isinstance(v, numbers.Integral) or isinstance(v, bool) or v < lo:
-                raise ValueError(f"{name} must be an integer >= {lo}, got {v!r}")
+            fields.integer(name, getattr(self, name), lo)
         if round(np.sqrt(self.n_tokens)) ** 2 != self.n_tokens:
             raise ValueError(f"n_tokens ({self.n_tokens}) must be a square token grid")
-        if self.artifact_region not in rg.REGION_LABELS:
-            raise ValueError(f"artifact_region must be one of {rg.REGION_LABELS}")
-        for name in ("semantic_amp", "artifact_amp", "noise_sigma"):
-            v = getattr(self, name)
-            if isinstance(v, bool) or not isinstance(v, numbers.Real) or not np.isfinite(v):
-                raise ValueError(f"{name} must be a finite number, got {v!r}")
-        if self.noise_sigma <= 0:
-            raise ValueError("noise_sigma must be positive")
-        object.__setattr__(self, "artifact_channels", tuple(self.artifact_channels))
+        fields.choice("artifact_region", self.artifact_region, rg.REGION_LABELS)
+        for name in ("semantic_amp", "artifact_amp"):
+            fields.real(name, getattr(self, name), None, strict=False)
+        fields.real("noise_sigma", self.noise_sigma, 0, strict=True)
+        object.__setattr__(self, "artifact_channels",
+                           fields.channels("artifact_channels", self.artifact_channels,
+                                           self.dim))
         if self.artifact_amp > 0 and not self.artifact_channels:
             raise ValueError("artifact_amp > 0 requires nonempty artifact_channels")
-        bad = [c for c in self.artifact_channels if isinstance(c, bool)
-               or not isinstance(c, numbers.Integral) or not 0 <= c < self.dim]
-        if bad:
-            raise ValueError(f"artifact_channels {bad!r} must be integers in [0, {self.dim})")
 
     @property
     def semantic_channels(self) -> tuple[int, ...]:
@@ -138,20 +130,11 @@ class CounterpartOp:
     seed: int = 0
 
     def __post_init__(self):
-        v = self.perturb_amp
-        if (isinstance(v, bool) or not isinstance(v, numbers.Real)
-                or not (np.isfinite(v) and v >= 0)):
-            raise ValueError(f"perturb_amp must be finite and nonnegative, got {v!r}")
-        if (not isinstance(self.seed, numbers.Integral) or isinstance(self.seed, bool)
-                or self.seed < 0):
-            raise ValueError(f"seed must be an integer >= 0, got {self.seed!r}")
-        if self.target_region not in rg.REGION_LABELS:
-            raise ValueError(f"target_region must be one of {rg.REGION_LABELS}")
-        object.__setattr__(self, "target_channels", tuple(self.target_channels))
-        bad = [c for c in self.target_channels
-               if isinstance(c, bool) or not isinstance(c, numbers.Integral)]
-        if bad:
-            raise ValueError(f"target_channels {bad!r} must be integers")
+        fields.real("perturb_amp", self.perturb_amp, 0, strict=False)
+        fields.integer("seed", self.seed, 0)
+        fields.choice("target_region", self.target_region, rg.REGION_LABELS)
+        object.__setattr__(self, "target_channels",
+                           fields.channels("target_channels", self.target_channels, None))
 
     def pattern(self, n_tokens: int, dim: int) -> np.ndarray:
         idx = _region_indices(self.target_region, n_tokens)

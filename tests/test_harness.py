@@ -2,11 +2,14 @@
 pipeline, the quadratic probe surrogate, training runs with report emission,
 collapse sweeps, and the verification campaign."""
 
+import ast
 import json
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from corlab import diagnostics as dg
 from corlab import harness as hn
@@ -39,26 +42,26 @@ def test_auc_hand_oracles():
     assert hn.compute_auc([0.5, 0.5, 0.5, 0.5], [0, 1, 0, 1]) == 0.5
 
 
-def test_auc_matches_pairwise_count_on_random_data():
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.integers(2, 4000), st.sampled_from(["ties", "heavy", "normal"]),
+       st.integers(0, 2**32 - 1))
+def test_auc_matches_pairwise_count_on_random_data(n, kind, seed):
     # both sides are exact in float64: half-integer rank sums and half-integer
     # win counts, divided once by the same pair count
-    rng = np.random.default_rng(0)
-    cases = []
-    for _ in range(20):
-        n = int(rng.integers(5, 40))
-        cases.append(rng.integers(0, 6, size=n).astype(float))  # force ties
-    for n in (1000, 2500, 4000):
+    rng = np.random.default_rng(seed)
+    if kind == "ties":
+        scores = rng.integers(0, 6, size=n).astype(float)
+    elif kind == "heavy":           # signed zeros, infinities and rounded draws
         heavy = rng.choice([-0.0, 0.0, 1.0, -2.5, np.inf, -np.inf], size=n)
-        cases.append(np.where(rng.random(n) < 0.5, heavy,
-                              np.round(rng.normal(size=n), 1)))
-    for scores in cases:
-        labels = rng.integers(0, 2, size=scores.size)
-        if labels.min() == labels.max():
-            continue
-        pos = scores[labels == 1][:, None]
-        neg = scores[labels == 0][None, :]
-        wins = (pos > neg).sum() + 0.5 * (pos == neg).sum()
-        assert hn.compute_auc(scores, labels) == wins / (pos.size * neg.size)
+        scores = np.where(rng.random(n) < 0.5, heavy, np.round(rng.normal(size=n), 1))
+    else:
+        scores = rng.normal(size=n)
+    labels = rng.integers(0, 2, size=n)
+    assume(labels.min() != labels.max())
+    pos = scores[labels == 1][:, None]
+    neg = scores[labels == 0][None, :]
+    wins = (pos > neg).sum() + 0.5 * (pos == neg).sum()
+    assert hn.compute_auc(scores, labels) == wins / (pos.size * neg.size)
 
 
 def test_auc_input_validation():
@@ -128,7 +131,7 @@ def test_run_config_validation():
         for bad in (1.5, -1, "3", True):
             with pytest.raises(ValueError, match="seed"):
                 cls(seed=bad)
-    for bad in ((24.7,), ("25",), (True,), (24, np.float64(25.0))):
+    for bad in ((24.7,), ("25",), (True,), (24, np.float64(25.0)), (24, 24, 25)):
         with pytest.raises(ValueError, match="artifact_channels"):
             tk.TaskSpec(artifact_channels=bad)
         with pytest.raises(ValueError, match="target_channels"):
@@ -192,17 +195,43 @@ def test_run_config_validation():
     md.EncoderConfig(semantic_bias=True, bias_channels=(0, 31))
 
 
+def test_only_fields_imports_numbers():
+    # the integer and real field rules have one owner; every config calls it
+    src = Path(hn.__file__).parent
+    importers = set()
+    for path in src.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom):
+                names = [node.module or ""] + [a.name for a in node.names]
+            elif isinstance(node, ast.Import):
+                names = [a.name for a in node.names]
+            else:
+                continue
+            if "numbers" in names:
+                importers.add(path.stem)
+    assert importers == {"fields"}
+
+
 # -- feature pipeline ---------------------------------------------------------------
 
-def test_whitening_produces_identity_covariance():
-    rng = np.random.default_rng(1)
-    F = rng.normal(size=(500, 6)) @ np.diag([5.0, 2.0, 1.0, 0.5, 0.1, 3.0])
-    std = hn.fit_standardizer(F, "whiten")
-    W = std.apply(F)
-    assert np.allclose(W.mean(axis=0), 0.0, atol=1e-10)
-    assert np.allclose(np.cov(W, rowvar=False), np.eye(6), atol=1e-3)
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.integers(1, 8), st.integers(10, 50), st.floats(0.1, 100.0),
+       st.floats(0.1, 100.0), st.integers(0, 2**32 - 1))
+def test_whitening_produces_identity_covariance(d, per_dim, lo, hi, seed):
+    # a full-rank input: at least 10 samples per feature, feature scales in
+    # [0.1, 100] under a random rotation, plus a random offset
+    rng = np.random.default_rng(seed)
+    n = per_dim * d
+    rot = np.linalg.qr(rng.normal(size=(d, d)))[0]
+    scales = np.exp(rng.uniform(np.log(min(lo, hi)), np.log(max(lo, hi)), size=d))
+    F = rng.normal(size=(n, d)) @ np.diag(scales) @ rot + rng.normal(scale=10.0, size=d)
+    tol = 1e-12 * np.abs(F).max()
     centered = hn.fit_standardizer(F, "center").apply(F)
     assert np.allclose(centered, F - F.mean(axis=0))
+    assert np.allclose(centered.mean(axis=0), 0.0, atol=tol)
+    W = hn.fit_standardizer(F, "whiten").apply(F)
+    assert np.allclose(W.mean(axis=0), 0.0, atol=1e-9)
+    assert np.allclose(np.cov(W, rowvar=False), np.eye(d), atol=1e-3)
     identity = hn.fit_standardizer(F, "none").apply(F)
     assert np.array_equal(identity, F)
 

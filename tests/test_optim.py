@@ -43,7 +43,7 @@ def test_sam_config_rejects_bad_values():
         op.SamConfig(seed=-1)
     # float fields take real numbers only: no bools, no strings
     for name in ("rho", "learning_rate"):
-        for bad in (True, "0.1", None):
+        for bad in (True, "0.1", None, 10**400):
             with pytest.raises(ValueError, match=name):
                 op.SamConfig(**{name: bad})
     op.SamConfig(rho=0.0)  # zero radius is legal
@@ -57,13 +57,13 @@ def test_quadratic_loss_and_grad_match_direct_formula():
     prob = small_quadratic()
     rng = np.random.default_rng(1)
     w = rng.normal(size=prob.dim)
-    idx = np.array([0, 3, 7])
-    loss, grad = prob.loss_and_grad(w, idx)
-    diffs = w - prob.offsets[idx]
-    direct_loss = 0.5 * np.mean(np.einsum("mi,ij,mj->m", diffs, prob.A, diffs))
-    direct_grad = (prob.A @ diffs.T).T.mean(axis=0)
-    assert np.isclose(loss, direct_loss)
-    assert np.allclose(grad, direct_grad)
+    for idx in (np.array([0, 3, 7]), None):     # None: the full batch
+        loss, grad = prob.loss_and_grad(w, idx)
+        diffs = w - prob.offsets[slice(None) if idx is None else idx]
+        direct_loss = 0.5 * np.mean(np.einsum("mi,ij,mj->m", diffs, prob.A, diffs))
+        direct_grad = (prob.A @ diffs.T).T.mean(axis=0)
+        assert np.isclose(loss, direct_loss)
+        assert np.allclose(grad, direct_grad)
 
 
 def test_quadratic_per_sample_grads_and_hessian():
