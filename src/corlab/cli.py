@@ -1,18 +1,16 @@
-"""Command-line surface: train, sweep-rho, diagnose, landscape,
-verify-theorem, compare."""
+"""Command-line surface: train, sweep-rho, diagnose, verify-theorem,
+compare."""
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from dataclasses import asdict, replace
 
 import numpy as np
 
 from . import autodiff as ad
-from . import diagnostics as dg
 from . import harness as hn
 
 EXIT_OK = 0
@@ -71,29 +69,6 @@ def cmd_sweep(args) -> int:
     return EXIT_OK
 
 
-def cmd_landscape(args) -> int:
-    cfg = _load_config(args)
-    feats = hn.build_features(cfg)
-    res = hn.run_train(cfg, feats=feats)
-    if res.failed:
-        return EXIT_NUMERICAL
-    problem = hn._make_problem(cfg, feats)
-
-    def loss_fn(w):
-        return problem.loss_and_grad(w)[0]
-
-    dim = res.weights.size
-    sample = dg.landscape_sample(loss_fn, res.weights,
-                                 [slice(0, dim - 1), slice(dim - 1, dim)],
-                                 seed=cfg.optimizer.seed)
-    out_dir = args.out or "."
-    os.makedirs(out_dir, exist_ok=True)
-    dg.landscape_to_csv(sample, os.path.join(out_dir, "landscape.csv"))
-    _emit(args, f"landscape grid written ({len(sample['non_finite_cells'])} "
-                f"non-finite cells)")
-    return EXIT_OK
-
-
 def cmd_verify(args) -> int:
     report = hn.verify_theorem_campaign(args.instances, seed=args.seed or 0)
     if args.out is not None:
@@ -116,7 +91,7 @@ def build_parser() -> argparse.ArgumentParser:
                                 description="SAM collapse laboratory")
     sub = p.add_subparsers(dest="command", required=True)
 
-    def command(name, fn, help, config=True, rho=True):
+    def command(name, fn, help, config=True):
         """A subcommand with only the shared flags it reads, spelled out in
         full (no prefix abbreviations), so any other flag exits 2."""
         sp = sub.add_parser(name, help=help, allow_abbrev=False)
@@ -124,22 +99,20 @@ def build_parser() -> argparse.ArgumentParser:
             sp.add_argument("--config", default=None, help="run config JSON path")
         sp.add_argument("--out", default=None, help="output directory")
         sp.add_argument("--seed", type=int, default=None, help="seed override")
-        if rho:
-            sp.add_argument("--rho", type=float, default=None, help="rho override")
         sp.add_argument("--quiet", action="store_true")
         sp.set_defaults(fn=fn)
         return sp
 
-    command("train", cmd_train, "single training run with metrics")
-    sweep = command("sweep-rho", cmd_sweep, "collapse sweep with bisection", rho=False)
+    train = command("train", cmd_train, "single training run with metrics")
+    train.add_argument("--rho", type=float, default=None, help="rho override")
+    sweep = command("sweep-rho", cmd_sweep, "collapse sweep with bisection")
     sweep.add_argument("--rhos", default="0.005,0.02,0.08",
                        help="comma-separated ascending rho list")
-    command("diagnose", cmd_diagnose, "rho=0 run with spectral diagnostics", rho=False)
-    command("landscape", cmd_landscape, "loss surface grid around the fit")
+    command("diagnose", cmd_diagnose, "rho=0 run with spectral diagnostics")
     verify = command("verify-theorem", cmd_verify, "factorization identity campaign",
-                     config=False, rho=False)
+                     config=False)
     verify.add_argument("--instances", type=int, default=100)
-    command("compare", cmd_compare, "plain probe vs region-token head", rho=False)
+    command("compare", cmd_compare, "plain probe vs region-token head")
     return p
 
 

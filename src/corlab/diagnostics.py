@@ -1,6 +1,6 @@
 """Measurement theory: GSNR, Hessian spectrum/trace, stability bounds,
-the tripartite factorization of the critical radius, GSNR phase detection,
-and loss-landscape sampling."""
+the tripartite factorization of the critical radius, and GSNR phase
+detection.  Pure computation: no file I/O."""
 
 from __future__ import annotations
 
@@ -285,58 +285,3 @@ def phase_detect(values, cor_bounds=None) -> GsnrTrace:
     end = v.size if rise_start is None else max(rise_start, 1)
     t_star = int(np.argmin(crit[:end]))
     return GsnrTrace((rise_start, decay_start), t_star, float(v[t_star]))
-
-
-# ---------------------------------------------------------------------------
-# loss-landscape sampling
-# ---------------------------------------------------------------------------
-
-def landscape_sample(loss_fn, params_flat: np.ndarray, block_slices,
-                     grid_half_width: float = 1.0, resolution: int = 21,
-                     seed: int = 0) -> dict:
-    """Losses on a grid spanned by two random orthonormal directions.
-
-    Directions are rescaled per parameter block to the block's current norm
-    (filter-normalization analogue).  The center cell is the unperturbed
-    loss exactly.  Non-finite cells are flagged, not fatal.
-    """
-    if resolution < 3 or resolution % 2 == 0:
-        raise ValueError("resolution must be odd and >= 3")
-    w0 = np.asarray(params_flat, dtype=np.float64)
-    rng = np.random.default_rng(seed)
-    d1 = rng.normal(size=w0.size)
-    d2 = rng.normal(size=w0.size)
-    d1 /= np.linalg.norm(d1)
-    d2 -= (d2 @ d1) * d1
-    d2 /= np.linalg.norm(d2)
-    for d in (d1, d2):
-        for sl in block_slices:
-            bn = np.linalg.norm(w0[sl])
-            dn = np.linalg.norm(d[sl])
-            if bn > 0 and dn > 0:
-                d[sl] *= bn / dn
-    ticks = np.linspace(-grid_half_width, grid_half_width, resolution)
-    grid = np.empty((resolution, resolution))
-    flagged = []
-    for i, a in enumerate(ticks):
-        for j, b in enumerate(ticks):
-            if a == 0.0 and b == 0.0:
-                grid[i, j] = loss_fn(w0)
-                continue
-            try:
-                grid[i, j] = loss_fn(w0 + a * d1 + b * d2)
-            except ArithmeticError:
-                grid[i, j] = np.nan
-            if not np.isfinite(grid[i, j]):
-                flagged.append((i, j))
-    return {"ticks": ticks, "grid": grid, "non_finite_cells": flagged,
-            "directions": (d1, d2)}
-
-
-def landscape_to_csv(result: dict, path) -> None:
-    ticks, grid = result["ticks"], result["grid"]
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("x,y,loss\n")
-        for i, a in enumerate(ticks):
-            for j, b in enumerate(ticks):
-                fh.write(f"{float(a)!r},{float(b)!r},{float(grid[i, j])!r}\n")

@@ -95,9 +95,14 @@ class RunConfig:
                                  f"encoder.{enc_field} ({want})")
         fields.channels("counterpart.target_channels", self.counterpart.target_channels,
                         self.task.dim)
-        if self.head == "corit" and not 1 <= self.l_mid < self.encoder.layers:
-            raise ValueError(f"l_mid ({self.l_mid}) must be in "
-                             f"[1, {self.encoder.layers - 1}] for the corit head")
+        if self.head == "corit":
+            if not 1 <= self.l_mid < self.encoder.layers:
+                raise ValueError(f"l_mid ({self.l_mid}) must be in "
+                                 f"[1, {self.encoder.layers - 1}] for the corit head")
+            if not self.counterpart.target_channels or self.counterpart.perturb_amp == 0:
+                raise ValueError("counterpart perturbs nothing (empty target_channels "
+                                 "or perturb_amp 0), so the corit head sees no "
+                                 "discrepancy")
         if self.lr_relative is not None:
             if self.loss != "quadratic":
                 raise ValueError("lr_relative requires the quadratic loss")
@@ -177,15 +182,14 @@ def build_features(config: RunConfig) -> FeatureSet:
 def quadratic_surrogate(features: np.ndarray, labels: np.ndarray) -> op.QuadraticProblem:
     """Second-order expansion of the cross-entropy probe at zero weights.
 
-    The shared curvature is the Gauss-Newton matrix at the zero probe and
-    the per-sample offsets are chosen so that per-sample gradients agree
-    exactly with the cross-entropy probe at initialization.
+    The shared curvature is the probe's Hessian at zero weights and the
+    per-sample offsets are chosen so that per-sample gradients agree
+    exactly with the cross-entropy probe there.
     """
-    n = len(labels)
-    aug = np.concatenate([features, np.ones((n, 1))], axis=1)
-    A = 0.25 * aug.T @ aug / n
-    g0 = (0.5 - labels)[:, None] * aug          # per-sample grads at w = 0
-    offsets = -np.linalg.solve(A, g0.T).T
+    probe = op.LogisticProbeProblem(features, labels)
+    w0 = probe.init_params()
+    A = probe.dense_hessian(w0)
+    offsets = -np.linalg.solve(A, probe.per_sample_grads(w0).T).T
     return op.QuadraticProblem(A, offsets)
 
 

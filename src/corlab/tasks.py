@@ -8,7 +8,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import diagnostics as dg
 from . import fields
 from . import regions as rg
 
@@ -152,20 +151,3 @@ class CounterpartOp:
         if any(not 0 <= c < d for c in self.target_channels):
             raise ValueError("target channel out of range")
         return tokens + self.perturb_amp * self.pattern(n, d)
-
-
-def expected_gsnr(spec: TaskSpec, batch_size: int = 1) -> float:
-    """Population GSNR of a zero-initialized linear probe on raw tokens.
-
-    At zero weights the per-sample loss gradient is (1/2 - y) * [x, 1].
-    With balanced labels, x ~ N(0, sigma^2 I) for real samples and the same
-    noise plus the shift s for fake ones, the mean gradient is -s/4, so the
-    signal is |s|^2/16, and E|g|^2 = (N*D*sigma^2 + |s|^2/2 + 1)/4.  The
-    noise is their difference over the batch size.
-    """
-    shift = (spec.semantic_amp * spec.semantic_pattern()
-             + spec.artifact_amp * spec.artifact_pattern())
-    s2 = float((shift ** 2).sum())
-    signal = s2 / 16.0
-    second = (spec.n_tokens * spec.dim * spec.noise_sigma ** 2 + s2 / 2.0 + 1.0) / 4.0
-    return dg.signal_to_noise(signal, (second - signal) / batch_size)

@@ -1,9 +1,6 @@
 """Engine-level checks: primitive values, gradients against central
 differences, exact Hessian-vector products, and failure semantics."""
 
-import ast
-from pathlib import Path
-
 import numpy as np
 import pytest
 
@@ -238,26 +235,3 @@ def test_param_vector_round_trip_is_bit_exact():
     for k, v in blocks.items():
         assert np.array_equal(out[k].data, v)
         assert out[k].shape == v.shape
-
-
-# -- scope -----------------------------------------------------------------------
-
-def test_only_model_and_cli_import_autodiff():
-    # the engine is the array API of the encoder blocks and the CLI's error
-    # type; every other module is closed-form numpy.  The package's
-    # __init__ re-exports every module and is left out.
-    src = Path(ad.__file__).parent
-    importers = set()
-    for path in src.glob("*.py"):
-        if path.name == "__init__.py":
-            continue
-        for node in ast.walk(ast.parse(path.read_text())):
-            if isinstance(node, ast.ImportFrom):
-                names = [node.module or ""] + [a.name for a in node.names]
-            elif isinstance(node, ast.Import):
-                names = [a.name for a in node.names]
-            else:
-                continue
-            if any(n.split(".")[-1] == "autodiff" for n in names):
-                importers.add(path.stem)
-    assert importers == {"model", "cli"}

@@ -137,7 +137,12 @@ def test_malformed_config_exits_2(config_path, tmp_path, capsys):
              (dict(d, head="corit", l_mid=1, alpha=True), "alpha"),
              (dict(d, lr_relative="1.95"), "lr_relative"),
              (dict(d, counterpart=dict(d["counterpart"], perturb_amp=True)),
-              "perturb_amp"))
+              "perturb_amp"),
+             (dict(d, head="corit", l_mid=1,
+                   counterpart=dict(d["counterpart"], target_channels=[])),
+              "counterpart"),
+             (dict(d, head="corit", l_mid=1,
+                   counterpart=dict(d["counterpart"], perturb_amp=0.0)), "counterpart"))
     for e, named in cases:
         bad.write_text(json.dumps(e))
         assert cli.main(["train", "--config", str(bad), "--quiet"]) == 2
@@ -229,16 +234,6 @@ def test_sweep_rho_subcommand_writes_json(config_path, tmp_path, capsys,
     assert 0.02 < payload["empirical_cor"] < 0.08
     assert payload["monotone"]
     assert payload["theoretical_cor"] is None
-
-
-def test_landscape_subcommand_writes_grid(config_path, tmp_path):
-    out = tmp_path / "scape"
-    code = cli.main(["landscape", "--config", config_path, "--out", str(out),
-                     "--rho", "0.0", "--quiet"])
-    assert code == 0
-    lines = (out / "landscape.csv").read_text().splitlines()
-    assert lines[0] == "x,y,loss"
-    assert len(lines) == 1 + 21 * 21
 
 
 def test_verify_theorem_subcommand(tmp_path, capsys):

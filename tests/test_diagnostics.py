@@ -1,6 +1,5 @@
 """Measurement-layer checks: signal-to-noise and trace estimators, the
-stability-bound factorization, trajectory minima, phase segmentation, and
-landscape sampling."""
+stability-bound factorization, trajectory minima, and phase segmentation."""
 
 import json
 
@@ -249,65 +248,3 @@ def test_phase_detect_input_validation():
     assert short.bottleneck_step == 2
     with pytest.raises(ValueError):
         dg.phase_detect(np.ones(20), cor_bounds=np.ones(19))
-
-
-# -- landscape sampling --------------------------------------------------------------------
-
-def test_landscape_center_cell_is_exact_and_grid_is_symmetric_input():
-    w0 = np.array([1.0, -2.0, 0.5])
-    H = np.diag([1.0, 2.0, 3.0])
-
-    def loss(w):
-        return float(0.5 * w @ H @ w)
-
-    out = dg.landscape_sample(loss, w0, [slice(0, 3)], resolution=5)
-    c = 2  # center index
-    assert out["grid"][c, c] == loss(w0)
-    assert out["non_finite_cells"] == []
-    d1, d2 = out["directions"]
-    assert abs(d1 @ d2) < 1e-8   # one block: the rescale keeps them orthogonal
-    # two blocks, as the CLI passes [w, b]: each direction takes the
-    # weights' norm block by block
-    blocks = [slice(0, 2), slice(2, 3)]
-    out = dg.landscape_sample(loss, w0, blocks, resolution=5)
-    assert out["grid"][c, c] == loss(w0)
-    for d in out["directions"]:
-        for sl in blocks:
-            assert np.linalg.norm(d[sl]) == pytest.approx(np.linalg.norm(w0[sl]))
-    with pytest.raises(ValueError):
-        dg.landscape_sample(loss, w0, [slice(0, 3)], resolution=4)
-
-
-def test_landscape_flags_non_finite_cells():
-    def loss(w):
-        if np.linalg.norm(w) > 1.0:
-            return float("nan")
-        return float(w @ w)
-
-    out = dg.landscape_sample(loss, np.zeros(3), [slice(0, 3)],
-                              grid_half_width=2.0, resolution=5)
-    assert len(out["non_finite_cells"]) > 0
-    assert np.isnan(out["grid"]).sum() == len(out["non_finite_cells"])
-
-    # a loss that raises is flagged once per cell, like one that returns NaN
-    def raising(w):
-        if np.linalg.norm(w) > 1.0:
-            raise FloatingPointError("overflow")
-        return float(w @ w)
-
-    out = dg.landscape_sample(raising, np.zeros(3), [slice(0, 3)],
-                              grid_half_width=2.0, resolution=5)
-    assert np.isnan(out["grid"]).sum() == 20
-    assert len(out["non_finite_cells"]) == len(set(out["non_finite_cells"])) == 20
-
-
-def test_landscape_to_csv(tmp_path):
-    out = dg.landscape_sample(lambda w: float(w @ w), np.ones(2),
-                              [slice(0, 2)], resolution=3)
-    path = tmp_path / "grid.csv"
-    dg.landscape_to_csv(out, path)
-    lines = path.read_text().splitlines()
-    assert lines[0] == "x,y,loss"
-    assert len(lines) == 10
-    x, y, loss = (float(t) for t in lines[1].split(","))
-    assert loss == out["grid"][0, 0]

@@ -176,6 +176,12 @@ def test_run_config_validation():
             hn.RunConfig(head="corit", encoder=enc, l_mid=bad)
     for ok in (1, 2):
         hn.RunConfig(head="corit", encoder=enc, l_mid=ok)
+    # a counterpart that perturbs nothing leaves the corit head nothing to
+    # inject; the plain head never applies it
+    for idle in (tk.CounterpartOp(target_channels=()), tk.CounterpartOp(perturb_amp=0.0)):
+        with pytest.raises(ValueError, match="counterpart"):
+            hn.RunConfig(head="corit", encoder=enc, l_mid=1, counterpart=idle)
+        hn.RunConfig(head="plain-probe", counterpart=idle)
     # plain heads never read l_mid
     hn.RunConfig(head="plain-probe", encoder=md.EncoderConfig(layers=2), l_mid=4)
     narrow = dict(task=tk.TaskSpec(n_tokens=25, dim=16, artifact_channels=(8, 15)),
@@ -195,11 +201,21 @@ def test_run_config_validation():
     md.EncoderConfig(semantic_bias=True, bias_channels=(0, 31))
 
 
-def test_only_fields_imports_numbers():
+@pytest.mark.parametrize("module, owners", [
+    # the engine is the array API of the encoder blocks and the CLI's error
+    # type; every other module is closed-form numpy
+    ("autodiff", {"model", "cli"}),
     # the integer and real field rules have one owner; every config calls it
-    src = Path(hn.__file__).parent
+    ("numbers", {"fields"}),
+    # measurement code with no file I/O; harness runs it and writes its reports
+    ("diagnostics", {"harness"}),
+], ids=["autodiff", "numbers", "diagnostics"])
+def test_only_owners_import(module, owners):
+    # the package's __init__ re-exports every module and is left out
     importers = set()
-    for path in src.glob("*.py"):
+    for path in Path(hn.__file__).parent.glob("*.py"):
+        if path.name == "__init__.py":
+            continue
         for node in ast.walk(ast.parse(path.read_text())):
             if isinstance(node, ast.ImportFrom):
                 names = [node.module or ""] + [a.name for a in node.names]
@@ -207,9 +223,9 @@ def test_only_fields_imports_numbers():
                 names = [a.name for a in node.names]
             else:
                 continue
-            if "numbers" in names:
+            if any(n.split(".")[-1] == module for n in names):
                 importers.add(path.stem)
-    assert importers == {"fields"}
+    assert importers == owners
 
 
 # -- feature pipeline ---------------------------------------------------------------

@@ -1,10 +1,9 @@
-"""Synthetic task checks: determinism, balance, pattern structure, the
-counterpart operator, and signal-to-noise scaling."""
+"""Synthetic task checks: determinism, balance, pattern structure, and the
+counterpart operator."""
 
 import numpy as np
 import pytest
 
-from corlab import diagnostics as dg
 from corlab import tasks as tk
 
 
@@ -84,41 +83,3 @@ def test_counterpart_operator_adds_fixed_pattern():
     for bad in ((40,), (-1,)):
         with pytest.raises(ValueError):
             tk.CounterpartOp(target_channels=bad).apply(x)
-
-
-def monte_carlo_gsnr(spec, n_samples=20_000, seed=1234, batch_size=1):
-    """GSNR of sampled zero-probe gradients (1/2 - y) * [x, 1]: the
-    reference for the closed form."""
-    rng = np.random.default_rng(seed)
-    shift = (spec.semantic_amp * spec.semantic_pattern()
-             + spec.artifact_amp * spec.artifact_pattern()).ravel()
-    labels = rng.integers(0, 2, size=n_samples)
-    feats = rng.normal(scale=spec.noise_sigma,
-                       size=(n_samples, spec.n_tokens * spec.dim))
-    feats[labels == 1] += shift
-    resid = (0.5 - labels)[:, None]
-    grads = np.concatenate([resid * feats, resid], axis=1)
-    return dg.gsnr(grads, batch_size=batch_size)
-
-
-def test_expected_gsnr_matches_monte_carlo():
-    # sampled |g|^2 is biased up by trace_cov / n_samples, so the specs keep
-    # that bias under 3 % of the signal
-    cases = ((tk.TaskSpec(semantic_amp=4.0), 1),
-             (tk.TaskSpec(semantic_amp=4.0, artifact_amp=6.0, noise_sigma=0.5), 4),
-             (tk.TaskSpec(n_tokens=9, dim=8, artifact_amp=8.0,
-                          artifact_channels=(6, 7)), 2))
-    for spec, batch_size in cases:
-        closed = tk.expected_gsnr(spec, batch_size=batch_size)
-        for seed in (0, 1):
-            mc = monte_carlo_gsnr(spec, seed=seed, batch_size=batch_size)
-            assert mc == pytest.approx(closed, rel=0.05)
-
-
-def test_expected_gsnr_scales_with_squared_amplitude():
-    lo = tk.expected_gsnr(tk.TaskSpec(semantic_amp=1.0))
-    hi = tk.expected_gsnr(tk.TaskSpec(semantic_amp=2.0))
-    assert hi / lo == pytest.approx(4.0, rel=0.3)
-    amps = [0.5, 1.0, 2.0, 4.0]
-    vals = [tk.expected_gsnr(tk.TaskSpec(semantic_amp=a)) for a in amps]
-    assert all(b > a for a, b in zip(vals, vals[1:]))
