@@ -333,6 +333,19 @@ def softplus(x):
 def gelu(x):
     # tanh approximation; the cube by multiplication, since libm pow is
     # about 20x slower than two multiplies on encoder-sized arrays
+    if not _graph_mode(x):
+        # the graph's operations in its order, in place in one new array;
+        # only commutative operands swap, so every bit matches graph mode
+        x = val(x)
+        t = np.asarray(x * x)      # 0-d inputs give a scalar; keep an array
+        t *= x
+        t *= 0.044715
+        t += x
+        t *= np.sqrt(2.0 / np.pi)
+        np.tanh(t, out=t)
+        t += 1.0
+        t *= 0.5 * x
+        return t
     inner = mul(np.sqrt(2.0 / np.pi), add(x, mul(0.044715, mul(mul(x, x), x))))
     return mul(mul(0.5, x), add(1.0, tanh(inner)))
 

@@ -22,7 +22,13 @@ from . import autodiff as ad
 from . import fields
 from . import regions as rg
 
-_BLOCK_SAMPLES = 128   # samples per numpy-mode block call
+# Samples per numpy-mode block call.  A block's largest arrays are the
+# (B, T, 4D) MLP hidden array and the GELU result: at B = 32 samples of
+# T = 20 tokens (CLS, 3 regions, 16 visuals) and 4D = 128 channels that
+# is 32*20*128*8 B = 655 KB each, 1.3 MB together, so the MLP runs inside
+# a 2 MB per-core L2; 128 samples would make each 2.6 MB and spill it.
+# Samples never mix, so the block size changes no bit of any output.
+_BLOCK_SAMPLES = 32
 
 
 @dataclass(frozen=True)

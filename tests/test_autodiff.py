@@ -118,6 +118,21 @@ def test_numpy_gelu_matches_tanh_closed_form():
     np.testing.assert_allclose(ad.gelu(x), closed(x), rtol=0.0, atol=1e-15)
 
 
+def test_numpy_gelu_is_bit_identical_to_graph_mode_and_keeps_its_input():
+    rng = np.random.default_rng(7)
+    big = rng.normal(scale=3.0, size=(6, 9, 40))
+    big[0, 0, :4] = (0.0, -0.0, 1e-300, -40.0)
+    before = big.copy()
+    with ad.Tape():
+        graph = ad.val(ad.gelu(ad.leaf(big)))
+    for sel in ((...,), (slice(1, None, 2), ..., slice(3, 31, 3))):
+        out = ad.gelu(big[sel])                     # contiguous, then strided
+        assert np.array_equal(out, graph[sel])
+        assert not np.shares_memory(out, big)
+        assert np.array_equal(big, before)
+    assert np.array_equal(ad.gelu(0.5), ad.gelu(np.array([0.5]))[0])
+
+
 def test_gradient_through_slice_concat():
     rng = np.random.default_rng(5)
 

@@ -165,6 +165,26 @@ def test_encoders_are_exact_under_any_sample_split():
     assert np.array_equal(masks, np.concatenate([m for _, m in split], axis=1))
 
 
+@pytest.mark.parametrize("block", [1, 7, md._BLOCK_SAMPLES, 90])
+def test_encoders_are_exact_under_any_block_size(monkeypatch, block):
+    # the block size is a cache-tuning constant and may never change a bit:
+    # every size must match one block call over all S = 90 samples
+    enc = md.FrozenEncoder(CFG)
+    x = sample_tokens(seed=5, n=90)
+    cp = x.copy()
+    cp[:, 2:6, :] -= 1.0
+    regions = rg.grid_partition(4)
+
+    def encode(size):
+        monkeypatch.setattr(md, "_BLOCK_SAMPLES", size)
+        return enc.encode_plain(x), *enc.encode_corit(x, cp, regions, alpha=0.25)
+
+    whole = encode(x.shape[0])
+    assert whole[2].any()
+    for got, want in zip(encode(block), whole):
+        assert np.array_equal(got, want)
+
+
 def _peak_bytes(run) -> int:
     tracemalloc.start()
     try:
