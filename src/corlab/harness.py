@@ -34,22 +34,27 @@ STEP_CSV_HEADER = ["step", "loss", "train_auc_window", "grad_norm", "gsnr"]
 # ---------------------------------------------------------------------------
 
 def compute_auc(scores, labels) -> float:
-    """Mann-Whitney rank AUC with average-rank tie handling."""
+    """Mann-Whitney AUC, a tie counting one half.  Scores may be infinite
+    but not NaN; labels must be 0 or 1."""
     s = np.asarray(scores, dtype=np.float64)
     y = np.asarray(labels)
     if s.ndim != 1 or s.shape != y.shape:
         raise ValueError("scores and labels must be aligned 1-d arrays")
-    pos = y == 1
-    n1 = int(pos.sum())
-    n0 = s.size - n1
+    is_pos, is_neg = y == 1, y == 0
+    n1, n0 = int(np.count_nonzero(is_pos)), int(np.count_nonzero(is_neg))
+    if n1 + n0 != y.size:
+        raise ValueError("labels must be 0 or 1")
     if n1 == 0 or n0 == 0:
         raise ValueError("both classes must be present")
-    # a tie block at sorted positions [lo, hi) shares the rank (lo + hi + 1) / 2
-    sv = np.sort(s)
-    lo = np.searchsorted(sv, s[pos], side="left")
-    hi = np.searchsorted(sv, s[pos], side="right")
-    ranks = (lo + hi + 1) / 2.0
-    return float((ranks.sum() - n1 * (n1 + 1) / 2.0) / (n1 * n0))
+    # a positive beats the negatives below it and ties those equal to it;
+    # sorted needles keep each search near the last one, and the sum of
+    # the two counts is an exact integer in any order
+    neg, pos = np.sort(s[is_neg]), np.sort(s[is_pos])
+    if np.isnan(neg[-1]) or np.isnan(pos[-1]):     # NaN sorts last
+        raise ValueError("scores must not be NaN")
+    below = np.searchsorted(neg, pos, side="left")
+    not_above = np.searchsorted(neg, pos, side="right")
+    return float((below.sum() + not_above.sum()) / 2.0 / (n1 * n0))
 
 
 # ---------------------------------------------------------------------------
@@ -276,7 +281,7 @@ def run_train(config: RunConfig, feats: FeatureSet | None = None,
     problem = _make_problem(config, feats)
     ocfg = replace(config.optimizer, learning_rate=_effective_lr(config, problem))
     window = max(1, ocfg.steps // 10)
-    auc_hist: list[float] = []
+    aucs = np.empty(ocfg.steps)
     steps_out: list[StepMetrics] = []
     estimates: list[dg.SpectralEstimate] = []
 
@@ -284,16 +289,16 @@ def run_train(config: RunConfig, feats: FeatureSet | None = None,
         if t % config.cadence == 0:
             estimates.append(dg.spectral_estimate(problem.per_sample_grads(w),
                                                   problem.dense_hessian(w), t))
-        auc_hist.append(compute_auc(_logits(w, feats.train), feats.train_labels))
-        if len(auc_hist) > window:
-            auc_hist.pop(0)
-        gbar, m = problem.grad_moments(w)
+        z = _logits(w, feats.train)      # one full-train pass for AUC and GSNR
+        aucs[t] = compute_auc(z, feats.train_labels)
+        gbar, m = problem.grad_moments(w, z)
         signal = float(gbar @ gbar)
-        steps_out.append(StepMetrics(t, rec.loss, float(np.mean(auc_hist)),
+        steps_out.append(StepMetrics(t, rec.loss,
+                                     float(np.mean(aucs[max(0, t + 1 - window):t + 1])),
                                      rec.grad_norm,
                                      dg.signal_to_noise(signal, m - signal)))
 
-    # step 0 is always observed, so `estimates` and `auc_hist` are never empty
+    # step 0 is always observed, so `estimates` and `steps_out` are never empty
     w, failed_step = op.run(problem, ocfg, observe)
     cor_report = dg.cor_trajectory(estimates)
     trace = dg.phase_detect([e.gsnr for e in estimates],
@@ -305,7 +310,7 @@ def run_train(config: RunConfig, feats: FeatureSet | None = None,
     train_auc = compute_auc(_logits(w, feats.train), feats.train_labels)
     test_auc = compute_auc(_logits(w, feats.test), feats.test_labels)
     result = TrainResult(config, w, steps_out, estimates, cor_report, trace,
-                         train_auc, test_auc, float(np.mean(auc_hist)),
+                         train_auc, test_auc, steps_out[-1].train_auc_window,
                          failed_step is not None, failed_step)
     if out_dir is not None:
         emit_run(result, out_dir)

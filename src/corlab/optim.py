@@ -70,10 +70,12 @@ class LogisticProbeProblem:
         loss = np.mean(np.logaddexp(0.0, z) - y * z)
         return float(loss), self._aug[idx].T @ (_sigmoid(z) - y) / y.size
 
-    def grad_moments(self, w: np.ndarray) -> tuple[np.ndarray, float]:
+    def grad_moments(self, w: np.ndarray, logits: np.ndarray) -> tuple[np.ndarray, float]:
         """Full-sample mean gradient and mean squared per-sample gradient
-        norm; per-sample gradient i is r_i * aug_i with r = sigma(z) - y."""
-        r = _sigmoid(self._logits(w)) - self.labels
+        norm; per-sample gradient i is r_i * aug_i with r = sigma(z) - y.
+        `logits` are the full-sample z at `w`, which the caller has already
+        computed for the AUC."""
+        r = _sigmoid(logits) - self.labels
         return (self._aug.T @ r / self.n_samples,
                 float((r * r) @ self._row_sq) / self.n_samples)
 
@@ -120,8 +122,10 @@ class QuadraticProblem:
         grad = Aw - Aa_mean
         return float(loss), grad
 
-    def grad_moments(self, w):
-        """Full-sample mean gradient and mean squared per-sample gradient norm."""
+    def grad_moments(self, w, logits):
+        """Full-sample mean gradient and mean squared per-sample gradient
+        norm.  The closed form needs only `w`; `logits` is the shared
+        interface's argument and is not read."""
         g = self.A @ w - self._Aa_mean
         return g, float(g @ g) + self._spread
 
@@ -149,13 +153,17 @@ def sam_step(problem, w: np.ndarray, batch_idx, lr: float,
              rho: float) -> tuple[np.ndarray, StepRecord]:
     """Two-pass SAM: normalized ascent to w + eps, descent with the
     perturbed gradient of the same batch.  Zero batch gradient means zero
-    perturbation, so the step degenerates to SGD."""
+    perturbation, so the step degenerates to SGD.  At rho = 0 the ascent
+    lands on w itself, so the first pass's gradient is the descent
+    gradient and the step takes one pass."""
     loss, g = problem.loss_and_grad(w, batch_idx)
     gn = float(np.linalg.norm(g))
     rec = StepRecord(step=-1, loss=loss, grad_norm=gn)
     if not (np.isfinite(loss) and np.all(np.isfinite(g))):
         rec.failed = True
         return w, rec
+    if rho == 0:
+        return w - lr * g, rec
     eps = (rho / gn) * g if gn > 0 else np.zeros_like(g)
     _, g_tilde = problem.loss_and_grad(w + eps, batch_idx)
     if not np.all(np.isfinite(g_tilde)):

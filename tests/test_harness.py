@@ -69,6 +69,15 @@ def test_auc_input_validation():
         hn.compute_auc([0.1, 0.2], [1, 1])
     with pytest.raises(ValueError):
         hn.compute_auc([[0.1], [0.2]], [0, 1])
+    # NaN scores and labels outside {0, 1} fail rather than read as a rank
+    # or a negative; infinite scores are ordinary scores
+    for scores, labels in (([np.nan, 0.1], [1, 0]), ([0.1, np.nan], [1, 0]),
+                           ([0.3, 0.1, 0.2], [1, 0, 2]),
+                           ([0.3, 0.1, 0.2], [1, 0, 0.5]),
+                           ([0.3, 0.1, 0.2], [1, 0, -1])):
+        with pytest.raises(ValueError):
+            hn.compute_auc(scores, labels)
+    assert hn.compute_auc([np.inf, -np.inf, 0.0], [1, 0, 1]) == 1.0
 
 
 # -- config ----------------------------------------------------------------------
@@ -351,14 +360,17 @@ def test_run_train_bifurcation_collapse_and_recovery():
 
 
 def test_run_train_gsnr_matches_per_sample_matrix():
-    # the per-step GSNR comes from gradient moments; the (M, P) matrix of
-    # per-sample gradients along the same trajectory gives the same values
+    # the observer shares one logits pass between the AUC and the gradient
+    # moments: along the same trajectory, the per-step GSNR equals the one
+    # from the (M, P) per-sample gradient matrix, and the window AUC is the
+    # trailing-window mean of the full-train AUC, exactly
     quad = bifurcation_config(optimizer=op.SamConfig(rho=0.05, learning_rate=1.0,
                                                      batch_size=500, steps=30))
     bce = bifurcation_config(loss="bce", lr_relative=None,
                              optimizer=op.SamConfig(rho=0.05, learning_rate=1e-2,
                                                     batch_size=20, steps=30))
-    for cfg in (quad, bce):
+    sgd = replace(bce, optimizer=replace(bce.optimizer, rho=0.0, steps=45))
+    for cfg in (quad, bce, sgd):
         feats = hn.build_features(cfg)
         res = hn.run_train(cfg, feats=feats)
         problem = hn._make_problem(cfg, feats)
@@ -367,6 +379,13 @@ def test_run_train_gsnr_matches_per_sample_matrix():
         op.run(problem, ocfg, lambda t, w, rec: ws.append(w))
         ref = [dg.gsnr(problem.per_sample_grads(w)) for w in ws]
         assert np.allclose([m.gsnr for m in res.steps], ref, rtol=1e-12, atol=0.0)
+        window = ocfg.steps // 10
+        aucs = [hn.compute_auc(feats.train @ w[:-1] + w[-1], feats.train_labels)
+                for w in ws]
+        means = [float(np.mean(aucs[max(0, t + 1 - window):t + 1]))
+                 for t in range(len(ws))]
+        assert [m.train_auc_window for m in res.steps] == means
+        assert res.train_auc_window == means[-1]
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")

@@ -81,7 +81,10 @@ def test_grad_moments_match_per_sample_grads():
     rng = np.random.default_rng(4)
     for prob in (small_quadratic(), small_logistic()):
         for w in (np.zeros(prob.dim), rng.normal(size=prob.dim)):
-            gbar, m = prob.grad_moments(w)
+            # the quadratic's closed form reads no logits
+            logits = (prob.features @ w[:-1] + w[-1]
+                      if isinstance(prob, op.LogisticProbeProblem) else None)
+            gbar, m = prob.grad_moments(w, logits)
             G = prob.per_sample_grads(w)
             # the same mean gradient, bit for bit, as the full-batch step
             assert np.array_equal(gbar, prob.loss_and_grad(w)[1])
@@ -147,6 +150,38 @@ def test_sam_step_zero_gradient_degenerates_to_sgd():
     w1, rec = op.sam_step(prob, w_star, None, 0.1, 0.5)
     assert np.array_equal(w1, w_star)
     assert rec.grad_norm == 0.0
+
+
+def counted(prob):
+    """`prob` with its `loss_and_grad` wrapped to count calls."""
+    calls, inner = [], prob.loss_and_grad
+
+    def loss_and_grad(w, indices=None):
+        calls.append(w)
+        return inner(w, indices)
+
+    prob.loss_and_grad = loss_and_grad
+    return prob, calls
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_sam_step_at_rho_zero_takes_one_pass():
+    for prob, calls in (counted(small_quadratic()), counted(small_logistic())):
+        w = np.random.default_rng(6).normal(size=prob.dim)
+        batch = np.array([0, 2, 5])
+        w1, rec = op.sam_step(prob, w, batch, 0.1, 0.0)
+        assert len(calls) == 1
+        assert np.array_equal(w1, op.sgd_step(prob, w, batch, 0.1)[0])
+        assert not rec.failed
+        calls.clear()
+        op.sam_step(prob, w, batch, 0.1, 0.2)
+        assert len(calls) == 2
+    # a non-finite first pass (the loss overflows) still fails the step
+    # and keeps the weights
+    prob, calls = counted(small_quadratic())
+    w = np.full(prob.dim, 1e300)
+    w1, rec = op.sam_step(prob, w, None, 0.1, 0.0)
+    assert rec.failed and w1 is w and len(calls) == 1
 
 
 def test_rho_zero_run_is_bit_identical_to_sgd():
