@@ -104,36 +104,34 @@ def signal_to_noise(signal: float, noise: float) -> float:
     return signal / noise
 
 
-def gsnr(per_sample_grads: np.ndarray, batch_size: int = 1) -> float:
+def gsnr(per_sample_grads: np.ndarray) -> float:
     """Global gradient signal-to-noise ratio from per-sample gradients.
 
     Signal is the squared norm of the mean gradient; noise is the trace of
-    the per-sample population covariance divided by the batch size, i.e.
-    the covariance of a with-replacement mini-batch gradient.
+    the per-sample population covariance.
     """
     G = np.asarray(per_sample_grads, dtype=np.float64)
     if G.ndim != 2 or G.shape[0] < 2:
         raise ValueError("need an (M, P) matrix with M >= 2")
     gbar = G.mean(axis=0)
-    return signal_to_noise(float(gbar @ gbar), trace_cov(G, batch_size))
+    return signal_to_noise(float(gbar @ gbar), trace_cov(G))
 
 
-def trace_cov(per_sample_grads: np.ndarray, batch_size: int = 1) -> float:
+def trace_cov(per_sample_grads: np.ndarray) -> float:
     G = np.asarray(per_sample_grads, dtype=np.float64)
     gbar = G.mean(axis=0)
-    return float(((G - gbar) ** 2).sum(axis=1).mean()) / batch_size
+    return float(((G - gbar) ** 2).sum(axis=1).mean())
 
 
-def spectral_estimate(per_sample_grads: np.ndarray, hessian: np.ndarray,
+def spectral_estimate(mean_grad: np.ndarray, trace_cov: float, hessian: np.ndarray,
                       step: int = 0) -> SpectralEstimate:
-    """Exact estimate from the (M, P) per-sample gradients and the dense
-    (P, P) Hessian at one point: full eigendecomposition, no sampling."""
-    G = np.asarray(per_sample_grads, dtype=np.float64)
-    gbar = G.mean(axis=0)
+    """Exact estimate at one point from the full-sample mean gradient, the
+    trace of the per-sample gradient covariance and the dense (P, P)
+    Hessian: full eigendecomposition, no sampling."""
     return SpectralEstimate(lambda_max=float(np.linalg.eigvalsh(hessian).max()),
                             trace_h=float(np.trace(hessian)),
-                            trace_cov=trace_cov(G),
-                            grad_norm_sq=float(gbar @ gbar), step=step)
+                            trace_cov=float(trace_cov),
+                            grad_norm_sq=float(mean_grad @ mean_grad), step=step)
 
 
 def lambda_max(hvp_oracle, dim: int, iters: int = 200, tol: float = 1e-8,

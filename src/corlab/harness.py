@@ -204,11 +204,6 @@ def _make_problem(config: RunConfig, feats: FeatureSet):
     return quadratic_surrogate(feats.train, feats.train_labels)
 
 
-def _logits(w: np.ndarray, features: np.ndarray) -> np.ndarray:
-    # both problems order parameters as [weights..., bias]
-    return features @ w[:-1] + w[-1]
-
-
 def _effective_lr(config: RunConfig, problem) -> float:
     if config.lr_relative is None:
         return config.optimizer.learning_rate
@@ -274,7 +269,10 @@ def run_train(config: RunConfig, feats: FeatureSet | None = None,
 
     The per-step AUC window is the running mean of the full-train-set AUC
     over the trailing tenth of the step budget; the final window value is
-    the collapse statistic.  A non-finite update marks the run failed and
+    the collapse statistic.  Each observed step makes one full-train pass:
+    its logits give the AUC and the gradient moments, and the spectral
+    snapshot every `cadence` steps reads the same moments, so a snapshot's
+    GSNR is its step's.  A non-finite update marks the run failed and
     keeps the last valid weights.
     """
     feats = build_features(config) if feats is None else feats
@@ -286,17 +284,15 @@ def run_train(config: RunConfig, feats: FeatureSet | None = None,
     estimates: list[dg.SpectralEstimate] = []
 
     def observe(t, w, rec):
-        if t % config.cadence == 0:
-            estimates.append(dg.spectral_estimate(problem.per_sample_grads(w),
-                                                  problem.dense_hessian(w), t))
-        z = _logits(w, feats.train)      # one full-train pass for AUC and GSNR
+        z = op.probe_logits(w, feats.train)  # one full-train pass for AUC and GSNR
         aucs[t] = compute_auc(z, feats.train_labels)
-        gbar, m = problem.grad_moments(w, z)
-        signal = float(gbar @ gbar)
+        gbar, tr_cov = problem.grad_moments(w, z)
+        if t % config.cadence == 0:
+            estimates.append(dg.spectral_estimate(gbar, tr_cov, problem.dense_hessian(w), t))
         steps_out.append(StepMetrics(t, rec.loss,
                                      float(np.mean(aucs[max(0, t + 1 - window):t + 1])),
                                      rec.grad_norm,
-                                     dg.signal_to_noise(signal, m - signal)))
+                                     dg.signal_to_noise(float(gbar @ gbar), tr_cov)))
 
     # step 0 is always observed, so `estimates` and `steps_out` are never empty
     w, failed_step = op.run(problem, ocfg, observe)
@@ -307,8 +303,8 @@ def run_train(config: RunConfig, feats: FeatureSet | None = None,
     trace = replace(trace, phase_boundaries=tuple(map(step, trace.phase_boundaries)),
                     bottleneck_step=step(trace.bottleneck_step))
 
-    train_auc = compute_auc(_logits(w, feats.train), feats.train_labels)
-    test_auc = compute_auc(_logits(w, feats.test), feats.test_labels)
+    train_auc = compute_auc(op.probe_logits(w, feats.train), feats.train_labels)
+    test_auc = compute_auc(op.probe_logits(w, feats.test), feats.test_labels)
     result = TrainResult(config, w, steps_out, estimates, cor_report, trace,
                          train_auc, test_auc, steps_out[-1].train_auc_window,
                          failed_step is not None, failed_step)
@@ -374,14 +370,14 @@ def _collapse_stat(problem, feats: FeatureSet,
 
     def observe(t, w, rec):
         if t >= start:
-            vals.append(compute_auc(_logits(w, feats.train), feats.train_labels))
+            vals.append(compute_auc(op.probe_logits(w, feats.train), feats.train_labels))
 
     w, failed_step = op.run(problem, ocfg, observe)
     if failed_step is not None:
         return 0.5, 0.5, 0.5
     return (float(np.mean(vals)),
-            compute_auc(_logits(w, feats.train), feats.train_labels),
-            compute_auc(_logits(w, feats.test), feats.test_labels))
+            compute_auc(op.probe_logits(w, feats.train), feats.train_labels),
+            compute_auc(op.probe_logits(w, feats.test), feats.test_labels))
 
 
 def sweep_rho(config: RunConfig, rho_list, seeds=(0, 1, 2)) -> SweepResult:
@@ -482,9 +478,8 @@ def verify_theorem_campaign(n_instances: int = 100, seed: int = 0) -> CampaignRe
             rng, n_samples=int(rng.integers(4, 40)),
             n_classes=int(rng.integers(2, 6)),
             n_features=int(rng.integers(2, 11)))
-        if inst.dim > 50:
-            raise AssertionError("instance exceeds the intended size budget")
-        est = dg.spectral_estimate(inst.per_sample_grads(), inst.dense_hessian(), i)
+        G = inst.per_sample_grads()
+        est = dg.spectral_estimate(G.mean(axis=0), dg.trace_cov(G), inst.dense_hessian(), i)
         xi_direct = inst.trace_xi_direct()
         wp = 1.0 + xi_direct / est.trace_h if est.trace_h > 0 else float("inf")
         min_wp = min(min_wp, wp)

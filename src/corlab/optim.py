@@ -42,6 +42,11 @@ def _sigmoid(z: np.ndarray) -> np.ndarray:
     return 0.5 * (1.0 + np.tanh(0.5 * z))
 
 
+def probe_logits(w: np.ndarray, features: np.ndarray) -> np.ndarray:
+    """Linear-probe logits; the one owner of the [weights..., bias] layout."""
+    return features @ w[:-1] + w[-1]
+
+
 class LogisticProbeProblem:
     """Binary cross-entropy of a linear head over fixed features.
 
@@ -61,29 +66,27 @@ class LogisticProbeProblem:
     def init_params(self) -> np.ndarray:
         return np.zeros(self.dim)
 
-    def _logits(self, w: np.ndarray, idx=slice(None)) -> np.ndarray:
-        return self.features[idx] @ w[:-1] + w[-1]
-
     def loss_and_grad(self, w: np.ndarray, indices=None) -> tuple[float, np.ndarray]:
         idx = slice(None) if indices is None else np.asarray(indices)
-        z, y = self._logits(w, idx), self.labels[idx]
+        z, y = probe_logits(w, self.features[idx]), self.labels[idx]
         loss = np.mean(np.logaddexp(0.0, z) - y * z)
         return float(loss), self._aug[idx].T @ (_sigmoid(z) - y) / y.size
 
     def grad_moments(self, w: np.ndarray, logits: np.ndarray) -> tuple[np.ndarray, float]:
-        """Full-sample mean gradient and mean squared per-sample gradient
-        norm; per-sample gradient i is r_i * aug_i with r = sigma(z) - y.
+        """Full-sample mean gradient and trace of the per-sample gradient
+        covariance; per-sample gradient i is r_i * aug_i with r = sigma(z) - y,
+        so the trace is the mean squared norm less the squared mean.
         `logits` are the full-sample z at `w`, which the caller has already
         computed for the AUC."""
         r = _sigmoid(logits) - self.labels
-        return (self._aug.T @ r / self.n_samples,
-                float((r * r) @ self._row_sq) / self.n_samples)
+        g = self._aug.T @ r / self.n_samples
+        return g, float((r * r) @ self._row_sq) / self.n_samples - float(g @ g)
 
     def per_sample_grads(self, w: np.ndarray) -> np.ndarray:
-        return (_sigmoid(self._logits(w)) - self.labels)[:, None] * self._aug
+        return (_sigmoid(probe_logits(w, self.features)) - self.labels)[:, None] * self._aug
 
     def dense_hessian(self, w: np.ndarray) -> np.ndarray:
-        p = _sigmoid(self._logits(w))
+        p = _sigmoid(probe_logits(w, self.features))
         s = p * (1.0 - p)
         return (self._aug * s[:, None]).T @ self._aug / self.n_samples
 
@@ -123,11 +126,10 @@ class QuadraticProblem:
         return float(loss), grad
 
     def grad_moments(self, w, logits):
-        """Full-sample mean gradient and mean squared per-sample gradient
-        norm.  The closed form needs only `w`; `logits` is the shared
-        interface's argument and is not read."""
-        g = self.A @ w - self._Aa_mean
-        return g, float(g @ g) + self._spread
+        """Full-sample mean gradient and trace of the per-sample gradient
+        covariance, the precomputed spread.  The closed form needs only `w`;
+        `logits` is the shared interface's argument and is not read."""
+        return self.A @ w - self._Aa_mean, self._spread
 
     def per_sample_grads(self, w):
         return self.A @ w - self._Aa
@@ -141,12 +143,12 @@ class QuadraticProblem:
 # ---------------------------------------------------------------------------
 
 def sgd_step(problem, w: np.ndarray, batch_idx, lr: float) -> tuple[np.ndarray, StepRecord]:
+    """A non-finite loss or updated weight fails the step and keeps `w`."""
     loss, g = problem.loss_and_grad(w, batch_idx)
     rec = StepRecord(step=-1, loss=loss, grad_norm=float(np.linalg.norm(g)))
-    if not (np.isfinite(loss) and np.all(np.isfinite(g))):
-        rec.failed = True
-        return w, rec
-    return w - lr * g, rec
+    w_new = w - lr * g
+    rec.failed = not (np.isfinite(loss) and np.all(np.isfinite(w_new)))
+    return (w if rec.failed else w_new), rec
 
 
 def sam_step(problem, w: np.ndarray, batch_idx, lr: float,
@@ -155,21 +157,20 @@ def sam_step(problem, w: np.ndarray, batch_idx, lr: float,
     perturbed gradient of the same batch.  Zero batch gradient means zero
     perturbation, so the step degenerates to SGD.  At rho = 0 the ascent
     lands on w itself, so the first pass's gradient is the descent
-    gradient and the step takes one pass."""
+    gradient and the step takes one pass.  A non-finite first pass or
+    updated weight fails the step and keeps `w`."""
     loss, g = problem.loss_and_grad(w, batch_idx)
     gn = float(np.linalg.norm(g))
     rec = StepRecord(step=-1, loss=loss, grad_norm=gn)
     if not (np.isfinite(loss) and np.all(np.isfinite(g))):
         rec.failed = True
         return w, rec
-    if rho == 0:
-        return w - lr * g, rec
-    eps = (rho / gn) * g if gn > 0 else np.zeros_like(g)
-    _, g_tilde = problem.loss_and_grad(w + eps, batch_idx)
-    if not np.all(np.isfinite(g_tilde)):
-        rec.failed = True
-        return w, rec
-    return w - lr * g_tilde, rec
+    if rho > 0:                   # the descent gradient at the ascent point
+        eps = (rho / gn) * g if gn > 0 else np.zeros_like(g)
+        _, g = problem.loss_and_grad(w + eps, batch_idx)
+    w_new = w - lr * g
+    rec.failed = not np.all(np.isfinite(w_new))
+    return (w if rec.failed else w_new), rec
 
 
 class BatchSampler:

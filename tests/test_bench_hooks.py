@@ -70,7 +70,9 @@ def test_corit_features_make_one_region_pass_per_layer_and_split():
     assert tracer.calls[("setup", "regions.layer_region_state")] == 2 * cfg.encoder.layers
 
 
-def test_run_train_builds_per_sample_grads_only_at_snapshots():
+def test_run_train_snapshots_at_cadence_without_per_sample_grads():
+    # snapshots read the observer's gradient moments, so no training run
+    # builds the (M, P) per-sample gradient matrix
     cfg = small_config()
     feats = hn.build_features(cfg)
     tracer = Tracer(CalibratedClock())
@@ -79,4 +81,5 @@ def test_run_train_builds_per_sample_grads_only_at_snapshots():
     snapshots = [t for t in range(cfg.optimizer.steps) if t % cfg.cadence == 0]
     assert [e.step for e in res.estimates] == snapshots
     assert len(res.steps) == cfg.optimizer.steps
-    assert tracer.calls[("setup", "optim.per_sample_grads")] == len(snapshots)
+    assert tracer.calls[("setup", "optim.dense_hessian")] == len(snapshots)
+    assert tracer.calls.get(("setup", "optim.per_sample_grads"), 0) == 0

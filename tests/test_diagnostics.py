@@ -16,7 +16,6 @@ def test_gsnr_hand_oracle():
     # grads (1,0) and (3,0): mean (2,0), signal 4, per-sample var trace 1
     G = np.array([[1.0, 0.0], [3.0, 0.0]])
     assert dg.gsnr(G) == pytest.approx(4.0)
-    assert dg.gsnr(G, batch_size=4) == pytest.approx(16.0)
     assert dg.trace_cov(G) == pytest.approx(1.0)
 
 

@@ -237,6 +237,14 @@ def test_only_owners_import(module, owners):
     assert importers == owners
 
 
+def test_only_optim_knows_the_probe_layout():
+    # `op.probe_logits` owns the [weights..., bias] order; any other module
+    # that slices it out would break on a probe with another layout
+    slicers = {path.stem for path in Path(hn.__file__).parent.glob("*.py")
+               if "w[:-1]" in path.read_text()}
+    assert slicers == {"optim"}
+
+
 # -- feature pipeline ---------------------------------------------------------------
 
 @settings(max_examples=200, deadline=None, derandomize=True)
@@ -386,6 +394,25 @@ def test_run_train_gsnr_matches_per_sample_matrix():
                  for t in range(len(ws))]
         assert [m.train_auc_window for m in res.steps] == means
         assert res.train_auc_window == means[-1]
+
+
+def test_snapshot_gsnr_equals_steps_csv_gsnr(tmp_path):
+    # one source for each step's GSNR: the snapshot reads the observer's
+    # gradient moments, so both reports hold the same float at every
+    # snapshot step
+    quad = bifurcation_config(cadence=7, optimizer=op.SamConfig(
+        rho=0.05, learning_rate=1.0, batch_size=500, steps=30))
+    bce = bifurcation_config(loss="bce", lr_relative=None, cadence=7,
+                             optimizer=op.SamConfig(rho=0.05, learning_rate=1e-2,
+                                                    batch_size=20, steps=30))
+    for name, cfg in (("quad", quad), ("bce", bce)):
+        out = tmp_path / name
+        hn.run_train(cfg, out_dir=str(out))
+        rows = (out / "steps.csv").read_text().splitlines()[1:]
+        csv_gsnr = {int(r.split(",")[0]): float(r.split(",")[-1]) for r in rows}
+        estimates = json.loads((out / "diagnostics.json").read_text())["estimates"]
+        assert [e["step"] for e in estimates] == [0, 7, 14, 21, 28]
+        assert [e["gsnr"] for e in estimates] == [csv_gsnr[e["step"]] for e in estimates]
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")

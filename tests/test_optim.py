@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from corlab import autodiff as ad
+from corlab import diagnostics as dg
 from corlab import optim as op
 
 
@@ -82,14 +83,14 @@ def test_grad_moments_match_per_sample_grads():
     for prob in (small_quadratic(), small_logistic()):
         for w in (np.zeros(prob.dim), rng.normal(size=prob.dim)):
             # the quadratic's closed form reads no logits
-            logits = (prob.features @ w[:-1] + w[-1]
+            logits = (op.probe_logits(w, prob.features)
                       if isinstance(prob, op.LogisticProbeProblem) else None)
-            gbar, m = prob.grad_moments(w, logits)
+            gbar, tr_cov = prob.grad_moments(w, logits)
             G = prob.per_sample_grads(w)
             # the same mean gradient, bit for bit, as the full-batch step
             assert np.array_equal(gbar, prob.loss_and_grad(w)[1])
             assert np.allclose(gbar, G.mean(axis=0), rtol=1e-12, atol=1e-15)
-            assert m == pytest.approx(float((G * G).sum(axis=1).mean()), rel=1e-12)
+            assert tr_cov == pytest.approx(dg.trace_cov(G), rel=1e-12)
 
 
 def bce_graph(views, data):
@@ -210,6 +211,21 @@ def test_run_marks_failure_and_keeps_last_valid_weights():
     assert records[-1].failed and records[-1].step == failed_step
     assert np.all(np.isfinite(w))
     assert len(records) < 200
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_overflowing_update_fails_its_own_step():
+    # finite gradients whose update overflows: the step that would write
+    # inf fails and the run keeps the weights it started from
+    prob = op.QuadraticProblem(np.eye(2), np.full((4, 2), 1e3))
+    for rho in (0.0, 0.5):
+        cfg = op.SamConfig(rho=rho, learning_rate=1e306, batch_size=4, steps=5)
+        w, failed_step = op.run(prob, cfg)
+        assert failed_step == 0
+        assert np.array_equal(w, np.zeros(2))
+    w = np.zeros(2)
+    w1, rec = op.sgd_step(prob, w, None, 1e306)
+    assert rec.failed and w1 is w
 
 
 # -- batch sampler ---------------------------------------------------------------------
