@@ -27,6 +27,11 @@ HEAD_MODES = ("plain-probe", "corit")
 LOSS_MODES = ("bce", "quadratic")
 STANDARDIZE_MODES = ("none", "center", "whiten")
 STEP_CSV_HEADER = ["step", "loss", "train_auc_window", "grad_norm", "gsnr"]
+# Observed steps per evaluation block: one (n, P)·(P, 64) GEMM gives the
+# block's full-train logits in place of 64 GEMVs.  On the 2,000-sample,
+# 257-parameter CoRIT head the block holds 132 KB of weights and 1 MB for
+# each (n, 64) array (logits, residuals), whatever the step budget.
+_OBSERVE_STEPS = 64
 
 
 # ---------------------------------------------------------------------------
@@ -262,6 +267,37 @@ class TrainResult:
         }
 
 
+def _run_observed(problem, ocfg: op.SamConfig, feats: FeatureSet, first: int,
+                  evaluate) -> tuple[np.ndarray, int | None]:
+    """`op.run` with its steps from `first` on evaluated a block at a time:
+    every `_OBSERVE_STEPS` steps, at the failing step and after the run,
+    `evaluate(recs, W, Z, aucs)` gets the block's step records, (P, C)
+    pre-step weights, (n, C) full-train logits from one GEMM and AUCs."""
+    recs, ws = [], []
+
+    def flush():
+        if recs:
+            W = np.stack(ws, axis=1)
+            Z = op.probe_logits(W, feats.train)
+            evaluate(recs, W, Z, [compute_auc(z, feats.train_labels) for z in Z.T])
+            recs.clear()
+            ws.clear()
+
+    def observe(t, w, rec):
+        if t >= first:
+            recs.append(rec)
+            ws.append(w)
+            if rec.failed:      # its moments may overflow; the run reports it
+                with np.errstate(over="ignore", invalid="ignore"):
+                    flush()
+            elif len(recs) == _OBSERVE_STEPS:
+                flush()
+
+    w, failed_step = op.run(problem, ocfg, observe)
+    flush()
+    return w, failed_step
+
+
 def run_train(config: RunConfig, feats: FeatureSet | None = None,
               out_dir: str | None = None) -> TrainResult:
     """Deterministic training run with per-step metrics and periodic
@@ -269,11 +305,11 @@ def run_train(config: RunConfig, feats: FeatureSet | None = None,
 
     The per-step AUC window is the running mean of the full-train-set AUC
     over the trailing tenth of the step budget; the final window value is
-    the collapse statistic.  Each observed step makes one full-train pass:
-    its logits give the AUC and the gradient moments, and the spectral
-    snapshot every `cadence` steps reads the same moments, so a snapshot's
-    GSNR is its step's.  A non-finite update marks the run failed and
-    keeps the last valid weights.
+    the collapse statistic.  A block of observed steps shares one
+    full-train logits GEMM (`_run_observed`) for its AUCs and gradient
+    moments; the spectral snapshot every `cadence` steps reads the same
+    moments, so a snapshot's GSNR is its step's.  A non-finite update marks
+    the run failed and keeps the last valid weights.
     """
     feats = build_features(config) if feats is None else feats
     problem = _make_problem(config, feats)
@@ -283,19 +319,21 @@ def run_train(config: RunConfig, feats: FeatureSet | None = None,
     steps_out: list[StepMetrics] = []
     estimates: list[dg.SpectralEstimate] = []
 
-    def observe(t, w, rec):
-        z = op.probe_logits(w, feats.train)  # one full-train pass for AUC and GSNR
-        aucs[t] = compute_auc(z, feats.train_labels)
-        gbar, tr_cov = problem.grad_moments(w, z)
-        if t % config.cadence == 0:
-            estimates.append(dg.spectral_estimate(gbar, tr_cov, problem.dense_hessian(w), t))
-        steps_out.append(StepMetrics(t, rec.loss,
-                                     float(np.mean(aucs[max(0, t + 1 - window):t + 1])),
-                                     rec.grad_norm,
-                                     dg.signal_to_noise(float(gbar @ gbar), tr_cov)))
+    def evaluate(recs, W, Z, block_aucs):
+        G, tr_cov = problem.grad_moments(W, Z)
+        for j, rec in enumerate(recs):
+            t, g = rec.step, G[:, j]
+            aucs[t] = block_aucs[j]
+            if t % config.cadence == 0:
+                estimates.append(dg.spectral_estimate(
+                    g, tr_cov[j], problem.dense_hessian(W[:, j]), t))
+            steps_out.append(StepMetrics(t, rec.loss,
+                                         float(np.mean(aucs[max(0, t + 1 - window):t + 1])),
+                                         rec.grad_norm,
+                                         dg.signal_to_noise(float(g @ g), float(tr_cov[j]))))
 
     # step 0 is always observed, so `estimates` and `steps_out` are never empty
-    w, failed_step = op.run(problem, ocfg, observe)
+    w, failed_step = _run_observed(problem, ocfg, feats, 0, evaluate)
     cor_report = dg.cor_trajectory(estimates)
     trace = dg.phase_detect([e.gsnr for e in estimates],
                             [e.cor_bound for e in estimates])
@@ -364,15 +402,12 @@ class SweepResult:
 def _collapse_stat(problem, feats: FeatureSet,
                    ocfg: op.SamConfig) -> tuple[float, float, float]:
     """Window AUC, final train AUC, final test AUC of one probe run; `ocfg`
-    carries the probed rho and the effective learning rate."""
-    start = ocfg.steps - max(1, ocfg.steps // 10)
+    carries the probed rho and the effective learning rate.  The window's
+    steps go through `_run_observed`, as `run_train`'s do."""
     vals = []
-
-    def observe(t, w, rec):
-        if t >= start:
-            vals.append(compute_auc(op.probe_logits(w, feats.train), feats.train_labels))
-
-    w, failed_step = op.run(problem, ocfg, observe)
+    w, failed_step = _run_observed(problem, ocfg, feats,
+                                   ocfg.steps - max(1, ocfg.steps // 10),
+                                   lambda recs, W, Z, aucs: vals.extend(aucs))
     if failed_step is not None:
         return 0.5, 0.5, 0.5
     return (float(np.mean(vals)),

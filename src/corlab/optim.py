@@ -43,7 +43,9 @@ def _sigmoid(z: np.ndarray) -> np.ndarray:
 
 
 def probe_logits(w: np.ndarray, features: np.ndarray) -> np.ndarray:
-    """Linear-probe logits; the one owner of the [weights..., bias] layout."""
+    """Linear-probe logits; the one owner of the [weights..., bias] layout.
+    `w` is one (P,) probe or a (P, C) stack of them, whose (n, C) logits
+    take one GEMM."""
     return features @ w[:-1] + w[-1]
 
 
@@ -72,15 +74,16 @@ class LogisticProbeProblem:
         loss = np.mean(np.logaddexp(0.0, z) - y * z)
         return float(loss), self._aug[idx].T @ (_sigmoid(z) - y) / y.size
 
-    def grad_moments(self, w: np.ndarray, logits: np.ndarray) -> tuple[np.ndarray, float]:
-        """Full-sample mean gradient and trace of the per-sample gradient
-        covariance; per-sample gradient i is r_i * aug_i with r = sigma(z) - y,
-        so the trace is the mean squared norm less the squared mean.
-        `logits` are the full-sample z at `w`, which the caller has already
+    def grad_moments(self, W: np.ndarray, logits: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Full-sample mean gradients (P, C) and traces of the per-sample
+        gradient covariance (C,) of a (P, C) stack of probes; per-sample
+        gradient i of probe j is R_ij * aug_i with R = sigma(Z) - y, so the
+        trace is the mean squared norm less the squared mean.  `logits` are
+        the (n, C) full-sample Z of `W`, which the caller has already
         computed for the AUC."""
-        r = _sigmoid(logits) - self.labels
-        g = self._aug.T @ r / self.n_samples
-        return g, float((r * r) @ self._row_sq) / self.n_samples - float(g @ g)
+        R = _sigmoid(logits) - self.labels[:, None]
+        G = self._aug.T @ R / self.n_samples
+        return G, (R * R).T @ self._row_sq / self.n_samples - np.einsum("pc,pc->c", G, G)
 
     def per_sample_grads(self, w: np.ndarray) -> np.ndarray:
         return (_sigmoid(probe_logits(w, self.features)) - self.labels)[:, None] * self._aug
@@ -125,11 +128,12 @@ class QuadraticProblem:
         grad = Aw - Aa_mean
         return float(loss), grad
 
-    def grad_moments(self, w, logits):
-        """Full-sample mean gradient and trace of the per-sample gradient
-        covariance, the precomputed spread.  The closed form needs only `w`;
-        `logits` is the shared interface's argument and is not read."""
-        return self.A @ w - self._Aa_mean, self._spread
+    def grad_moments(self, W, logits):
+        """Full-sample mean gradients (P, C) of a (P, C) stack of weights,
+        and the trace of the per-sample gradient covariance, the precomputed
+        spread, once per column.  The closed form needs only `W`; `logits` is
+        the shared interface's argument and is not read."""
+        return self.A @ W - self._Aa_mean[:, None], np.full(W.shape[1], self._spread)
 
     def per_sample_grads(self, w):
         return self.A @ w - self._Aa
@@ -142,6 +146,9 @@ class QuadraticProblem:
 # steps and runs
 # ---------------------------------------------------------------------------
 
+# a step checks its loss and updated weights and fails on a non-finite
+# one, so numpy's overflow and invalid warnings inside it are only noise
+@np.errstate(over="ignore", invalid="ignore")
 def sgd_step(problem, w: np.ndarray, batch_idx, lr: float) -> tuple[np.ndarray, StepRecord]:
     """A non-finite loss or updated weight fails the step and keeps `w`."""
     loss, g = problem.loss_and_grad(w, batch_idx)
@@ -151,6 +158,7 @@ def sgd_step(problem, w: np.ndarray, batch_idx, lr: float) -> tuple[np.ndarray, 
     return (w if rec.failed else w_new), rec
 
 
+@np.errstate(over="ignore", invalid="ignore")     # as in sgd_step
 def sam_step(problem, w: np.ndarray, batch_idx, lr: float,
              rho: float) -> tuple[np.ndarray, StepRecord]:
     """Two-pass SAM: normalized ascent to w + eps, descent with the

@@ -149,7 +149,6 @@ def test_malformed_config_exits_2(config_path, tmp_path, capsys):
         assert named in capsys.readouterr().err
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 @pytest.mark.parametrize("argv", [["verify-theorem", "--config", "/nonexistent.json"],
                                   ["verify-theorem", "--rho", "9"],
                                   ["diagnose", "--rho", "0.9"],
@@ -164,6 +163,7 @@ def test_subcommands_refuse_flags_they_do_not_read(argv, capsys):
     assert f"unrecognized arguments: {argv[1]}" in capsys.readouterr().err
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_divergent_run_exits_3(config_path, tmp_path):
     cfg = hn.RunConfig.from_json(open(config_path).read())
     from dataclasses import replace
@@ -173,7 +173,6 @@ def test_divergent_run_exits_3(config_path, tmp_path):
     assert cli.main(["train", "--config", str(path), "--quiet"]) == 3
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_compare_refuses_failed_runs(tmp_path, capsys):
     from dataclasses import replace
     path = tmp_path / "blown.json"
@@ -185,7 +184,6 @@ def test_compare_refuses_failed_runs(tmp_path, capsys):
     assert not (out / "compare.json").exists()
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 @pytest.mark.parametrize("learning_rate", [1e6, 1e12])
 def test_saturated_bce_probe_is_diagnosed_not_crashed(tmp_path, learning_rate):
     # the probe saturates after step 0, so later snapshots have lambda_max 0:

@@ -415,7 +415,54 @@ def test_snapshot_gsnr_equals_steps_csv_gsnr(tmp_path):
         assert [e["gsnr"] for e in estimates] == [csv_gsnr[e["step"]] for e in estimates]
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_blocked_observer_matches_per_step_reference(tmp_path):
+    # the observer evaluates a block of steps with one GEMM; a reference
+    # that evaluates each step with its own GEMV reads the same window AUC
+    # exactly and the same GSNR to rounding, over two full blocks and a
+    # partial one
+    steps = 2 * hn._OBSERVE_STEPS + 7
+    quad = bifurcation_config(cadence=7, optimizer=op.SamConfig(
+        rho=0.05, learning_rate=1.0, batch_size=500, steps=steps))
+    bce = bifurcation_config(loss="bce", lr_relative=None, cadence=7,
+                             optimizer=op.SamConfig(rho=0.05, learning_rate=1e-2,
+                                                    batch_size=20, steps=steps))
+    for name, cfg in (("quad", quad), ("bce", bce)):
+        feats = hn.build_features(cfg)
+        out = tmp_path / name
+        res = hn.run_train(cfg, feats=feats, out_dir=str(out))
+        problem = hn._make_problem(cfg, feats)
+        ocfg = replace(cfg.optimizer, learning_rate=hn._effective_lr(cfg, problem))
+        ws = []
+        op.run(problem, ocfg, lambda t, w, rec: ws.append(w))
+        aucs, gsnrs = [], []
+        for w in ws:
+            z = op.probe_logits(w, feats.train)
+            aucs.append(hn.compute_auc(z, feats.train_labels))
+            g, tr_cov = problem.grad_moments(w[:, None], z[:, None])
+            gsnrs.append(dg.signal_to_noise(float(g[:, 0] @ g[:, 0]), float(tr_cov[0])))
+        window = steps // 10
+        assert [m.train_auc_window for m in res.steps] == [
+            float(np.mean(aucs[max(0, t + 1 - window):t + 1])) for t in range(steps)]
+        assert np.allclose([m.gsnr for m in res.steps], gsnrs, rtol=1e-12, atol=0.0)
+
+        rows = (out / "steps.csv").read_text().splitlines()[1:]
+        csv_gsnr = {int(r.split(",")[0]): float(r.split(",")[-1]) for r in rows}
+        estimates = json.loads((out / "diagnostics.json").read_text())["estimates"]
+        assert [e["step"] for e in estimates] == list(range(0, steps, 7))
+        assert [e["gsnr"] for e in estimates] == [csv_gsnr[e["step"]] for e in estimates]
+
+    # a run that fails inside its second block (at step 106, no snapshot
+    # step) still writes the failing step's row, and its overflow stays out
+    # of the warnings
+    out = tmp_path / "failed"
+    res = hn.run_train(replace(quad, lr_relative=30.0), out_dir=str(out))
+    assert hn._OBSERVE_STEPS < res.failed_step < 2 * hn._OBSERVE_STEPS - 1
+    rows = (out / "steps.csv").read_text().splitlines()[1:]
+    assert len(rows) == res.failed_step + 1
+    assert [int(r.split(",")[0]) for r in rows] == list(range(res.failed_step + 1))
+
+
 def test_run_train_failure_is_reported_not_raised():
     cfg = bifurcation_config(lr_relative=1e9)
     res = hn.run_train(cfg)

@@ -79,18 +79,24 @@ def test_quadratic_per_sample_grads_and_hessian():
 
 
 def test_grad_moments_match_per_sample_grads():
+    # the stacked contract: a (P, C) stack of weights gives (P, C) mean
+    # gradients and (C,) covariance traces, each column that of its probe
     rng = np.random.default_rng(4)
     for prob in (small_quadratic(), small_logistic()):
-        for w in (np.zeros(prob.dim), rng.normal(size=prob.dim)):
+        for C in (1, 5):
+            W = rng.normal(size=(prob.dim, C))
+            W[:, 0] = 0.0
             # the quadratic's closed form reads no logits
-            logits = (op.probe_logits(w, prob.features)
+            logits = (op.probe_logits(W, prob.features)
                       if isinstance(prob, op.LogisticProbeProblem) else None)
-            gbar, tr_cov = prob.grad_moments(w, logits)
-            G = prob.per_sample_grads(w)
-            # the same mean gradient, bit for bit, as the full-batch step
-            assert np.array_equal(gbar, prob.loss_and_grad(w)[1])
-            assert np.allclose(gbar, G.mean(axis=0), rtol=1e-12, atol=1e-15)
-            assert tr_cov == pytest.approx(dg.trace_cov(G), rel=1e-12)
+            G, tr_cov = prob.grad_moments(W, logits)
+            assert G.shape == (prob.dim, C) and tr_cov.shape == (C,)
+            for j in range(C):
+                Gj = prob.per_sample_grads(W[:, j])
+                assert np.allclose(G[:, j], Gj.mean(axis=0), rtol=1e-12, atol=1e-15)
+                assert np.allclose(G[:, j], prob.loss_and_grad(W[:, j])[1],
+                                   rtol=1e-12, atol=1e-15)
+                assert tr_cov[j] == pytest.approx(dg.trace_cov(Gj), rel=1e-12)
 
 
 def bce_graph(views, data):
@@ -165,7 +171,6 @@ def counted(prob):
     return prob, calls
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_sam_step_at_rho_zero_takes_one_pass():
     for prob, calls in (counted(small_quadratic()), counted(small_logistic())):
         w = np.random.default_rng(6).normal(size=prob.dim)
@@ -199,7 +204,6 @@ def test_rho_zero_run_is_bit_identical_to_sgd():
 
 # -- failure handling ---------------------------------------------------------------
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_run_marks_failure_and_keeps_last_valid_weights():
     prob = small_quadratic()
     lam = np.linalg.eigvalsh(prob.A).max()
@@ -213,7 +217,6 @@ def test_run_marks_failure_and_keeps_last_valid_weights():
     assert len(records) < 200
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_overflowing_update_fails_its_own_step():
     # finite gradients whose update overflows: the step that would write
     # inf fails and the run keeps the weights it started from
