@@ -193,8 +193,13 @@ def matmul(a, b):
     a, b = _as_tensor(a), _as_tensor(b)
 
     def vjp(ct):
-        da = _unbroadcast(matmul(ct, swapaxes(b, -1, -2)), a.shape)
-        db = _unbroadcast(matmul(swapaxes(a, -1, -2), ct), b.shape)
+        # a constant operand gets no cotangent: `grad_nodes` would drop it
+        # anyway, and a 1-D constant `a` has no axes to swap
+        da = db = None
+        if a.requires_grad:
+            da = _unbroadcast(matmul(ct, swapaxes(b, -1, -2)), a.shape)
+        if b.requires_grad:
+            db = _unbroadcast(matmul(swapaxes(a, -1, -2), ct), b.shape)
         return da, db
 
     return _node(np.matmul(a.data, b.data), (a, b), vjp, "matmul")
@@ -313,12 +318,6 @@ def concat(parts, axis: int = 0):
 # compositions (shared by graph and numpy modes)
 # ---------------------------------------------------------------------------
 
-def softmax(x, axis: int = -1):
-    shift = val(x).max(axis=axis, keepdims=True)  # detached; softmax is shift-invariant
-    e = exp(sub(x, shift))
-    return div(e, sum_(e, axis=axis, keepdims=True))
-
-
 def logsumexp(x, axis: int = -1, keepdims: bool = True):
     shift = val(x).max(axis=axis, keepdims=True)
     return add(log(sum_(exp(sub(x, shift)), axis=axis, keepdims=keepdims)),
@@ -351,9 +350,13 @@ def gelu(x):
 
 
 def layer_norm(x, eps: float = 1e-5):
-    m = mean(x, axis=-1, keepdims=True)
-    centered = sub(x, m)
-    var = mean(mul(centered, centered), axis=-1, keepdims=True)
+    # the mean and the population variance as products with a column of
+    # 1/D: on encoder rows (D = 32) a BLAS product is two to three times as
+    # fast as numpy's reduction over the short last axis
+    dim = val(x).shape[-1]
+    col = np.full((dim, 1), 1.0 / dim)
+    centered = sub(x, matmul(x, col))
+    var = matmul(mul(centered, centered), col)
     return div(centered, power(add(var, eps), 0.5))
 
 

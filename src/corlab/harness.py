@@ -325,8 +325,11 @@ def run_train(config: RunConfig, feats: FeatureSet | None = None,
             t, g = rec.step, G[:, j]
             aucs[t] = block_aucs[j]
             if t % config.cadence == 0:
-                estimates.append(dg.spectral_estimate(
-                    g, tr_cov[j], problem.dense_hessian(W[:, j]), t))
+                # a failing step's moments can overflow; its snapshot would
+                # read inf GSNR and COR and poison the phases and the minimum
+                H = problem.dense_hessian(W[:, j])
+                if np.isfinite(g @ g) and np.isfinite(tr_cov[j]) and np.isfinite(H).all():
+                    estimates.append(dg.spectral_estimate(g, tr_cov[j], H, t))
             steps_out.append(StepMetrics(t, rec.loss,
                                          float(np.mean(aucs[max(0, t + 1 - window):t + 1])),
                                          rec.grad_norm,

@@ -9,6 +9,12 @@ The block forward is written against the generic array API in
 `corlab.autodiff`, so the same code runs in fast numpy mode (batched over
 samples) and in graph mode for differentiability tests.
 
+Attention normalises exp(scores) without the usual max shift.  Its input
+is layer-normed, so every score is bounded by a constant of the seeded
+weights, max over layers and heads of D ||Wq_h||_2 ||Wk_h||_2 / sqrt(dh):
+25.2 for the default encoder.  Construction computes that bound and
+refuses weights whose bound reaches `_SCORE_LIMIT`.
+
 Token layout is always [CLS | R_1..R_K | V_1..V_N].
 """
 
@@ -29,6 +35,12 @@ from . import regions as rg
 # a 2 MB per-core L2; 128 samples would make each 2.6 MB and spill it.
 # Samples never mix, so the block size changes no bit of any output.
 _BLOCK_SAMPLES = 32
+
+# Largest attention-score bound an encoder may have.  Attention takes
+# exp(scores) with no max shift, so the bound must keep exp well inside
+# float64's range (|x| < 709): exp(+-300) is a normal float, and a row sum
+# of T such terms stays finite for any T below 1e178.
+_SCORE_LIMIT = 300.0
 
 
 @dataclass(frozen=True)
@@ -55,12 +67,21 @@ class EncoderConfig:
                            fields.channels("bias_channels", self.bias_channels, self.dim))
 
 
+def _attention_weights(scores):
+    """exp(scores) normalised over the keys (last axis), the row sums as a
+    product with a ones column.  No max shift: every score lies within
+    `FrozenEncoder._score_bound`, far inside exp's range."""
+    e = ad.exp(scores)
+    return ad.div(e, ad.matmul(e, np.ones((ad.val(e).shape[-1], 1))))
+
+
 class FrozenEncoder:
     """Seeded immutable transformer; parameters are plain float64 arrays."""
 
     def __init__(self, config: EncoderConfig):
         self.config = config
         self.params = self._init_params(config)
+        self._score_bound()             # refuses weights attention cannot use
 
     @staticmethod
     def _init_params(cfg: EncoderConfig) -> dict[str, np.ndarray]:
@@ -74,6 +95,29 @@ class FrozenEncoder:
             p[f"l{l}.w2"] = rng.normal(scale=1.0 / np.sqrt(4 * cfg.dim),
                                        size=(4 * cfg.dim, cfg.dim))
         return p
+
+    def _score_bound(self) -> float:
+        """Largest |score| any attention head can produce, for any input.
+
+        Attention reads layer-normed rows y, and |y|^2 = D var/(var + eps)
+        < D whatever the input, so q_i . k_j / sqrt(dh) is bounded by
+        D ||Wq_h||_2 ||Wk_h||_2 / sqrt(dh).  Region-token injection happens
+        between blocks, so the bound covers `encode_corit` too.  Raises if
+        a head's bound reaches `_SCORE_LIMIT`.
+        """
+        cfg = self.config
+        dh = cfg.dim // cfg.heads
+        bound = 0.0
+        for l in range(cfg.layers):
+            for h in range(cfg.heads):
+                cols = slice(h * dh, (h + 1) * dh)
+                b = (cfg.dim * np.linalg.norm(self.params[f"l{l}.wq"][:, cols], 2)
+                     * np.linalg.norm(self.params[f"l{l}.wk"][:, cols], 2) / np.sqrt(dh))
+                if b >= _SCORE_LIMIT:
+                    raise ValueError(f"attention scores of layer {l}, head {h} are bounded "
+                                     f"only by {b:.1f}, not below {_SCORE_LIMIT}")
+                bound = max(bound, b)
+        return bound
 
     # -- block forward (generic over Tensor / ndarray) ---------------------
 
@@ -92,7 +136,7 @@ class FrozenEncoder:
         k = split_heads(ad.matmul(x, self.params[f"l{l}.wk"]))
         v = split_heads(ad.matmul(x, self.params[f"l{l}.wv"]))
         scores = ad.mul(ad.matmul(q, ad.swapaxes(k, -1, -2)), 1.0 / np.sqrt(dh))
-        attn = ad.softmax(scores, axis=-1)
+        attn = _attention_weights(scores)
         out = ad.matmul(attn, v)                       # (..., h, T, dh)
         out = ad.reshape(ad.swapaxes(out, -3, -2), lead + (T, cfg.dim))
         return ad.matmul(out, self.params[f"l{l}.wo"])

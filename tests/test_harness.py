@@ -4,6 +4,7 @@ collapse sweeps, and the verification campaign."""
 
 import ast
 import json
+import warnings
 from dataclasses import replace
 from pathlib import Path
 
@@ -470,6 +471,21 @@ def test_run_train_failure_is_reported_not_raised():
     assert res.failed_step is not None
     assert np.all(np.isfinite(res.weights))
     assert res.summary()["failed"] is True
+
+
+def test_failed_step_leaves_no_snapshot_of_its_overflow():
+    # this run diverges and fails at step 98 = 14 * 7, a snapshot step; the
+    # overflowed moments of that step would read inf GSNR and COR, so no
+    # snapshot is taken there and phase detection sees finite values only
+    cfg = bifurcation_config(cadence=7, lr_relative=40.0)
+    cfg = replace(cfg, optimizer=replace(cfg.optimizer, steps=135))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        res = hn.run_train(cfg)
+    assert res.failed_step == 98
+    assert [e.step for e in res.estimates] == list(range(0, 98, 7))
+    for e in res.estimates:
+        assert np.isfinite([e.grad_norm_sq, e.trace_cov, e.gsnr, e.cor_bound]).all()
 
 
 def test_run_train_stochastic_mode_uses_batches():

@@ -89,6 +89,56 @@ def test_block_graph_mode_matches_numpy_mode():
     assert np.allclose(fast, ad.val(slow), atol=1e-12)
 
 
+def _closed_form_score_bound(enc):
+    cfg = enc.config
+    dh = cfg.dim // cfg.heads
+    return max(cfg.dim * np.linalg.norm(enc.params[f"l{l}.wq"][:, h * dh:(h + 1) * dh], 2)
+               * np.linalg.norm(enc.params[f"l{l}.wk"][:, h * dh:(h + 1) * dh], 2) / np.sqrt(dh)
+               for l in range(cfg.layers) for h in range(cfg.heads))
+
+
+def test_attention_weights_are_normalised_without_a_shift():
+    # scores anywhere within the default encoder's bound, including rows
+    # pinned at either end of it: every row sums to 1 and matches the
+    # max-shifted softmax, in numpy mode and in graph mode
+    bound = md.FrozenEncoder(md.EncoderConfig())._score_bound()
+    rng = np.random.default_rng(11)
+    scores = rng.uniform(-bound, bound, size=(3, 4, 20, 20))
+    scores[0, 0, 0] = -bound
+    scores[0, 0, 1] = bound
+    e = np.exp(scores - scores.max(axis=-1, keepdims=True))
+    oracle = e / e.sum(axis=-1, keepdims=True)
+    fast = md._attention_weights(scores)
+    with ad.Tape():
+        slow = ad.val(md._attention_weights(ad.leaf(scores, requires_grad=True)))
+    for attn in (fast, slow):
+        assert np.max(np.abs(attn.sum(axis=-1) - 1.0)) <= 1e-15
+        assert np.max(np.abs(attn - oracle) / oracle) <= 1e-14
+
+
+def test_score_bound_is_the_closed_form_and_guards_construction(monkeypatch):
+    enc = md.FrozenEncoder(md.EncoderConfig())
+    assert enc._score_bound() == pytest.approx(_closed_form_score_bound(enc), rel=1e-12)
+    assert 25.0 < enc._score_bound() < md._SCORE_LIMIT
+    monkeypatch.setattr(md, "_SCORE_LIMIT", 25.0)
+    with pytest.raises(ValueError, match=r"layer \d+, head \d+"):
+        md.FrozenEncoder(md.EncoderConfig())
+
+
+def test_attention_scores_stay_bounded_on_huge_inputs():
+    # layer norm removes the input's scale before attention reads it, so a
+    # block on inputs 1e6 times larger stays finite, and its attention
+    # branch equals the unscaled one: layer_norm(s x, eps) is exactly
+    # layer_norm(x, eps / s^2)
+    enc = md.FrozenEncoder(CFG)
+    x = sample_tokens(n=2)
+    for l in range(CFG.layers):
+        assert np.all(np.isfinite(enc.block(1e6 * x, l)))
+        big = enc._attention(ad.layer_norm(1e6 * x), l)
+        small = enc._attention(ad.layer_norm(x, eps=1e-5 / 1e12), l)
+        assert np.max(np.abs(big - small)) <= 1e-12
+
+
 def test_paired_streams_with_identical_inputs_are_inert():
     enc = md.FrozenEncoder(CFG)
     x = sample_tokens(n=2)
