@@ -91,6 +91,8 @@ def _graph_mode(*args) -> bool:
 
 
 def _node(data, parents, vjp, op) -> Tensor:
+    """A node whose `vjp` holds one pullback per parent, cotangent in and the
+    parent's out; `grad_nodes` runs none for a parent that needs no grad."""
     rg = any(p.requires_grad for p in parents)
     return Tensor(data, requires_grad=rg, parents=parents, vjp=vjp if rg else None, op=op)
 
@@ -120,7 +122,7 @@ def add(a, b):
     return _node(
         a.data + b.data,
         (a, b),
-        lambda ct: (_unbroadcast(ct, a.shape), _unbroadcast(ct, b.shape)),
+        (lambda ct: _unbroadcast(ct, a.shape), lambda ct: _unbroadcast(ct, b.shape)),
         "add",
     )
 
@@ -134,7 +136,7 @@ def sub(a, b):
 def neg(a):
     if not _graph_mode(a):
         return -val(a)
-    return _node(-a.data, (a,), lambda ct: (neg(ct),), "neg")
+    return _node(-a.data, (a,), (neg,), "neg")
 
 
 def mul(a, b):
@@ -144,7 +146,8 @@ def mul(a, b):
     return _node(
         a.data * b.data,
         (a, b),
-        lambda ct: (_unbroadcast(mul(ct, b), a.shape), _unbroadcast(mul(ct, a), b.shape)),
+        (lambda ct: _unbroadcast(mul(ct, b), a.shape),
+         lambda ct: _unbroadcast(mul(ct, a), b.shape)),
         "mul",
     )
 
@@ -154,7 +157,7 @@ def power(a, p: float):
     if not _graph_mode(a):
         return np.power(val(a), p)
     out = np.power(a.data, p)
-    return _node(out, (a,), lambda ct: (mul(ct, mul(p, power(a, p - 1.0))),), f"power[{p}]")
+    return _node(out, (a,), (lambda ct: mul(ct, mul(p, power(a, p - 1.0))),), f"power[{p}]")
 
 
 def div(a, b):
@@ -168,14 +171,14 @@ def exp(a):
         return np.exp(val(a))
     out_node = _node(np.exp(a.data), (a,), None, "exp")
     if out_node.requires_grad:
-        out_node.vjp = lambda ct: (mul(ct, out_node),)
+        out_node.vjp = (lambda ct: mul(ct, out_node),)
     return out_node
 
 
 def log(a):
     if not _graph_mode(a):
         return np.log(val(a))
-    return _node(np.log(a.data), (a,), lambda ct: (div(ct, a),), "log")
+    return _node(np.log(a.data), (a,), (lambda ct: div(ct, a),), "log")
 
 
 def tanh(a):
@@ -183,7 +186,7 @@ def tanh(a):
         return np.tanh(val(a))
     out_node = _node(np.tanh(a.data), (a,), None, "tanh")
     if out_node.requires_grad:
-        out_node.vjp = lambda ct: (mul(ct, sub(1.0, mul(out_node, out_node))),)
+        out_node.vjp = (lambda ct: mul(ct, sub(1.0, mul(out_node, out_node))),)
     return out_node
 
 
@@ -191,31 +194,26 @@ def matmul(a, b):
     if not _graph_mode(a, b):
         return np.matmul(val(a), val(b))
     a, b = _as_tensor(a), _as_tensor(b)
-
-    def vjp(ct):
-        # a constant operand gets no cotangent: `grad_nodes` would drop it
-        # anyway, and a 1-D constant `a` has no axes to swap
-        da = db = None
-        if a.requires_grad:
-            da = _unbroadcast(matmul(ct, swapaxes(b, -1, -2)), a.shape)
-        if b.requires_grad:
-            db = _unbroadcast(matmul(swapaxes(a, -1, -2), ct), b.shape)
-        return da, db
-
-    return _node(np.matmul(a.data, b.data), (a, b), vjp, "matmul")
+    return _node(
+        np.matmul(a.data, b.data),
+        (a, b),
+        (lambda ct: _unbroadcast(matmul(ct, swapaxes(b, -1, -2)), a.shape),
+         lambda ct: _unbroadcast(matmul(swapaxes(a, -1, -2), ct), b.shape)),
+        "matmul",
+    )
 
 
 def swapaxes(a, ax1: int, ax2: int):
     if not _graph_mode(a):
         return np.swapaxes(val(a), ax1, ax2)
-    return _node(np.swapaxes(a.data, ax1, ax2), (a,), lambda ct: (swapaxes(ct, ax1, ax2),), "swapaxes")
+    return _node(np.swapaxes(a.data, ax1, ax2), (a,), (lambda ct: swapaxes(ct, ax1, ax2),), "swapaxes")
 
 
 def reshape(a, shape):
     if not _graph_mode(a):
         return np.reshape(val(a), shape)
     old = a.shape
-    return _node(np.reshape(a.data, shape), (a,), lambda ct: (reshape(ct, old),), "reshape")
+    return _node(np.reshape(a.data, shape), (a,), (lambda ct: reshape(ct, old),), "reshape")
 
 
 def sum_(a, axis=None, keepdims: bool = False):
@@ -225,15 +223,15 @@ def sum_(a, axis=None, keepdims: bool = False):
 
     def vjp(ct):
         if axis is None:
-            return (broadcast_to(reshape(ct, (1,) * len(in_shape)), in_shape),)
+            return broadcast_to(reshape(ct, (1,) * len(in_shape)), in_shape)
         axes = axis if isinstance(axis, tuple) else (axis,)
         axes = tuple(ax % len(in_shape) for ax in axes)
         if not keepdims:
             kept = tuple(1 if i in axes else n for i, n in enumerate(in_shape))
             ct = reshape(ct, kept)
-        return (broadcast_to(ct, in_shape),)
+        return broadcast_to(ct, in_shape)
 
-    return _node(np.sum(a.data, axis=axis, keepdims=keepdims), (a,), vjp, "sum")
+    return _node(np.sum(a.data, axis=axis, keepdims=keepdims), (a,), (vjp,), "sum")
 
 
 def broadcast_to(a, shape):
@@ -243,7 +241,7 @@ def broadcast_to(a, shape):
     return _node(
         np.ascontiguousarray(np.broadcast_to(a.data, shape)),
         (a,),
-        lambda ct: (_unbroadcast(ct, in_shape),),
+        (lambda ct: _unbroadcast(ct, in_shape),),
         "broadcast_to",
     )
 
@@ -269,7 +267,7 @@ def slice_along(a, axis: int, start: int, stop: int):
     return _node(
         a.data[tuple(sl)],
         (a,),
-        lambda ct: (pad_slice(ct, axis, start, in_shape),),
+        (lambda ct: pad_slice(ct, axis, start, in_shape),),
         "slice",
     )
 
@@ -290,7 +288,7 @@ def pad_slice(a, axis: int, start: int, shape):
     return _node(
         _pad_np(a.data),
         (a,),
-        lambda ct: (slice_along(ct, axis, start, start + width),),
+        (lambda ct: slice_along(ct, axis, start, start + width),),
         "pad_slice",
     )
 
@@ -300,17 +298,9 @@ def concat(parts, axis: int = 0):
     if not _graph_mode(*parts):
         return np.concatenate([val(p) for p in parts], axis=axis)
     parts = [_as_tensor(p) for p in parts]
-    widths = [p.shape[axis] for p in parts]
-    out_shape = list(parts[0].shape)
-    out_shape[axis] = sum(widths)
-    offsets = np.cumsum([0] + widths)
-
-    def vjp(ct):
-        return tuple(
-            slice_along(ct, axis, int(offsets[i]), int(offsets[i + 1]))
-            for i in range(len(parts))
-        )
-
+    offsets = np.cumsum([0] + [p.shape[axis] for p in parts]).tolist()
+    vjp = tuple(lambda ct, lo=lo, hi=hi: slice_along(ct, axis, lo, hi)
+                for lo, hi in zip(offsets, offsets[1:]))
     return _node(np.concatenate([p.data for p in parts], axis=axis), tuple(parts), vjp, "concat")
 
 
@@ -429,16 +419,14 @@ def grad_nodes(output: Tensor, tape: Tape, inputs: list[Tensor]) -> list[Tensor 
     with tape:
         cotangents: dict[int, Tensor] = {output.node_id: leaf(np.ones_like(output.data))}
         for node in reversed(tape.nodes[: output.node_id + 1]):
-            if node.vjp is None:
-                continue
             ct = cotangents.get(node.node_id)
-            if ct is None:
+            if node.vjp is None or ct is None:
                 continue
-            for parent, pct in zip(node.parents, node.vjp(ct)):
-                if pct is None or not parent.requires_grad:
-                    continue
-                acc = cotangents.get(parent.node_id)
-                cotangents[parent.node_id] = pct if acc is None else add(acc, pct)
+            for parent, pullback in zip(node.parents, node.vjp):
+                if parent.requires_grad:
+                    pct = pullback(ct)
+                    acc = cotangents.get(parent.node_id)
+                    cotangents[parent.node_id] = pct if acc is None else add(acc, pct)
         return [cotangents.get(t.node_id) for t in inputs]
 
 
@@ -487,7 +475,7 @@ def grad_check(graph, params: ParamVector, x, step: float = 1e-5) -> dict:
     numeric = np.zeros_like(analytic)
     base = params.flat.copy()
     for i in range(params.dim):
-        for sgn, tgt in ((+1.0, 0), (-1.0, 1)):
+        for sgn in (+1.0, -1.0):
             pv = params.copy()
             pv.flat = base.copy()
             pv.flat[i] += sgn * step

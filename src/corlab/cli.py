@@ -120,13 +120,13 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except (OSError, ValueError, KeyError, TypeError, json.JSONDecodeError) as e:
-        print(f"config error: {e}", file=sys.stderr)
-        return EXIT_CONFIG
     except (ad.NonFiniteError, FloatingPointError, np.linalg.LinAlgError,
-            RuntimeError) as e:
+            RuntimeError) as e:      # before ValueError, which LinAlgError subclasses
         print(f"numerical failure: {e}", file=sys.stderr)
         return EXIT_NUMERICAL
+    except (OSError, ValueError, KeyError, TypeError) as e:
+        print(f"config error: {e}", file=sys.stderr)
+        return EXIT_CONFIG
 
 
 if __name__ == "__main__":

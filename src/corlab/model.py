@@ -4,7 +4,8 @@ The encoder is a seeded pre-norm transformer whose parameters never
 receive gradients; trainable state lives exclusively in the linear probe
 over its features (`corlab.optim`).
 The encoders take (S, N, D) visual tokens and return only the per-layer
-head tokens, [CLS] or [CLS | R], as one array with a leading layer axis.
+head tokens, [CLS] or [CLS | R], as one array with a leading layer axis;
+they share one forward, and `encode_plain` is CoRIT's with no regions.
 The block forward is written against the generic array API in
 `corlab.autodiff`, so the same code runs in fast numpy mode (batched over
 samples) and in graph mode for differentiability tests.
@@ -173,27 +174,12 @@ class FrozenEncoder:
                              f"got {x.shape}")
         return x
 
-    # -- plain (linear-probe) pipeline --------------------------------------
+    # -- encoders ----------------------------------------------------------
 
     def encode_plain(self, visuals: np.ndarray) -> np.ndarray:
-        """Per-layer CLS tokens of the [CLS | V] forward on (S, N, D)
-        visuals, as one (L+1, S, 1, D) array; K = 0."""
-        visuals = self._visuals(visuals)
-        if not np.all(np.isfinite(visuals)):
-            raise ad.NonFiniteError("non-finite encoder input")
-        S, _, D = visuals.shape
-        x = np.concatenate([np.broadcast_to(self.params["cls"], (S, 1, D)), visuals],
-                           axis=1)
-        heads = np.empty((self.config.layers + 1, S, 1, D))
-        heads[0] = x[:, :1]
-        for l in range(self.config.layers):
-            x = self._layer(x, l)
-            if not np.all(np.isfinite(x)):
-                raise ad.NonFiniteError(f"non-finite activation at layer {l}")
-            heads[l + 1] = x[:, :1]
-        return heads
-
-    # -- contrastive-injection pipeline --------------------------------------
+        """Per-layer CLS tokens of the [CLS | V] forward on (S, N, D) visuals,
+        as one (L+1, S, 1, D) array: the paired forward with no regions."""
+        return self._forward({"original": self._visuals(visuals)}, [], 0.0)[0]
 
     def encode_corit(self, orig_visuals: np.ndarray, cpart_visuals: np.ndarray,
                      regions: list[tuple[int, ...]],
@@ -208,39 +194,50 @@ class FrozenEncoder:
 
         Returns `(heads, masks)`: the original stream's per-layer
         [CLS | R] tokens, (L+1, S, 1+K, D), and the refinement masks,
-        (L, S, K, N).  A layer's full stream states and discrepancy field
-        are dropped once the next layer has used them.
+        (L, S, K, N).  With K = 0 nothing is injected, so only the
+        original stream runs and the heads are those of `encode_plain`.
         """
         cfg = self.config
-        K = len(regions)
         for k, idx in enumerate(regions):
             if not idx or not all(0 <= i < cfg.visual_tokens for i in idx):
                 raise ValueError(f"region {k} must be a nonempty index set in "
                                  f"[0, {cfg.visual_tokens})")
+        if alpha < 0:
+            raise ValueError("alpha must be nonnegative")
         orig, cpart = self._visuals(orig_visuals), self._visuals(cpart_visuals)
         if orig.shape != cpart.shape:
             raise ValueError("stream shapes differ")
-        S, N, D = orig.shape
+        return self._forward({"original": orig, "counterpart": cpart}, regions, alpha)
 
-        def seq(visuals):
-            cls = np.broadcast_to(self.params["cls"], (S, 1, D))
-            return np.concatenate([cls, np.zeros((S, K, D)), visuals], axis=1)
-
-        x_o, x_c = seq(orig), seq(cpart)
-        heads = np.empty((cfg.layers + 1, S, 1 + K, D))
-        masks = np.empty((cfg.layers, S, K, N))
-        heads[0] = x_o[:, :1 + K]
-        for l in range(cfg.layers):
-            x_o = self._layer(x_o, l)
-            x_c = self._layer(x_c, l)
-            for name, y in (("original", x_o), ("counterpart", x_c)):
-                if not np.all(np.isfinite(y)):
+    def _forward(self, streams: dict[str, np.ndarray], regions: list[tuple[int, ...]],
+                 alpha: float) -> tuple[np.ndarray, np.ndarray]:
+        """The one forward of both encoders over checked (S, N, D) input
+        streams.  Every stream must be finite, but the counterpart runs only
+        when there are regions to inject.  A layer's full stream states and
+        discrepancy field are dropped once the next layer has used them."""
+        for name, visuals in streams.items():
+            if not np.all(np.isfinite(visuals)):
+                raise ad.NonFiniteError(f"non-finite {name} input")
+        K = len(regions)
+        S, N, D = streams["original"].shape
+        cls = np.broadcast_to(self.params["cls"], (S, 1, D))
+        x = {name: np.concatenate([cls, np.zeros((S, K, D)), visuals], axis=1)
+             for name, visuals in streams.items() if K or name == "original"}
+        heads = np.empty((self.config.layers + 1, S, 1 + K, D))
+        masks = np.empty((self.config.layers, S, K, N))
+        heads[0] = x["original"][:, :1 + K]
+        for l in range(self.config.layers):
+            for name in x:
+                x[name] = self._layer(x[name], l)
+                if not np.all(np.isfinite(x[name])):
                     raise ad.NonFiniteError(f"non-finite {name} activation at layer {l}")
-            v_o = x_o[:, 1 + K:]
-            cgp = rg.compute_cgp(v_o, x_c[:, 1 + K:])            # (S, N, D)
-            masks[l], pooled = rg.layer_region_state(cgp, v_o, regions, alpha)
-            x_o[:, 1:1 + K] += pooled                            # intra-layer residual
-            x_c[:, 1:1 + K] = x_o[:, 1:1 + K]
+            x_o = x["original"]
+            if K:
+                v_o = x_o[:, 1 + K:]
+                cgp = rg.compute_cgp(v_o, x["counterpart"][:, 1 + K:])   # (S, N, D)
+                masks[l], pooled = rg.layer_region_state(cgp, v_o, regions, alpha)
+                x_o[:, 1:1 + K] += pooled                            # intra-layer residual
+                x["counterpart"][:, 1:1 + K] = x_o[:, 1:1 + K]
             heads[l + 1] = x_o[:, :1 + K]
         return heads, masks
 

@@ -202,19 +202,30 @@ def test_hvp_via_finite_difference_of_gradients():
     assert np.allclose(hv, (gp - gm) / (2 * h), atol=1e-6)
 
 
-def test_matmul_builds_no_cotangent_for_a_constant_operand():
-    # the cubic sum((X w)^3) has the closed-form Hessian 6 X^T diag(X w) X;
-    # its constant X gets no cotangent node, on either side of the product
+def test_backward_builds_no_cotangent_for_a_constant_operand():
+    # only w requires grad, and every other operand of add, mul and matmul
+    # is a constant whose pullback never runs: the backward appends the
+    # seed, the sum's pullback, and then only the nodes on the path to w
     rng = np.random.default_rng(10)
-    X = rng.normal(size=(6, 4))
+    X, Y = rng.normal(size=(6, 4)), rng.normal(size=(6, 2))
+    b, c = rng.normal(size=1), rng.normal(size=1)
     w0 = rng.normal(size=4)
-    with ad.Tape():
+    tape = ad.Tape()
+    with tape:
         w = ad.leaf(w0, requires_grad=True)
-        for out, const in ((ad.matmul(X, w), 0), (ad.matmul(w, X.T), 1)):
-            cts = out.vjp(ad.leaf(np.ones(6)))
-            assert cts[const] is None
-            assert np.allclose(cts[1 - const].data, X.sum(axis=0), rtol=1e-14, atol=0.0)
+        out = ad.sum_(ad.matmul(ad.mul(ad.add(ad.matmul(X, w), b), c), Y))
+    start = len(tape.nodes)
+    (g,) = ad.grad_nodes(out, tape, [w])
+    # a cotangent for b or c would add a sum each (they broadcast), and
+    # one for the 1-D-by-2-D product's Y could not even swap its axes
+    assert [n.op for n in tape.nodes[start:]] == [
+        "input", "reshape", "broadcast_to",   # seed, then sum_
+        "swapaxes", "matmul",                 # matmul(., Y)
+        "mul",                                # mul(., c); add(., b) passes ct on
+        "swapaxes", "matmul"]                 # matmul(X, .)
+    assert np.allclose(g.data, X.T @ (c * Y.sum(axis=1)), rtol=1e-14, atol=0.0)
 
+    # the cubic sum((X w)^3) has the closed-form Hessian 6 X^T diag(X w) X
     def graph(views, data):
         z = ad.matmul(data, views["w"])
         return ad.sum_(ad.mul(z, ad.mul(z, z)))

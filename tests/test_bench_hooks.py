@@ -16,6 +16,7 @@ sys.path[:0] = [os.path.join(os.path.dirname(BENCH), "src"), BENCH]
 from corlab import harness as hn  # noqa: E402
 from corlab import model as md  # noqa: E402
 from corlab import optim as op  # noqa: E402
+from corlab import regions as rg  # noqa: E402
 from corlab import tasks as tk  # noqa: E402
 
 from tracing import SPAN_HOOKS, CalibratedClock, Meter, Tracer, patched  # noqa: E402
@@ -49,6 +50,22 @@ def test_probe_training_records_no_autodiff_tape():
     assert tracer.calls[("setup", "optim.logistic_loss_and_grad")] == 2 * cfg.steps
     assert ("setup", "autodiff.loss_and_gradient") not in tracer.calls
     assert tracer.counts.get(("setup", "autodiff.tape_nodes"), 0) == 0
+
+
+def test_each_encoder_call_is_one_span_over_its_samples():
+    # the encoders share one forward but neither calls the other, so a
+    # traced call is one span of its own name and counts its S samples once
+    enc = md.FrozenEncoder(md.EncoderConfig(layers=2))
+    x = np.random.default_rng(0).normal(size=(5, 16, 32))
+    for name, run in (("model.encode_plain", lambda: enc.encode_plain(x)),
+                      ("model.encode_corit",
+                       lambda: enc.encode_corit(x, x + 1.0, rg.grid_partition(4), 0.5))):
+        tracer = Tracer(CalibratedClock())
+        with patched(tracer.hooks()):
+            run()
+        assert {n for _, n in tracer.calls if n.startswith("model.encode_")} == {name}
+        assert tracer.calls[("setup", name)] == 1
+        assert tracer.counts[("setup", "model.encoded_samples")] == x.shape[0]
 
 
 def small_config(**kw) -> hn.RunConfig:

@@ -173,6 +173,21 @@ def test_divergent_run_exits_3(config_path, tmp_path):
     assert cli.main(["train", "--config", str(path), "--quiet"]) == 3
 
 
+def test_singular_surrogate_exits_3(tmp_path, capsys):
+    # full attenuation zeroes 8 feature columns, so the quadratic
+    # surrogate's solve is singular: a numerical failure, not a config
+    # error, though LinAlgError subclasses ValueError
+    cfg = hn.RunConfig(task=tk.TaskSpec(n_train=40, n_test=40),
+                       encoder=md.EncoderConfig(semantic_bias=True,
+                                                bias_channels=tuple(range(24, 32)),
+                                                bias_attenuation=0.0),
+                       loss="quadratic", standardize="center")
+    path = tmp_path / "singular.json"
+    path.write_text(json.dumps(cfg.to_dict()))
+    assert cli.main(["train", "--config", str(path), "--quiet"]) == 3
+    assert "numerical failure" in capsys.readouterr().err
+
+
 def test_compare_refuses_failed_runs(tmp_path, capsys):
     from dataclasses import replace
     path = tmp_path / "blown.json"

@@ -177,12 +177,37 @@ def test_zero_region_paired_forward_reduces_to_plain():
     assert masks.shape == (cfg0.layers, 2, 0, cfg0.visual_tokens)
 
 
+def test_zero_region_forward_runs_one_stream_but_checks_both(monkeypatch):
+    # encode_plain and the K = 0 paired forward run one stream, L ceil(S/32)
+    # block calls; with regions the counterpart runs too, twice as many
+    enc = md.FrozenEncoder(CFG)
+    x = sample_tokens(n=70)
+    layers = []
+    block = md.FrozenEncoder.block
+    monkeypatch.setattr(md.FrozenEncoder, "block",
+                        lambda self, y, l: layers.append(l) or block(self, y, l))
+    one = CFG.layers * -(-x.shape[0] // md._BLOCK_SAMPLES)
+    for run, calls in ((lambda: enc.encode_plain(x), one),
+                       (lambda: enc.encode_corit(x, x + 0.5, [], alpha=0.5), one),
+                       (lambda: enc.encode_corit(x, x + 0.5, rg.grid_partition(4),
+                                                 alpha=0.5), 2 * one)):
+        layers.clear()
+        run()
+        assert len(layers) == calls
+    # the counterpart is unread at K = 0 but must still be finite
+    layers.clear()
+    with pytest.raises(ad.NonFiniteError, match="counterpart"):
+        enc.encode_corit(x, np.full_like(x, np.nan), [], alpha=0.5)
+    assert layers == []
+
+
 def test_encode_corit_validation():
     enc = md.FrozenEncoder(CFG)
     x = sample_tokens()
     regions = rg.grid_partition(4)
-    with pytest.raises(ValueError):
-        enc.encode_corit(x, x, regions, alpha=-1.0)
+    for k in (3, 0):                    # alpha is checked with or without regions
+        with pytest.raises(ValueError, match="alpha"):
+            enc.encode_corit(x, x, regions[:k], alpha=-1.0)
     with pytest.raises(ValueError):
         enc.encode_corit(x, x[:, :8], regions, alpha=0.5)
     # a region must be a nonempty index set over the visual tokens; the
