@@ -181,12 +181,15 @@ def log(a):
     return _node(np.log(a.data), (a,), (lambda ct: div(ct, a),), "log")
 
 
-def tanh(a):
+def sigmoid(a):
+    """1 / (1 + exp(-a)); exp overflows to inf below a ~ -709, where the
+    quotient is the exact limit 0 and the pullback ct s (1 - s) stays 0."""
     if not _graph_mode(a):
-        return np.tanh(val(a))
-    out_node = _node(np.tanh(a.data), (a,), None, "tanh")
+        with np.errstate(over="ignore"):
+            return 1.0 / (1.0 + np.exp(-val(a)))
+    out_node = _node(sigmoid(a.data), (a,), None, "sigmoid")
     if out_node.requires_grad:
-        out_node.vjp = (lambda ct: mul(ct, sub(1.0, mul(out_node, out_node))),)
+        out_node.vjp = (lambda ct: mul(ct, mul(out_node, sub(1.0, out_node))),)
     return out_node
 
 
@@ -320,8 +323,8 @@ def softplus(x):
 
 
 def gelu(x):
-    # tanh approximation; the cube by multiplication, since libm pow is
-    # about 20x slower than two multiplies on encoder-sized arrays
+    # tanh approximation as x sigmoid(2u) = 0.5 x (1 + tanh u): exp costs far
+    # less than tanh, and two multiplies for the cube far less than libm pow
     if not _graph_mode(x):
         # the graph's operations in its order, in place in one new array;
         # only commutative operands swap, so every bit matches graph mode
@@ -330,13 +333,15 @@ def gelu(x):
         t *= x
         t *= 0.044715
         t += x
-        t *= np.sqrt(2.0 / np.pi)
-        np.tanh(t, out=t)
+        t *= -2.0 * np.sqrt(2.0 / np.pi)
+        with np.errstate(over="ignore"):     # below x ~ -21: sigmoid 0
+            np.exp(t, out=t)
         t += 1.0
-        t *= 0.5 * x
+        np.divide(1.0, t, out=t)
+        t *= x
         return t
-    inner = mul(np.sqrt(2.0 / np.pi), add(x, mul(0.044715, mul(mul(x, x), x))))
-    return mul(mul(0.5, x), add(1.0, tanh(inner)))
+    u2 = mul(2.0 * np.sqrt(2.0 / np.pi), add(x, mul(0.044715, mul(mul(x, x), x))))
+    return mul(x, sigmoid(u2))
 
 
 def layer_norm(x, eps: float = 1e-5):

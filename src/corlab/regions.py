@@ -68,7 +68,7 @@ def layer_region_state(cgp: np.ndarray, visuals: np.ndarray,
     M = np.zeros((len(regions), cgp.shape[-2]))
     for k, idx in enumerate(regions):
         M[k, list(idx)] = 1.0
-    c = np.einsum("kn,...nd->...kd", M, cgp) / M.sum(axis=1)[:, None]
+    c = (M @ cgp) / M.sum(axis=1)[:, None]
     norm = np.linalg.norm(c, axis=-1)
     scale = np.einsum("kn,...n->...k", M, np.linalg.norm(cgp, axis=-1)) / M.sum(axis=1)
     d = c / np.where(norm > ANCHOR_REL_FLOOR * scale, norm, np.inf)[..., None]

@@ -38,7 +38,7 @@ def test_primitives_match_numpy_out_of_graph():
     assert np.allclose(ad.mean(a, axis=0), a.mean(axis=0))
     assert np.array_equal(ad.reshape(a, (4, 3)), a.reshape(4, 3))
     assert np.array_equal(ad.swapaxes(a, 0, 1), a.T)
-    assert np.allclose(ad.tanh(a), np.tanh(a))
+    assert np.allclose(ad.sigmoid(a), 1.0 / (1.0 + np.exp(-a)))
     assert np.allclose(ad.exp(a), np.exp(a))
 
 
@@ -69,7 +69,7 @@ def test_grad_check_on_composite_graph():
     X = rng.normal(size=(6, 4))
 
     def graph(views, data):
-        h = ad.tanh(ad.matmul(data, ad.reshape(views["w"], (4, 3))))
+        h = ad.sigmoid(ad.matmul(data, ad.reshape(views["w"], (4, 3))))
         return ad.mean(ad.mul(h, h))
 
     pv = ad.ParamVector({"w": rng.normal(size=12)})
@@ -122,6 +122,21 @@ def test_numpy_gelu_is_bit_identical_to_graph_mode_and_keeps_its_input():
         assert not np.shares_memory(out, big)
         assert np.array_equal(big, before)
     assert np.array_equal(ad.gelu(0.5), ad.gelu(np.array([0.5]))[0])
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_gelu_underflows_quietly_with_finite_gradients():
+    # below x ~ -21 the exp inside GELU's sigmoid overflows; the value is
+    # then the exact limit -0.0, with no warning, and the graph-mode
+    # gradient stays finite (a plain quotient would give 0 * inf there)
+    x = np.array([-40.0, -25.0, -21.0])
+    out = ad.gelu(x)
+    assert np.all(out <= 0.0) and np.all(np.abs(out) < 1e-290)
+    assert np.signbit(out[:2]).all() and np.all(out[:2] == 0.0)
+    with ad.Tape():
+        assert np.array_equal(ad.val(ad.gelu(ad.leaf(x))), out)
+    g = grad_of(lambda views, data: ad.sum_(ad.gelu(views["w"])), x)
+    assert np.all(np.isfinite(g)) and np.all(np.abs(g) < 1e-290)
 
 
 def test_gradient_through_slice_concat():

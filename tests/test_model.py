@@ -47,10 +47,17 @@ def test_encode_plain_shapes_and_unbatched_input():
     heads = enc.encode_plain(x)
     assert heads.shape == (CFG.layers + 1, 3, 1, CFG.dim)
     seq = np.concatenate([np.broadcast_to(enc.params["cls"], (3, 1, CFG.dim)), x], axis=1)
-    for l in range(CFG.layers + 1):
+    last = CFG.layers - 1
+    for l in range(last + 1):
         assert np.array_equal(heads[l], seq[:, :1])
-        if l < CFG.layers:
+        if l < last:
             seq = enc.block(seq, l)
+    # the last layer computes the CLS row alone; numpy's one-row products
+    # take another BLAS path than the rows of the full ones, so the full
+    # block's CLS row differs from it at rounding level only
+    assert np.array_equal(heads[-1], enc._block(seq, last, 1))
+    full = enc.block(seq, last)[:, :1]
+    assert np.max(np.abs(heads[-1] - full)) <= 1e-15 * np.max(np.abs(full))
     # encoders take (S, N, D) only: one unbatched sample or a wrong token
     # count or width is refused, not broadcast
     for bad in (x[0], x[:, :8], x[..., :8], x[None]):
@@ -86,7 +93,9 @@ def test_block_graph_mode_matches_numpy_mode():
         t = ad.leaf(np.concatenate([enc.params["cls"][None], x]),
                     requires_grad=True)
         slow = enc.block(t, 0)
+        head = enc._block(t, 0, 1)          # the CLS-only last-layer form
     assert np.allclose(fast, ad.val(slow), atol=1e-12)
+    assert np.allclose(fast[:1], ad.val(head), atol=1e-12)
 
 
 def _closed_form_score_bound(enc):
@@ -179,13 +188,14 @@ def test_zero_region_paired_forward_reduces_to_plain():
 
 def test_zero_region_forward_runs_one_stream_but_checks_both(monkeypatch):
     # encode_plain and the K = 0 paired forward run one stream, L ceil(S/32)
-    # block calls; with regions the counterpart runs too, twice as many
+    # calls of the one block implementation (the last layer's CLS-only ones
+    # included); with regions the counterpart runs too, twice as many
     enc = md.FrozenEncoder(CFG)
     x = sample_tokens(n=70)
     layers = []
-    block = md.FrozenEncoder.block
-    monkeypatch.setattr(md.FrozenEncoder, "block",
-                        lambda self, y, l: layers.append(l) or block(self, y, l))
+    block = md.FrozenEncoder._block
+    monkeypatch.setattr(md.FrozenEncoder, "_block", lambda self, y, l, rows:
+                        layers.append(l) or block(self, y, l, rows))
     one = CFG.layers * -(-x.shape[0] // md._BLOCK_SAMPLES)
     for run, calls in ((lambda: enc.encode_plain(x), one),
                        (lambda: enc.encode_corit(x, x + 0.5, [], alpha=0.5), one),
