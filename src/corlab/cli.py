@@ -46,18 +46,13 @@ def _report(args, name: str, payload: dict) -> None:
 
 
 def cmd_train(args) -> int:
+    """`train`, and `diagnose`: a train run whose rho default is 0 and whose
+    summary also carries the spectral estimates."""
     cfg = _load_config(args)
-    res = hn.run_train(cfg, out_dir=args.out)
-    _emit(args, json.dumps(res.summary(), sort_keys=True))
-    return EXIT_NUMERICAL if res.failed else EXIT_OK
-
-
-def cmd_diagnose(args) -> int:
-    cfg = _load_config(args)
-    cfg = replace(cfg, optimizer=replace(cfg.optimizer, rho=0.0))
     res = hn.run_train(cfg, out_dir=args.out)
     payload = res.summary()
-    payload["estimates"] = [e.to_dict() for e in res.estimates]
+    if args.command == "diagnose":
+        payload["estimates"] = [e.to_dict() for e in res.estimates]
     _emit(args, json.dumps(payload, sort_keys=True))
     return EXIT_NUMERICAL if res.failed else EXIT_OK
 
@@ -108,7 +103,8 @@ def build_parser() -> argparse.ArgumentParser:
     sweep = command("sweep-rho", cmd_sweep, "collapse sweep with bisection")
     sweep.add_argument("--rhos", default="0.005,0.02,0.08",
                        help="comma-separated ascending rho list")
-    command("diagnose", cmd_diagnose, "rho=0 run with spectral diagnostics")
+    command("diagnose", cmd_train,
+            "rho=0 run with spectral diagnostics").set_defaults(rho=0.0)
     verify = command("verify-theorem", cmd_verify, "factorization identity campaign",
                      config=False)
     verify.add_argument("--instances", type=int, default=100)

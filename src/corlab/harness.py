@@ -176,9 +176,8 @@ def build_features(config: RunConfig) -> FeatureSet:
     def head_features(tokens: np.ndarray) -> np.ndarray:
         if config.head == "plain-probe":
             return md.plain_feature(enc.encode_plain(tokens))
-        side = int(round(np.sqrt(config.task.n_tokens)))
         heads, _ = enc.encode_corit(tokens, config.counterpart.apply(tokens),
-                                    rg.grid_partition(side), config.alpha)
+                                    rg.grid_partition(config.task.n_tokens), config.alpha)
         return md.hri_fuse(heads, config.l_mid)
 
     F_tr = head_features(ds_tr.tokens)

@@ -248,10 +248,13 @@ class FrozenEncoder:
                 self._layer(x[name], l, name, None if K or l < last else 1)
             x_o = x["original"]
             if K:
+                # no (S, N, D) discrepancy field or (S, K, D) pooled tokens
+                # outlive this pass into the next layer's blocks
                 v_o = x_o[:, 1 + K:]
-                cgp = rg.compute_cgp(v_o, x["counterpart"][:, 1 + K:])   # (S, N, D)
-                masks[l], pooled = rg.layer_region_state(cgp, v_o, regions, alpha)
+                masks[l], pooled = rg.layer_region_state(
+                    rg.compute_cgp(v_o, x["counterpart"][:, 1 + K:]), v_o, regions, alpha)
                 x_o[:, 1:1 + K] += pooled                            # intra-layer residual
+                del pooled
                 x["counterpart"][:, 1:1 + K] = x_o[:, 1:1 + K]
             heads[l + 1] = x_o[:, :1 + K]
         return heads, masks

@@ -4,6 +4,8 @@ given as index sets over the visual tokens."""
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 POOL_EPSILON = 1e-6
@@ -11,14 +13,19 @@ ANCHOR_REL_FLOOR = 1e-12   # degenerate anchor: centroid norm <= this x mean tok
 REGION_LABELS = ("foreground", "boundary", "background")   # grid_partition order
 
 
-def grid_partition(side: int) -> list[tuple[int, ...]]:
-    """Foreground / boundary / background index sets of a side x side grid,
-    in `REGION_LABELS` order.
+def grid_partition(n_tokens: int) -> list[tuple[int, ...]]:
+    """Foreground / boundary / background index sets of n_tokens visual
+    tokens laid out as a square grid, in `REGION_LABELS` order.
 
     The inner block is foreground, the four corners are background, and
-    the remaining ring is boundary.  For the default 4x4 grid this gives
-    the inner 2x2, the 8-token ring, and the 4 corners.
+    the remaining ring is boundary.  For the default 16 tokens (4x4) this
+    gives the inner 2x2, the 8-token ring, and the 4 corners.  This is the
+    one place that works out the grid side; a count that is not a perfect
+    square raises.
     """
+    side = math.isqrt(n_tokens)
+    if side * side != n_tokens:
+        raise ValueError(f"n_tokens ({n_tokens}) must be a square token grid")
     fg, bg, ring = [], [], []
     for r in range(side):
         for c in range(side):

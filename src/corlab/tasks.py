@@ -12,13 +12,6 @@ from . import fields
 from . import regions as rg
 
 
-def _region_indices(label: str, n_tokens: int) -> tuple[int, ...]:
-    side = int(round(np.sqrt(n_tokens)))
-    if side * side != n_tokens:
-        raise ValueError("region labels require a square token grid")
-    return rg.grid_partition(side)[rg.REGION_LABELS.index(label)]
-
-
 def _unit_pattern(seed_key: tuple, shape: tuple) -> np.ndarray:
     """Fixed pseudo-random unit-norm pattern for a given structural key."""
     import hashlib
@@ -27,6 +20,18 @@ def _unit_pattern(seed_key: tuple, shape: tuple) -> np.ndarray:
     entropy = int.from_bytes(digest[:8], "little")
     v = np.random.default_rng(np.random.SeedSequence(entropy)).normal(size=shape)
     return v / np.linalg.norm(v)
+
+
+def _region_pattern(key: tuple, region: str, channels: tuple[int, ...],
+                    n_tokens: int, dim: int) -> np.ndarray:
+    """(n_tokens, dim) pattern, seeded by `key` (a name and a seed) with the
+    channels and region: unit norm, exactly zero outside the `region`
+    tokens of the grid and the given channels."""
+    idx = rg.grid_partition(n_tokens)[rg.REGION_LABELS.index(region)]
+    pat = np.zeros((n_tokens, dim))
+    pat[np.ix_(idx, channels)] = _unit_pattern((*key, channels, region),
+                                               (len(idx), len(channels)))
+    return pat
 
 
 @dataclass(frozen=True)
@@ -46,8 +51,7 @@ class TaskSpec:
         for name, lo in (("n_tokens", 1), ("dim", 1), ("n_train", 2), ("n_test", 2),
                          ("seed", 0)):   # n_train, n_test >= 2: both classes appear
             fields.integer(name, getattr(self, name), lo)
-        if round(np.sqrt(self.n_tokens)) ** 2 != self.n_tokens:
-            raise ValueError(f"n_tokens ({self.n_tokens}) must be a square token grid")
+        rg.grid_partition(self.n_tokens)   # raises unless the tokens form a square grid
         fields.choice("artifact_region", self.artifact_region, rg.REGION_LABELS)
         for name in ("semantic_amp", "artifact_amp"):
             fields.real(name, getattr(self, name), None, strict=False)
@@ -58,24 +62,16 @@ class TaskSpec:
         if self.artifact_amp > 0 and not self.artifact_channels:
             raise ValueError("artifact_amp > 0 requires nonempty artifact_channels")
 
-    @property
-    def semantic_channels(self) -> tuple[int, ...]:
-        return tuple(c for c in range(self.dim) if c not in self.artifact_channels)
-
     def artifact_pattern(self) -> np.ndarray:
         """(N, D) pattern: unit norm, exactly zero outside the artifact
         region tokens and artifact channels."""
-        idx = _region_indices(self.artifact_region, self.n_tokens)
-        sub = _unit_pattern(("artifact", self.seed, self.artifact_channels,
-                             self.artifact_region),
-                            (len(idx), len(self.artifact_channels)))
-        pat = np.zeros((self.n_tokens, self.dim))
-        pat[np.ix_(idx, self.artifact_channels)] = sub
-        return pat
+        return _region_pattern(("artifact", self.seed), self.artifact_region,
+                               self.artifact_channels, self.n_tokens, self.dim)
 
     def semantic_pattern(self) -> np.ndarray:
-        """(N, D) global mean shift on the semantic channels, unit norm."""
-        ch = self.semantic_channels
+        """(N, D) global mean shift on the channels outside
+        `artifact_channels`, unit norm."""
+        ch = tuple(c for c in range(self.dim) if c not in self.artifact_channels)
         row = _unit_pattern(("semantic", self.seed, ch), (len(ch),))
         pat = np.zeros((self.n_tokens, self.dim))
         pat[:, list(ch)] = row
@@ -99,23 +95,18 @@ def _sample_noise(spec: TaskSpec, split: str, index: int) -> np.ndarray:
 
 
 def generate(spec: TaskSpec, split: str) -> Dataset:
-    """Deterministic balanced dataset; fake samples carry the semantic and
-    artifact patterns, real samples carry only noise."""
+    """Deterministic balanced dataset: samples alternate real, fake, so
+    |#real - #fake| <= 1.  Fake samples carry the semantic and artifact
+    patterns, added in that order; real samples carry only noise."""
     if split not in ("train", "test"):
         raise ValueError("split must be 'train' or 'test'")
     n = spec.n_train if split == "train" else spec.n_test
-    sem = spec.semantic_amp * spec.semantic_pattern()
-    art = spec.artifact_amp * spec.artifact_pattern()
     tokens = np.empty((n, spec.n_tokens, spec.dim))
-    labels = np.empty(n, dtype=np.uint8)
     for i in range(n):
-        label = i % 2  # balanced, |#real - #fake| <= 1
-        x = _sample_noise(spec, split, i)
-        if label == 1:
-            x = x + sem + art
-        tokens[i] = x
-        labels[i] = label
-    return Dataset(tokens, labels)
+        tokens[i] = _sample_noise(spec, split, i)
+    tokens[1::2] += spec.semantic_amp * spec.semantic_pattern()
+    tokens[1::2] += spec.artifact_amp * spec.artifact_pattern()
+    return Dataset(tokens, (np.arange(n) % 2).astype(np.uint8))
 
 
 @dataclass(frozen=True)
@@ -136,13 +127,8 @@ class CounterpartOp:
                            fields.channels("target_channels", self.target_channels, None))
 
     def pattern(self, n_tokens: int, dim: int) -> np.ndarray:
-        idx = _region_indices(self.target_region, n_tokens)
-        sub = _unit_pattern(("counterpart", self.seed, self.target_channels,
-                             self.target_region),
-                            (len(idx), len(self.target_channels)))
-        pat = np.zeros((n_tokens, dim))
-        pat[np.ix_(idx, self.target_channels)] = sub
-        return pat
+        return _region_pattern(("counterpart", self.seed), self.target_region,
+                               self.target_channels, n_tokens, dim)
 
     def apply(self, tokens: np.ndarray) -> np.ndarray:
         """Counterpart tokens; label semantics are unchanged by design."""

@@ -64,7 +64,7 @@ def test_encode_plain_shapes_and_unbatched_input():
         with pytest.raises(ValueError):
             enc.encode_plain(bad)
         with pytest.raises(ValueError):
-            enc.encode_corit(bad, bad, rg.grid_partition(4), alpha=0.5)
+            enc.encode_corit(bad, bad, rg.grid_partition(16), alpha=0.5)
     with pytest.raises(ad.NonFiniteError):
         enc.encode_plain(np.full_like(x, np.nan))
 
@@ -151,7 +151,7 @@ def test_attention_scores_stay_bounded_on_huge_inputs():
 def test_paired_streams_with_identical_inputs_are_inert():
     enc = md.FrozenEncoder(CFG)
     x = sample_tokens(n=2)
-    regions = rg.grid_partition(4)
+    regions = rg.grid_partition(16)
     heads, masks = enc.encode_corit(x, x.copy(), regions, alpha=0.0)
     # zero discrepancy everywhere: no masks fire even at alpha 0, nothing is
     # pooled, and the heads are those of the forward without injection
@@ -170,7 +170,7 @@ def test_paired_streams_diverge_under_a_real_counterpart():
     x = sample_tokens(n=2)
     x2 = x.copy()
     x2[:, 5:7, :] += 1.0  # foreground tokens perturbed
-    regions = rg.grid_partition(4)
+    regions = rg.grid_partition(16)
     heads, masks = enc.encode_corit(x, x2, regions, alpha=0.25)
     assert np.any(masks != 0.0)
     assert heads.shape == (CFG.layers + 1, 2, 1 + 3, CFG.dim)
@@ -199,7 +199,7 @@ def test_zero_region_forward_runs_one_stream_but_checks_both(monkeypatch):
     one = CFG.layers * -(-x.shape[0] // md._BLOCK_SAMPLES)
     for run, calls in ((lambda: enc.encode_plain(x), one),
                        (lambda: enc.encode_corit(x, x + 0.5, [], alpha=0.5), one),
-                       (lambda: enc.encode_corit(x, x + 0.5, rg.grid_partition(4),
+                       (lambda: enc.encode_corit(x, x + 0.5, rg.grid_partition(16),
                                                  alpha=0.5), 2 * one)):
         layers.clear()
         run()
@@ -214,7 +214,7 @@ def test_zero_region_forward_runs_one_stream_but_checks_both(monkeypatch):
 def test_encode_corit_validation():
     enc = md.FrozenEncoder(CFG)
     x = sample_tokens()
-    regions = rg.grid_partition(4)
+    regions = rg.grid_partition(16)
     for k in (3, 0):                    # alpha is checked with or without regions
         with pytest.raises(ValueError, match="alpha"):
             enc.encode_corit(x, x, regions[:k], alpha=-1.0)
@@ -242,7 +242,7 @@ def test_encoders_are_exact_under_any_sample_split():
     split = [enc.encode_plain(x[p]) for p in parts]
     assert np.array_equal(whole, np.concatenate(split, axis=1))
 
-    regions = rg.grid_partition(4)
+    regions = rg.grid_partition(16)
     heads, masks = enc.encode_corit(x, cp, regions, alpha=0.25)
     split = [enc.encode_corit(x[p], cp[p], regions, alpha=0.25) for p in parts]
     assert masks.any()
@@ -258,7 +258,7 @@ def test_encoders_are_exact_under_any_block_size(monkeypatch, block):
     x = sample_tokens(seed=5, n=90)
     cp = x.copy()
     cp[:, 2:6, :] -= 1.0
-    regions = rg.grid_partition(4)
+    regions = rg.grid_partition(16)
 
     def encode(size):
         monkeypatch.setattr(md, "_BLOCK_SAMPLES", size)
@@ -270,33 +270,61 @@ def test_encoders_are_exact_under_any_block_size(monkeypatch, block):
         assert np.array_equal(got, want)
 
 
-def _peak_bytes(run) -> int:
+def _peak_and_output_bytes(run) -> tuple[int, int]:
+    """`tracemalloc` peak of run(), and the bytes of the arrays it returns."""
     tracemalloc.start()
     try:
-        run()
-        return tracemalloc.get_traced_memory()[1]
+        out = run()
+        peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+    return peak, sum(a.nbytes for a in (out if isinstance(out, tuple) else (out,)))
 
 
 def test_encoder_peak_memory_does_not_grow_with_depth():
     # only the per-layer head tokens and masks outlive a layer, so the peak
-    # is one layer's working set whatever the depth
+    # grows with depth by the size of the extra outputs alone
     x = np.random.default_rng(4).normal(size=(400, 16, 32))
     cp = x.copy()
     cp[:, 5:7, :] += 1.0
-    regions = rg.grid_partition(4)
+    regions = rg.grid_partition(16)
     shallow, deep = (md.FrozenEncoder(md.EncoderConfig(layers=l)) for l in (2, 8))
     for run in (lambda enc: enc.encode_corit(x, cp, regions, alpha=0.25),
                 lambda enc: enc.encode_plain(x)):
-        ratio = _peak_bytes(lambda: run(deep)) / _peak_bytes(lambda: run(shallow))
-        assert ratio <= 1.3, ratio
+        peak_s, out_s = _peak_and_output_bytes(lambda: run(shallow))
+        peak_d, out_d = _peak_and_output_bytes(lambda: run(deep))
+        assert peak_d - peak_s <= out_d - out_s + 16 * 1024, (peak_d - peak_s, out_d - out_s)
+
+
+def test_no_region_field_outlives_its_layer(monkeypatch):
+    # the discrepancy field and pooled tokens of one layer's region pass are
+    # freed before the next layer's blocks run, so memory held when each
+    # layer starts is that of layer 0
+    enc = md.FrozenEncoder(md.EncoderConfig(layers=4))
+    x = np.random.default_rng(5).normal(size=(400, 16, 32))
+    cp = x.copy()
+    cp[:, 5:7, :] += 1.0
+    held, block = {}, enc.block
+
+    def traced_block(xb, l):
+        held.setdefault(l, tracemalloc.get_traced_memory()[0])
+        return block(xb, l)
+
+    monkeypatch.setattr(enc, "block", traced_block)
+    tracemalloc.start()
+    try:
+        enc.encode_corit(x, cp, rg.grid_partition(16), alpha=0.25)
+    finally:
+        tracemalloc.stop()
+    assert sorted(held) == [0, 1, 2, 3]
+    for l in held:
+        assert abs(held[l] - held[0]) <= 64 * 1024, (l, held[l] - held[0])
 
 
 def test_hri_fuse_concatenates_mid_and_final_layers():
     enc = md.FrozenEncoder(CFG)
     x = sample_tokens(n=4)
-    heads, _ = enc.encode_corit(x, x + 0.1, rg.grid_partition(4), alpha=0.5)
+    heads, _ = enc.encode_corit(x, x + 0.1, rg.grid_partition(16), alpha=0.5)
     feats = md.hri_fuse(heads, l_mid=2)
     K, D = 3, CFG.dim
     assert feats.shape == (4, 2 * (1 + K) * D)

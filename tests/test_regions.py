@@ -2,6 +2,9 @@
 region anchors and refinement masks through `layer_region_state`, and
 pooling."""
 
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -32,11 +35,29 @@ def reference_region_state(cgp, visuals, regions, alpha):
 
 def test_grid_partition_4x4_exact_index_sets():
     assert rg.REGION_LABELS == ("foreground", "boundary", "background")
-    fg, ring, bg = rg.grid_partition(4)
+    fg, ring, bg = rg.grid_partition(16)
     assert fg == (5, 6, 9, 10)
     assert ring == (1, 2, 4, 7, 8, 11, 13, 14)
     assert bg == (0, 3, 12, 15)
     assert sorted(fg + ring + bg) == list(range(16))
+
+
+def test_only_regions_works_out_the_grid_side():
+    # `rg.grid_partition` owns the square layout of the visual tokens; any
+    # other module taking a root of a token count would duplicate it
+    def roots_a_token_count(node):
+        if isinstance(node, ast.Call):
+            name = getattr(node.func, "attr", getattr(node.func, "id", ""))
+            arg = node.args[0] if name in ("sqrt", "isqrt") and node.args else None
+        elif isinstance(node, ast.BinOp) and isinstance(node.op, ast.Pow):
+            arg = node.left if getattr(node.right, "value", None) == 0.5 else None
+        else:
+            return False
+        return arg is not None and "token" in ast.unparse(arg)
+
+    owners = {path.stem for path in Path(rg.__file__).parent.glob("*.py")
+              if any(roots_a_token_count(n) for n in ast.walk(ast.parse(path.read_text())))}
+    assert owners == {"regions"}
 
 
 def test_region_spec_sorts_and_rejects_empty():
@@ -109,7 +130,7 @@ def test_refine_mask_thresholds_in_region_projections():
 def test_refine_mask_degenerate_anchor_is_empty():
     visuals = np.random.default_rng(5).normal(size=(2, 16, 3))
     masks, pooled = rg.layer_region_state(np.zeros((2, 16, 3)), visuals,
-                                          rg.grid_partition(4), 0.5)
+                                          rg.grid_partition(16), 0.5)
     assert masks.shape == (2, 3, 16) and not masks.any()
     assert np.array_equal(pooled, np.zeros((2, 3, 3)))
     # a foreground (5, 6, 9, 10) that sums to about 1e-16, not to 0, is
@@ -119,7 +140,7 @@ def test_refine_mask_degenerate_anchor_is_empty():
     cgp[10] = -(cgp[5] + (cgp[6] + cgp[9]))
     visuals = rng.normal(size=(16, 32))
     for alpha in (0.75, 5.0):
-        masks, pooled = rg.layer_region_state(cgp, visuals, rg.grid_partition(4), alpha)
+        masks, pooled = rg.layer_region_state(cgp, visuals, rg.grid_partition(16), alpha)
         assert not masks[0].any()
         assert np.array_equal(pooled[0], np.zeros(32))
 
@@ -136,7 +157,7 @@ def test_layer_region_state_assembles_all_regions():
     rng = np.random.default_rng(1)
     cgp = rng.normal(size=(16, 4))
     visuals = rng.normal(size=(16, 4))
-    regions = rg.grid_partition(4)
+    regions = rg.grid_partition(16)
     masks, pooled = rg.layer_region_state(cgp, visuals, regions, alpha=0.5)
     assert masks.shape == (3, 16)
     assert pooled.shape == (3, 4)
@@ -156,7 +177,7 @@ def test_batched_layer_region_state_equals_per_sample_calls():
     cgp[3] = 0.0                    # zero centroids: empty masks, zero pooling
     cgp[5, 6] = -cgp[5, 5]          # the foreground (5, 6, 9, 10) of sample 5
     cgp[5, 10] = -cgp[5, 9]         # sums to exactly zero
-    regions = rg.grid_partition(4)
+    regions = rg.grid_partition(16)
     for alpha in (0.0, 0.5, 1.5):
         masks, pooled = rg.layer_region_state(cgp, visuals, regions, alpha)
         assert masks.shape == (S, 3, N)

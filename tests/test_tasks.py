@@ -4,6 +4,7 @@ counterpart operator."""
 import numpy as np
 import pytest
 
+from corlab import regions as rg
 from corlab import tasks as tk
 
 
@@ -83,3 +84,31 @@ def test_counterpart_operator_adds_fixed_pattern():
     for bad in ((40,), (-1,)):
         with pytest.raises(ValueError):
             tk.CounterpartOp(target_channels=bad).apply(x)
+
+
+def test_generate_equals_the_per_sample_reference():
+    # fake samples are noise + semantic + artifact, added in that order
+    spec = tk.TaskSpec(semantic_amp=1.5, artifact_amp=2.5, artifact_region="boundary",
+                       n_train=17, n_test=9, seed=6)
+    sem = spec.semantic_amp * spec.semantic_pattern()
+    art = spec.artifact_amp * spec.artifact_pattern()
+    for split in ("train", "test"):
+        ds = tk.generate(spec, split)
+        n = spec.n_train if split == "train" else spec.n_test
+        tokens, labels = [], []
+        for i in range(n):
+            x = tk._sample_noise(spec, split, i)
+            tokens.append(x + sem + art if i % 2 else x)
+            labels.append(i % 2)
+        assert np.array_equal(ds.tokens, np.stack(tokens))
+        assert ds.labels.dtype == np.uint8
+        assert np.array_equal(ds.labels, np.array(labels, dtype=np.uint8))
+
+
+def test_non_square_token_count_fails_with_the_one_regions_message():
+    message = r"n_tokens \(15\) must be a square token grid"
+    for build in (lambda: tk.TaskSpec(n_tokens=15),
+                  lambda: tk.CounterpartOp().apply(np.zeros((2, 15, 32))),
+                  lambda: rg.grid_partition(15)):
+        with pytest.raises(ValueError, match=message):
+            build()
