@@ -112,7 +112,8 @@ def _unbroadcast(ct: "Tensor", shape: tuple) -> "Tensor":
 
 
 # ---------------------------------------------------------------------------
-# primitives (generic: build graph nodes for Tensors, plain numpy otherwise)
+# primitives (generic: build graph nodes for Tensors, plain numpy otherwise;
+# neg, broadcast_to and pad_slice are graph-only adjoints)
 # ---------------------------------------------------------------------------
 
 def add(a, b):
@@ -134,8 +135,7 @@ def sub(a, b):
 
 
 def neg(a):
-    if not _graph_mode(a):
-        return -val(a)
+    """Graph mode only: `sub`'s negated operand."""
     return _node(-a.data, (a,), (neg,), "neg")
 
 
@@ -169,10 +169,8 @@ def div(a, b):
 def exp(a):
     if not _graph_mode(a):
         return np.exp(val(a))
-    out_node = _node(np.exp(a.data), (a,), None, "exp")
-    if out_node.requires_grad:
-        out_node.vjp = (lambda ct: mul(ct, out_node),)
-    return out_node
+    out = _node(np.exp(a.data), (a,), (lambda ct: mul(ct, out),), "exp")
+    return out
 
 
 def log(a):
@@ -187,10 +185,9 @@ def sigmoid(a):
     if not _graph_mode(a):
         with np.errstate(over="ignore"):
             return 1.0 / (1.0 + np.exp(-val(a)))
-    out_node = _node(sigmoid(a.data), (a,), None, "sigmoid")
-    if out_node.requires_grad:
-        out_node.vjp = (lambda ct: mul(ct, mul(out_node, sub(1.0, out_node))),)
-    return out_node
+    out = _node(sigmoid(a.data), (a,), (lambda ct: mul(ct, mul(out, sub(1.0, out))),),
+                "sigmoid")
+    return out
 
 
 def matmul(a, b):
@@ -238,8 +235,7 @@ def sum_(a, axis=None, keepdims: bool = False):
 
 
 def broadcast_to(a, shape):
-    if not _graph_mode(a):
-        return np.broadcast_to(val(a), shape)
+    """Graph mode only: the adjoint of `sum_`."""
     in_shape = a.shape
     return _node(
         np.ascontiguousarray(np.broadcast_to(a.data, shape)),
@@ -258,42 +254,29 @@ def mean(a, axis=None, keepdims: bool = False):
     return mul(sum_(a, axis=axis, keepdims=keepdims), 1.0 / float(n))
 
 
+def _index(ndim: int, axis: int, start: int, stop: int) -> tuple:
+    """Index of the rows [start, stop) along `axis` of an ndim-D array."""
+    sl = [slice(None)] * ndim
+    sl[axis] = slice(start, stop)
+    return tuple(sl)
+
+
 def slice_along(a, axis: int, start: int, stop: int):
     """Contiguous slice along one axis."""
+    idx = _index(val(a).ndim, axis, start, stop)
     if not _graph_mode(a):
-        sl = [slice(None)] * val(a).ndim
-        sl[axis] = slice(start, stop)
-        return val(a)[tuple(sl)]
+        return val(a)[idx]
     in_shape = a.shape
-    sl = [slice(None)] * a.ndim
-    sl[axis] = slice(start, stop)
-    return _node(
-        a.data[tuple(sl)],
-        (a,),
-        (lambda ct: pad_slice(ct, axis, start, in_shape),),
-        "slice",
-    )
+    return _node(a.data[idx], (a,), (lambda ct: pad_slice(ct, axis, start, in_shape),), "slice")
 
 
 def pad_slice(a, axis: int, start: int, shape):
-    """Adjoint of slice_along: embed into zeros of `shape` at offset."""
-
-    def _pad_np(x):
-        out = np.zeros(shape, dtype=np.float64)
-        sl = [slice(None)] * len(shape)
-        sl[axis] = slice(start, start + x.shape[axis])
-        out[tuple(sl)] = x
-        return out
-
-    if not _graph_mode(a):
-        return _pad_np(val(a))
-    width = a.shape[axis]
-    return _node(
-        _pad_np(a.data),
-        (a,),
-        (lambda ct: slice_along(ct, axis, start, start + width),),
-        "pad_slice",
-    )
+    """Graph mode only, the adjoint of `slice_along`: embed into zeros of
+    `shape` at offset."""
+    stop = start + a.shape[axis]
+    out = np.zeros(shape)
+    out[_index(len(shape), axis, start, stop)] = a.data
+    return _node(out, (a,), (lambda ct: slice_along(ct, axis, start, stop),), "pad_slice")
 
 
 def concat(parts, axis: int = 0):
@@ -387,7 +370,7 @@ class ParamVector:
         """Graph views of a flat parameter Tensor, one per named block."""
         out, off = {}, 0
         for k in self.names:
-            n = int(np.prod(self.shapes[k], dtype=np.intp)) if self.shapes[k] else 1
+            n = int(np.prod(self.shapes[k], dtype=np.intp))
             out[k] = reshape(slice_along(w, 0, off, off + n), self.shapes[k])
             off += n
         return out

@@ -240,10 +240,22 @@ def cor_trajectory(estimates) -> CorReport:
 # GSNR phase detection
 # ---------------------------------------------------------------------------
 
+def _first_run(flags, length: int, start: int = 0) -> int | None:
+    """Step that starts the first run of `length` true slope flags from index
+    `start` on (slope j is the change into step j + 1), or None."""
+    run = 0
+    for i in range(start, flags.size):
+        run = run + 1 if flags[i] else 0
+        if run >= length:
+            return i - length + 2
+    return None
+
+
 def phase_detect(values, cor_bounds=None) -> GsnrTrace:
     """Segment a GSNR trajectory into plateau / rise / decay phases.
 
-    The log-trace is smoothed with a moving average; the rise phase starts
+    The log-trace is smoothed with a moving average over edge-padded ends,
+    so the phases do not depend on the GSNR's scale; the rise phase starts
     at the first step whose smoothed slope exceeds `PHASE_RISE_SLOPE` for
     `PHASE_RISE_RUN` consecutive steps, the decay phase at the first later
     step whose slope is negative for `PHASE_DECAY_RUN` consecutive steps.
@@ -258,25 +270,13 @@ def phase_detect(values, cor_bounds=None) -> GsnrTrace:
     slope = np.zeros(0)
     if v.size >= PHASE_MIN_STEPS:
         logv = np.log(np.maximum(v, PHASE_LOG_FLOOR))
+        pad = (PHASE_SMOOTH_WINDOW // 2, (PHASE_SMOOTH_WINDOW - 1) // 2)
         kernel = np.ones(PHASE_SMOOTH_WINDOW) / PHASE_SMOOTH_WINDOW
-        slope = np.diff(np.convolve(logv, kernel, mode="same"))
+        slope = np.diff(np.convolve(np.pad(logv, pad, mode="edge"), kernel, mode="valid"))
 
-    rise_start = None
-    run = 0
-    for i, s in enumerate(slope):
-        run = run + 1 if s > PHASE_RISE_SLOPE else 0
-        if run >= PHASE_RISE_RUN:
-            rise_start = i - PHASE_RISE_RUN + 2  # first step of the sustained rise
-            break
-
-    decay_start = None
-    if rise_start is not None:
-        run = 0
-        for i in range(rise_start, slope.size):
-            run = run + 1 if slope[i] < 0 else 0
-            if run >= PHASE_DECAY_RUN:
-                decay_start = i - PHASE_DECAY_RUN + 2
-                break
+    rise_start = _first_run(slope > PHASE_RISE_SLOPE, PHASE_RISE_RUN)
+    decay_start = (None if rise_start is None
+                   else _first_run(slope < 0, PHASE_DECAY_RUN, rise_start))
 
     # bottleneck: argmin of the stability bound (or of the GSNR itself when
     # no bounds are supplied), restricted to the pre-optimization phase

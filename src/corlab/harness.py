@@ -269,9 +269,9 @@ class TrainResult:
 def _run_observed(problem, ocfg: op.SamConfig, feats: FeatureSet, first: int,
                   evaluate) -> tuple[np.ndarray, int | None]:
     """`op.run` with its steps from `first` on evaluated a block at a time:
-    every `_OBSERVE_STEPS` steps, at the failing step and after the run,
-    `evaluate(recs, W, Z, aucs)` gets the block's step records, (P, C)
-    pre-step weights, (n, C) full-train logits from one GEMM and AUCs."""
+    every `_OBSERVE_STEPS` steps and after the run, `evaluate(recs, W, Z,
+    aucs)` gets the block's step records, (P, C) pre-step weights, (n, C)
+    full-train logits from one GEMM and AUCs."""
     recs, ws = [], []
 
     def flush():
@@ -286,14 +286,14 @@ def _run_observed(problem, ocfg: op.SamConfig, feats: FeatureSet, first: int,
         if t >= first:
             recs.append(rec)
             ws.append(w)
-            if rec.failed:      # its moments may overflow; the run reports it
-                with np.errstate(over="ignore", invalid="ignore"):
-                    flush()
-            elif len(recs) == _OBSERVE_STEPS:
+            if len(recs) == _OBSERVE_STEPS:
                 flush()
 
-    w, failed_step = op.run(problem, ocfg, observe)
-    flush()
+    # a failing step ends the run, so it is the last one observed; its
+    # moments may overflow in whichever flush takes it, and the run reports it
+    with np.errstate(over="ignore", invalid="ignore"):
+        w, failed_step = op.run(problem, ocfg, observe)
+        flush()
     return w, failed_step
 
 
@@ -426,6 +426,8 @@ def sweep_rho(config: RunConfig, rho_list, seeds=(0, 1, 2)) -> SweepResult:
     (everything or nothing collapsed) report the range edge with a flag.
     """
     rhos = [float(r) for r in rho_list]
+    for r in rhos:              # before any seed's features are built
+        fields.real("rho", r, 0, strict=False)
     if len(rhos) < 3 or any(b <= a for a, b in zip(rhos, rhos[1:])):
         raise ValueError("need >= 3 strictly ascending rho values")
 

@@ -124,9 +124,9 @@ class FrozenEncoder:
 
     # -- block forward (generic over Tensor / ndarray) ---------------------
 
-    def _attention(self, y, l: int, rows: int | None = None):
+    def _attention(self, y, l: int, rows: int):
         """Multi-head attention over layer-normed (..., T, D) rows `y`: the
-        first `rows` rows (every row when None) query all T keys."""
+        first `rows` rows query all T keys."""
         cfg = self.config
         h, dh = cfg.heads, cfg.dim // cfg.heads
 
@@ -134,7 +134,7 @@ class FrozenEncoder:
             z = ad.reshape(z, ad.val(z).shape[:-1] + (h, dh))
             return ad.swapaxes(z, -3, -2)
 
-        queries = y if rows is None else ad.slice_along(y, -2, 0, rows)
+        queries = ad.slice_along(y, -2, 0, rows)
         q = split_heads(ad.matmul(queries, self.params[f"l{l}.wq"]))
         k = split_heads(ad.matmul(y, self.params[f"l{l}.wk"]))
         v = split_heads(ad.matmul(y, self.params[f"l{l}.wv"]))
@@ -146,14 +146,13 @@ class FrozenEncoder:
 
     def block(self, x, l: int):
         """Pre-norm transformer block on a (..., T, D) sequence."""
-        return self._block(x, l, None)
+        return self._block(x, l, ad.val(x).shape[-2])
 
-    def _block(self, x, l: int, rows: int | None):
-        """`block`'s output on the first `rows` rows of x (all when None);
-        every row is still layer-normed and read as an attention key."""
+    def _block(self, x, l: int, rows: int):
+        """`block`'s output on the first `rows` rows of x (in numpy mode a view
+        when that is all of them); every row is layer-normed and a key."""
         y = ad.layer_norm(x)
-        if rows is not None:
-            x = ad.slice_along(x, -2, 0, rows)
+        x = ad.slice_along(x, -2, 0, rows)
         x = ad.add(x, self._attention(y, l, rows))
         x = ad.add(x, ad.matmul(ad.gelu(ad.matmul(ad.layer_norm(x),
                                                   self.params[f"l{l}.w1"])),

@@ -229,6 +229,20 @@ def test_phase_detect_flat_trace_is_all_pre_optimization():
     assert 0 <= trace.bottleneck_step < 60
 
 
+def test_phase_detect_does_not_depend_on_the_gsnr_scale():
+    # a drifting trace near 10 has no sustained rise at any scale; padding
+    # the log trace with zeros instead of its end values read a false rise
+    # into its end once the trace was scaled below 1
+    rng = np.random.default_rng(22)
+    v = 10.0 * np.exp(np.cumsum(rng.normal(scale=0.05, size=15)))
+    phases = [dg.phase_detect(scale * v).phase_boundaries for scale in (1e-3, 1.0, 1e3)]
+    assert phases == [(None, None)] * 3
+    # a three-phase trace keeps its boundaries at every scale
+    v = three_phase_trace()
+    phases = [dg.phase_detect(scale * v).phase_boundaries for scale in (1e-3, 1.0, 1e3)]
+    assert phases[0] == phases[1] == phases[2] != (None, None)
+
+
 def test_phase_detect_bottleneck_prefers_supplied_bounds():
     v = three_phase_trace()
     bounds = np.ones(v.size)

@@ -416,6 +416,27 @@ def test_snapshot_gsnr_equals_steps_csv_gsnr(tmp_path):
         assert [e["gsnr"] for e in estimates] == [csv_gsnr[e["step"]] for e in estimates]
 
 
+def per_step_reference(cfg, feats):
+    """The steps.csv columns of `cfg`'s run, step, loss, window AUC, gradient
+    norm and GSNR, as lists, each step evaluated with its own GEMV; a
+    failing step's moments may overflow."""
+    problem = hn._make_problem(cfg, feats)
+    ocfg = replace(cfg.optimizer, learning_rate=hn._effective_lr(cfg, problem))
+    ws, recs = [], []
+    op.run(problem, ocfg, lambda t, w, rec: (ws.append(w), recs.append(rec)))
+    aucs, gsnrs = [], []
+    with np.errstate(over="ignore", invalid="ignore"):
+        for w in ws:
+            z = op.probe_logits(w, feats.train)
+            aucs.append(hn.compute_auc(z, feats.train_labels))
+            g, tr_cov = problem.grad_moments(w[:, None], z[:, None])
+            gsnrs.append(dg.signal_to_noise(float(g[:, 0] @ g[:, 0]), float(tr_cov[0])))
+    window = max(1, ocfg.steps // 10)
+    return ([r.step for r in recs], [r.loss for r in recs],
+            [float(np.mean(aucs[max(0, t + 1 - window):t + 1])) for t in range(len(ws))],
+            [r.grad_norm for r in recs], gsnrs)
+
+
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_blocked_observer_matches_per_step_reference(tmp_path):
     # the observer evaluates a block of steps with one GEMM; a reference
@@ -432,19 +453,8 @@ def test_blocked_observer_matches_per_step_reference(tmp_path):
         feats = hn.build_features(cfg)
         out = tmp_path / name
         res = hn.run_train(cfg, feats=feats, out_dir=str(out))
-        problem = hn._make_problem(cfg, feats)
-        ocfg = replace(cfg.optimizer, learning_rate=hn._effective_lr(cfg, problem))
-        ws = []
-        op.run(problem, ocfg, lambda t, w, rec: ws.append(w))
-        aucs, gsnrs = [], []
-        for w in ws:
-            z = op.probe_logits(w, feats.train)
-            aucs.append(hn.compute_auc(z, feats.train_labels))
-            g, tr_cov = problem.grad_moments(w[:, None], z[:, None])
-            gsnrs.append(dg.signal_to_noise(float(g[:, 0] @ g[:, 0]), float(tr_cov[0])))
-        window = steps // 10
-        assert [m.train_auc_window for m in res.steps] == [
-            float(np.mean(aucs[max(0, t + 1 - window):t + 1])) for t in range(steps)]
+        _, _, windows, _, gsnrs = per_step_reference(cfg, feats)
+        assert [m.train_auc_window for m in res.steps] == windows
         assert np.allclose([m.gsnr for m in res.steps], gsnrs, rtol=1e-12, atol=0.0)
 
         rows = (out / "steps.csv").read_text().splitlines()[1:]
@@ -462,6 +472,25 @@ def test_blocked_observer_matches_per_step_reference(tmp_path):
     rows = (out / "steps.csv").read_text().splitlines()[1:]
     assert len(rows) == res.failed_step + 1
     assert [int(r.split(",")[0]) for r in rows] == list(range(res.failed_step + 1))
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_failing_step_at_a_block_boundary_matches_per_step_reference(tmp_path):
+    # this run fails at step 63, the last step of the first observed block,
+    # so the block that holds its overflowing moments is flushed inside the
+    # run rather than after it; no warning escapes, and every steps.csv row
+    # matches a per-step reference, the failing step's inf row included
+    cfg = bifurcation_config(cadence=7, lr_relative=300.0)
+    feats = hn.build_features(cfg)
+    res = hn.run_train(cfg, feats=feats, out_dir=str(tmp_path))
+    assert res.failed_step == hn._OBSERVE_STEPS - 1
+    ref = per_step_reference(cfg, feats)
+    rows = (tmp_path / "steps.csv").read_text().splitlines()[1:]
+    cols = [[float(c) for c in col] for col in zip(*(r.split(",") for r in rows))]
+    assert ref[0] == list(range(hn._OBSERVE_STEPS))
+    assert cols[:4] == [list(map(float, col)) for col in ref[:4]]
+    assert np.allclose(cols[4], ref[4], rtol=1e-12, atol=0.0)
+    assert np.isinf(cols[4][-1])
 
 
 def test_run_train_failure_is_reported_not_raised():
@@ -534,6 +563,18 @@ def test_sweep_rho_rejects_bad_rho_lists():
         hn.sweep_rho(cfg, [0.01, 0.02])
     with pytest.raises(ValueError):
         hn.sweep_rho(cfg, [0.02, 0.01, 0.03])
+
+
+def test_sweep_rho_rejects_bad_rho_values_before_encoding(monkeypatch):
+    # ascending lists of three whose values SamConfig rejects fail before
+    # any seed's features are built
+    def no_features(config):
+        raise AssertionError("features built before the rhos were checked")
+
+    monkeypatch.setattr(hn, "build_features", no_features)
+    for rhos in ([0.01, float("nan"), 0.08], [0.0, 0.01, float("inf")], [-0.1, 0.0, 0.1]):
+        with pytest.raises(ValueError, match="rho must be a finite number >= 0"):
+            hn.sweep_rho(bifurcation_config(), rhos)
 
 
 # -- campaigns --------------------------------------------------------------------------

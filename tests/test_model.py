@@ -143,8 +143,8 @@ def test_attention_scores_stay_bounded_on_huge_inputs():
     x = sample_tokens(n=2)
     for l in range(CFG.layers):
         assert np.all(np.isfinite(enc.block(1e6 * x, l)))
-        big = enc._attention(ad.layer_norm(1e6 * x), l)
-        small = enc._attention(ad.layer_norm(x, eps=1e-5 / 1e12), l)
+        big = enc._attention(ad.layer_norm(1e6 * x), l, x.shape[1])
+        small = enc._attention(ad.layer_norm(x, eps=1e-5 / 1e12), l, x.shape[1])
         assert np.max(np.abs(big - small)) <= 1e-12
 
 
