@@ -294,12 +294,6 @@ def concat(parts, axis: int = 0):
 # compositions (shared by graph and numpy modes)
 # ---------------------------------------------------------------------------
 
-def logsumexp(x, axis: int = -1, keepdims: bool = True):
-    shift = val(x).max(axis=axis, keepdims=True)
-    return add(log(sum_(exp(sub(x, shift)), axis=axis, keepdims=keepdims)),
-               shift if keepdims else np.squeeze(shift, axis=axis))
-
-
 def softplus(x):
     shift = np.maximum(val(x), 0.0)  # detached; log(e^x+1) = c + log(e^(x-c)+e^(-c))
     return add(log(add(exp(sub(x, shift)), np.exp(-shift))), shift)

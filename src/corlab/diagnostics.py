@@ -262,6 +262,14 @@ def phase_detect(values, cor_bounds=None) -> GsnrTrace:
     When no rise is detected, or the trace is shorter than
     `PHASE_MIN_STEPS` and so is not segmented, the whole run is the
     pre-optimization phase (the collapse case).
+
+    Where it fires: a zero-init linear probe's train-set GSNR falls as the
+    probe fits and holds when full-batch SAM collapses it, so on the 34
+    zero-init full-batch and rho-0 runs checked (the lift fixture, the
+    scaling family, the bifurcation runs), trained or collapsed, it returns
+    (None, None).  A rise is found only where GSNR climbs: mini-batch SAM
+    runs that carry the probe off the data, and a random-init two-layer
+    tanh probe, which no module here trains.
     """
     v = np.asarray(values, dtype=np.float64)
     crit = v if cor_bounds is None else np.asarray(cor_bounds, dtype=np.float64)

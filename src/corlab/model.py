@@ -6,6 +6,11 @@ over its features (`corlab.optim`).
 The encoders take (S, N, D) visual tokens and return only the per-layer
 head tokens, [CLS] or [CLS | R], as one array with a leading layer axis;
 they share one forward, and `encode_plain` is CoRIT's with no regions.
+The forward is sample-major: each block of `_BLOCK_SAMPLES` samples runs
+through every layer (both streams' blocks, the region pass, the
+injection) and writes its rows of the outputs before the next block
+starts, so besides the outputs the encoder holds one block's working set,
+not a full-size stream or CGP field.
 `block(x, l)` is the full-sequence block; with no regions only the CLS
 row of the last layer is read, so that layer computes it alone.
 The block forward is written against the generic array API in
@@ -31,12 +36,14 @@ from . import autodiff as ad
 from . import fields
 from . import regions as rg
 
-# Samples per numpy-mode block call.  A block's largest arrays are the
-# (B, T, 4D) MLP hidden array and the GELU result: at B = 32 samples of
-# T = 20 tokens (CLS, 3 regions, 16 visuals) and 4D = 128 channels that
-# is 32*20*128*8 B = 655 KB each, 1.3 MB together, so the MLP runs inside
-# a 2 MB per-core L2; 128 samples would make each 2.6 MB and spill it.
-# Samples never mix, so the block size changes no bit of any output.
+# Samples per block of the sample-major forward.  At B = 32 samples of
+# T = 20 tokens (CLS, 3 regions, 16 visuals) and D = 32 channels a block's
+# working set is its two streams, 2 x 32*20*32*8 B = 2 x 164 KB, the
+# (B, T, 4D) MLP hidden array and GELU result, 2 x 32*20*128*8 B =
+# 2 x 655 KB, and between layers the (B, N, D) CGP, 131 KB: 1.8 MB, inside
+# a 2 MB per-core L2, where 128 samples would need 7 MB and spill it.  No
+# encoder temporary spans more than one block, whatever S is, and samples
+# never mix, so the block size changes no bit of any output.
 _BLOCK_SAMPLES = 32
 
 # Largest attention-score bound an encoder may have.  Attention takes
@@ -165,20 +172,6 @@ class FrozenEncoder:
             x = ad.mul(x, keep)
         return x
 
-    def _layer(self, x: np.ndarray, l: int, name: str, rows: int | None) -> None:
-        """Layer l over the (S, T, D) stream `name` in place, in fixed sample
-        blocks, each block's output written over its own first rows (all of
-        them unless `rows` is given) once it is checked finite.  Samples
-        never mix, so this equals one call on the whole batch while every
-        temporary stays the size of a block.  Whole layers call the public
-        `block`, which the traced bench hooks per layer."""
-        for i in range(0, x.shape[0], _BLOCK_SAMPLES):
-            xb = x[i:i + _BLOCK_SAMPLES]
-            out = self.block(xb, l) if rows is None else self._block(xb, l, rows)
-            if not np.all(np.isfinite(out)):
-                raise ad.NonFiniteError(f"non-finite {name} activation at layer {l}")
-            xb[:, :out.shape[1]] = out
-
     def _visuals(self, visuals) -> np.ndarray:
         x = np.asarray(visuals, dtype=np.float64)
         shape = (self.config.visual_tokens, self.config.dim)
@@ -226,36 +219,41 @@ class FrozenEncoder:
                  alpha: float) -> tuple[np.ndarray, np.ndarray]:
         """The one forward of both encoders over checked (S, N, D) input
         streams.  Every stream must be finite, but the counterpart runs only
-        when there are regions to inject.  Each layer overwrites the streams
-        in place, and with no regions the last layer computes the CLS row
-        alone."""
+        when there are regions to inject.  Sample-major: each block of
+        `_BLOCK_SAMPLES` samples runs through every layer, each layer
+        overwriting the block's stream arrays in place, and writes its rows of
+        `heads` and `masks` before the next block starts.  With no regions the
+        last layer computes the CLS row alone."""
         for name, visuals in streams.items():
             if not np.all(np.isfinite(visuals)):
                 raise ad.NonFiniteError(f"non-finite {name} input")
         K = len(regions)
         S, N, D = streams["original"].shape
-        cls = np.broadcast_to(self.params["cls"], (S, 1, D))
-        x = {name: np.concatenate([cls, np.zeros((S, K, D)), visuals], axis=1)
-             for name, visuals in streams.items() if K or name == "original"}
         heads = np.empty((self.config.layers + 1, S, 1 + K, D))
         masks = np.empty((self.config.layers, S, K, N), dtype=bool)
-        heads[0] = x["original"][:, :1 + K]
         last = self.config.layers - 1
-        for l in range(self.config.layers):
-            for name in x:
-                # without regions only the last layer's CLS row is read
-                self._layer(x[name], l, name, None if K or l < last else 1)
+        for i in range(0, S, _BLOCK_SAMPLES):
+            b = slice(i, min(i + _BLOCK_SAMPLES, S))
+            cls = np.broadcast_to(self.params["cls"], (b.stop - i, 1, D))
+            x = {name: np.concatenate([cls, np.zeros((b.stop - i, K, D)), v[b]], axis=1)
+                 for name, v in streams.items() if K or name == "original"}
             x_o = x["original"]
-            if K:
-                # no (S, N, D) discrepancy field or (S, K, D) pooled tokens
-                # outlive this pass into the next layer's blocks
-                v_o = x_o[:, 1 + K:]
-                masks[l], pooled = rg.layer_region_state(
-                    rg.compute_cgp(v_o, x["counterpart"][:, 1 + K:]), v_o, regions, alpha)
-                x_o[:, 1:1 + K] += pooled                            # intra-layer residual
-                del pooled
-                x["counterpart"][:, 1:1 + K] = x_o[:, 1:1 + K]
-            heads[l + 1] = x_o[:, :1 + K]
+            heads[0, b] = x_o[:, :1 + K]
+            for l in range(self.config.layers):
+                # without regions only the last layer's CLS row is read
+                full = K or l < last
+                rows = 1 + K + N if full else 1
+                for name, xb in x.items():
+                    xb[:, :rows] = self.block(xb, l) if full else self._block(xb, l, 1)
+                    if not np.all(np.isfinite(xb[:, :rows])):
+                        raise ad.NonFiniteError(f"non-finite {name} activation at layer {l}")
+                if K:
+                    v_o = x_o[:, 1 + K:]
+                    masks[l, b], pooled = rg.layer_region_state(
+                        rg.compute_cgp(v_o, x["counterpart"][:, 1 + K:]), v_o, regions, alpha)
+                    x_o[:, 1:1 + K] += pooled                        # intra-layer residual
+                    x["counterpart"][:, 1:1 + K] = x_o[:, 1:1 + K]
+                heads[l + 1, b] = x_o[:, :1 + K]
         return heads, masks
 
 

@@ -83,8 +83,11 @@ def test_corit_features_make_one_region_pass_per_layer_and_split():
     tracer = Tracer(CalibratedClock())
     with patched(tracer.hooks()):
         hn.build_features(cfg)
-    # train and test splits, each one batched pass per layer
-    assert tracer.calls[("setup", "regions.layer_region_state")] == 2 * cfg.encoder.layers
+    # train and test splits, each one pass per layer and sample block
+    blocks = sum(-(-n // md._BLOCK_SAMPLES) for n in (cfg.task.n_train, cfg.task.n_test))
+    assert blocks == 3
+    for name in ("regions.compute_cgp", "regions.layer_region_state"):
+        assert tracer.calls[("setup", name)] == cfg.encoder.layers * blocks
 
 
 def test_run_train_snapshots_at_cadence_without_per_sample_grads():

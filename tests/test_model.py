@@ -228,8 +228,8 @@ def test_encode_corit_validation():
 
 
 def test_encoders_are_exact_under_any_sample_split():
-    # block calls run over fixed sample blocks and the region pass over the
-    # whole batch; neither may mix samples, so splits change no bit
+    # fixed sample blocks run through every layer, block calls and region
+    # pass alike; neither may mix samples, so splits change no bit
     enc = md.FrozenEncoder(CFG)
     x = sample_tokens(seed=3, n=300)
     assert x.shape[0] % md._BLOCK_SAMPLES != 0      # a ragged last block
@@ -296,29 +296,24 @@ def test_encoder_peak_memory_does_not_grow_with_depth():
         assert peak_d - peak_s <= out_d - out_s + 16 * 1024, (peak_d - peak_s, out_d - out_s)
 
 
-def test_no_region_field_outlives_its_layer(monkeypatch):
-    # the discrepancy field and pooled tokens of one layer's region pass are
-    # freed before the next layer's blocks run, so memory held when each
-    # layer starts is that of layer 0
+def test_no_region_field_outlives_its_layer():
+    # the forward is sample-major: a block of samples runs through every layer
+    # before the next starts, so no stream, discrepancy field or pooled token
+    # spans all S samples, and what the encoders hold besides their outputs
+    # does not grow with S
     enc = md.FrozenEncoder(md.EncoderConfig(layers=4))
-    x = np.random.default_rng(5).normal(size=(400, 16, 32))
-    cp = x.copy()
-    cp[:, 5:7, :] += 1.0
-    held, block = {}, enc.block
-
-    def traced_block(xb, l):
-        held.setdefault(l, tracemalloc.get_traced_memory()[0])
-        return block(xb, l)
-
-    monkeypatch.setattr(enc, "block", traced_block)
-    tracemalloc.start()
-    try:
-        enc.encode_corit(x, cp, rg.grid_partition(16), alpha=0.25)
-    finally:
-        tracemalloc.stop()
-    assert sorted(held) == [0, 1, 2, 3]
-    for l in held:
-        assert abs(held[l] - held[0]) <= 64 * 1024, (l, held[l] - held[0])
+    held = {}
+    for S in (256, 1024):
+        x = np.random.default_rng(5).normal(size=(S, 16, 32))
+        cp = x.copy()
+        cp[:, 5:7, :] += 1.0
+        for name, run in (("plain", lambda: enc.encode_plain(x)),
+                          ("corit", lambda: enc.encode_corit(x, cp, rg.grid_partition(16),
+                                                             alpha=0.25))):
+            peak, out = _peak_and_output_bytes(run)
+            held.setdefault(name, []).append(peak - out)
+    for name, (small, large) in held.items():
+        assert abs(large - small) <= 64 * 1024, (name, small, large)
 
 
 def test_hri_fuse_concatenates_mid_and_final_layers():

@@ -19,7 +19,8 @@ def nll_graph(views, data):
     """Mean NLL of softmax(X W^T) as an engine graph over the block W."""
     X, y = data
     Z = ad.matmul(X, ad.swapaxes(views["W"], 0, 1))
-    lse = ad.logsumexp(Z, axis=-1, keepdims=True)
+    shift = ad.val(Z).max(axis=-1, keepdims=True)   # numpy, a constant of the graph
+    lse = ad.add(ad.log(ad.sum_(ad.exp(ad.sub(Z, shift)), axis=-1, keepdims=True)), shift)
     onehot = np.eye(views["W"].shape[0])[y]
     picked = ad.sum_(ad.mul(Z, onehot), axis=-1, keepdims=True)
     return ad.mean(ad.sub(lse, picked))
