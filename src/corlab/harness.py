@@ -170,22 +170,23 @@ class FeatureSet:
 def build_features(config: RunConfig) -> FeatureSet:
     """Encode both splits under the configured head and standardization."""
     enc = md.FrozenEncoder(config.encoder)
-    ds_tr = tk.generate(config.task, "train")
-    ds_te = tk.generate(config.task, "test")
 
-    def head_features(tokens: np.ndarray) -> np.ndarray:
+    def split_features(split: str) -> tuple[np.ndarray, np.ndarray]:
+        # a split's features and labels, in arrays of their own: its tokens
+        # and per-layer heads are freed before the next split is generated
+        ds = tk.generate(config.task, split)
         if config.head == "plain-probe":
-            return md.plain_feature(enc.encode_plain(tokens))
-        heads, _ = enc.encode_corit(tokens, config.counterpart.apply(tokens),
-                                    rg.grid_partition(config.task.n_tokens), config.alpha)
-        return md.hri_fuse(heads, config.l_mid)
+            F = md.plain_feature(enc.encode_plain(ds.tokens))
+        else:
+            heads, _ = enc.encode_corit(ds.tokens, config.counterpart.apply(ds.tokens),
+                                        rg.grid_partition(config.task.n_tokens),
+                                        config.alpha)
+            F = md.hri_fuse(heads, config.l_mid)
+        return np.ascontiguousarray(F), ds.labels.astype(np.float64)
 
-    F_tr = head_features(ds_tr.tokens)
-    F_te = head_features(ds_te.tokens)
+    (F_tr, y_tr), (F_te, y_te) = split_features("train"), split_features("test")
     std = fit_standardizer(F_tr, config.standardize)
-    return FeatureSet(std.apply(F_tr), std.apply(F_te),
-                      ds_tr.labels.astype(np.float64),
-                      ds_te.labels.astype(np.float64))
+    return FeatureSet(std.apply(F_tr), std.apply(F_te), y_tr, y_te)
 
 
 def quadratic_surrogate(features: np.ndarray, labels: np.ndarray) -> op.QuadraticProblem:

@@ -8,9 +8,13 @@ head tokens, [CLS] or [CLS | R], as one array with a leading layer axis;
 they share one forward, and `encode_plain` is CoRIT's with no regions.
 The forward is sample-major: each block of `_BLOCK_SAMPLES` samples runs
 through every layer (both streams' blocks, the region pass, the
-injection) and writes its rows of the outputs before the next block
-starts, so besides the outputs the encoder holds one block's working set,
-not a full-size stream or CGP field.
+injection) and writes its rows of the outputs, reading no other block's
+rows.  The blocks are independent work, so W blocks are in flight at
+once, one per core this process may run on (`_WORKERS`, capped at the
+number of blocks): the calling thread and W - 1 helper threads each take
+every W-th block.  numpy and BLAS release the interpreter lock inside
+the blocks' products and ufuncs, and besides the outputs the encoder
+holds W blocks' working sets, not a full-size stream or CGP field.
 `block(x, l)` is the full-sequence block; with no regions only the CLS
 row of the last layer is read, so that layer computes it alone.
 The block forward is written against the generic array API in
@@ -28,6 +32,9 @@ Token layout is always [CLS | R_1..R_K | V_1..V_N].
 
 from __future__ import annotations
 
+import os
+import threading
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -40,11 +47,33 @@ from . import regions as rg
 # T = 20 tokens (CLS, 3 regions, 16 visuals) and D = 32 channels a block's
 # working set is its two streams, 2 x 32*20*32*8 B = 2 x 164 KB, the
 # (B, T, 4D) MLP hidden array and GELU result, 2 x 32*20*128*8 B =
-# 2 x 655 KB, and between layers the (B, N, D) CGP, 131 KB: 1.8 MB, inside
-# a 2 MB per-core L2, where 128 samples would need 7 MB and spill it.  No
+# 2 x 655 KB, and between layers the (B, N, D) CGP, 131 KB: 1.8 MB.  W
+# blocks are in flight at once, each on its own core, so each fits that
+# core's 2 MB L2, where 128 samples would need 7 MB and spill it.  No
 # encoder temporary spans more than one block, whatever S is, and samples
-# never mix, so the block size changes no bit of any output.
+# never mix, so neither the block size nor W changes a bit of any output.
 _BLOCK_SAMPLES = 32
+
+# Blocks the forward runs at once: the cores this process may run on, or
+# all cores where the platform cannot say which (sched_getaffinity is
+# Linux-only).
+_WORKERS = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+            else os.cpu_count() or 1)
+
+
+def _new_helpers() -> None:
+    """Give the forward a fresh executor for its helper threads.  Creating
+    one starts no thread; `submit` starts one when none is idle and reuses
+    it afterwards.  A forked child has none of its parent's threads, so
+    it gets an executor of its own, or its first encode would wait forever
+    on a thread that does not exist there."""
+    global _HELPERS
+    _HELPERS = ThreadPoolExecutor(thread_name_prefix="corlab-encoder")
+
+
+_new_helpers()
+if hasattr(os, "register_at_fork"):         # a platform without fork needs no hook
+    os.register_at_fork(after_in_child=_new_helpers)
 
 # Largest attention-score bound an encoder may have.  Attention takes
 # exp(scores) with no max shift, so the bound must keep exp well inside
@@ -222,8 +251,16 @@ class FrozenEncoder:
         when there are regions to inject.  Sample-major: each block of
         `_BLOCK_SAMPLES` samples runs through every layer, each layer
         overwriting the block's stream arrays in place, and writes its rows of
-        `heads` and `masks` before the next block starts.  With no regions the
-        last layer computes the CLS row alone."""
+        `heads` and `masks`.  With no regions the last layer computes the CLS
+        row alone.
+
+        The blocks are dealt round-robin to W = `_WORKERS` shards (at most
+        one per block): the calling thread runs shard 0 and helper threads
+        the rest, each its blocks in order.  Every shard is joined before
+        this returns or raises.  A failing block stops its shard, and the
+        error raised is that of the lowest failing block, the one a single
+        shard would raise.  Blocks run under their own `np.errstate`, so no
+        caller's setting moves which error that is."""
         for name, visuals in streams.items():
             if not np.all(np.isfinite(visuals)):
                 raise ad.NonFiniteError(f"non-finite {name} input")
@@ -232,10 +269,10 @@ class FrozenEncoder:
         heads = np.empty((self.config.layers + 1, S, 1 + K, D))
         masks = np.empty((self.config.layers, S, K, N), dtype=bool)
         last = self.config.layers - 1
-        for i in range(0, S, _BLOCK_SAMPLES):
-            b = slice(i, min(i + _BLOCK_SAMPLES, S))
-            cls = np.broadcast_to(self.params["cls"], (b.stop - i, 1, D))
-            x = {name: np.concatenate([cls, np.zeros((b.stop - i, K, D)), v[b]], axis=1)
+
+        def encode(b: slice) -> None:
+            cls = np.broadcast_to(self.params["cls"], (b.stop - b.start, 1, D))
+            x = {name: np.concatenate([cls, np.zeros((b.stop - b.start, K, D)), v[b]], axis=1)
                  for name, v in streams.items() if K or name == "original"}
             x_o = x["original"]
             heads[0, b] = x_o[:, :1 + K]
@@ -254,6 +291,37 @@ class FrozenEncoder:
                     x_o[:, 1:1 + K] += pooled                        # intra-layer residual
                     x["counterpart"][:, 1:1 + K] = x_o[:, 1:1 + K]
                 heads[l + 1, b] = x_o[:, :1 + K]
+
+        starts = range(0, S, _BLOCK_SAMPLES)
+        workers = max(1, min(_WORKERS, len(starts)))
+        lock, failures = threading.Lock(), {}       # block start -> its error
+
+        def shard(w: int) -> None:
+            for i in starts[w::workers]:
+                with lock:          # no block above a known failure can matter
+                    if failures and min(failures) < i:
+                        return
+                try:
+                    # non-finite values are checked, never trapped or warned of
+                    with np.errstate(all="ignore"):
+                        encode(slice(i, min(i + _BLOCK_SAMPLES, S)))
+                except Exception as e:
+                    with lock:
+                        failures[i] = e
+                    return
+
+        helpers = [_HELPERS.submit(shard, w) for w in range(1, workers)]
+        try:
+            shard(0)
+        except BaseException:       # interrupted: the helpers stop at their next block
+            with lock:
+                failures[-1] = None
+            raise
+        finally:
+            for f in helpers:
+                f.result()
+        if failures:
+            raise failures[min(failures)]
         return heads, masks
 
 

@@ -42,7 +42,7 @@ def test_primitives_match_numpy_out_of_graph():
     assert np.allclose(ad.exp(a), np.exp(a))
 
 
-def test_logsumexp_and_softplus_are_overflow_safe():
+def test_softplus_is_overflow_safe():
     z = np.array([1000.0, -1000.0, 0.0])
     sp = ad.softplus(z)
     assert np.isclose(sp[0], 1000.0)

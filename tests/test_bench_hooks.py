@@ -6,6 +6,7 @@ renamed or deleted target fail the test suite, not only a traced run."""
 
 import os
 import sys
+import threading
 
 import numpy as np
 
@@ -78,16 +79,30 @@ def small_config(**kw) -> hn.RunConfig:
     return hn.RunConfig(**defaults)
 
 
-def test_corit_features_make_one_region_pass_per_layer_and_split():
+def test_corit_features_make_one_region_pass_per_layer_and_block():
+    # the encoder's helper threads call the region pass too, and the tracer
+    # counts without a lock, so the passes are counted by hooks of this
+    # test's own, installed over the tracer's
     cfg = small_config(head="corit")
-    tracer = Tracer(CalibratedClock())
-    with patched(tracer.hooks()):
+    lock, calls = threading.Lock(), {}
+
+    def counted(name):
+        fn = rg.__dict__[name]
+
+        def wrapper(*args, **kwargs):
+            with lock:
+                calls[name] = calls.get(name, 0) + 1
+            return fn(*args, **kwargs)
+        return rg, name, wrapper
+
+    names = ("compute_cgp", "layer_region_state")
+    with patched(Tracer(CalibratedClock()).hooks()), patched(map(counted, names)):
         hn.build_features(cfg)
     # train and test splits, each one pass per layer and sample block
     blocks = sum(-(-n // md._BLOCK_SAMPLES) for n in (cfg.task.n_train, cfg.task.n_test))
     assert blocks == 3
-    for name in ("regions.compute_cgp", "regions.layer_region_state"):
-        assert tracer.calls[("setup", name)] == cfg.encoder.layers * blocks
+    for name in names:
+        assert calls[name] == cfg.encoder.layers * blocks
 
 
 def test_run_train_snapshots_at_cadence_without_per_sample_grads():

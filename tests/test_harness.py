@@ -5,7 +5,7 @@ collapse sweeps, and the verification campaign."""
 import ast
 import json
 import warnings
-from dataclasses import replace
+from dataclasses import astuple, replace
 from pathlib import Path
 
 import numpy as np
@@ -286,6 +286,20 @@ def test_corit_head_features_have_fused_width():
     feats = hn.build_features(cfg)
     # [CLS + 3 region tokens] x dim x two layers
     assert feats.train.shape == (200, 2 * 4 * 32)
+
+
+@pytest.mark.parametrize("head", ["plain-probe", "corit"])
+def test_build_features_are_exact_under_any_worker_count(monkeypatch, head):
+    # the encoder's sample blocks run on as many workers as there are cores;
+    # the feature arrays must not depend on how many that is
+    cfg = bifurcation_config(head=head, l_mid=1)
+    built = []
+    for workers in (1, 2, 3):
+        monkeypatch.setattr(md, "_WORKERS", workers)
+        built.append(hn.build_features(cfg))
+    for feats in built[1:]:
+        for got, want in zip(astuple(feats), astuple(built[0])):
+            assert np.array_equal(got, want)
 
 
 # -- quadratic surrogate --------------------------------------------------------------

@@ -1,6 +1,9 @@
 """Frozen encoder checks: determinism, the channel attenuation switch, the
 paired-stream forward, and the feature heads."""
 
+import multiprocessing
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -252,22 +255,88 @@ def test_encoders_are_exact_under_any_sample_split():
 
 @pytest.mark.parametrize("block", [1, 7, md._BLOCK_SAMPLES, 90])
 def test_encoders_are_exact_under_any_block_size(monkeypatch, block):
-    # the block size is a cache-tuning constant and may never change a bit:
-    # every size must match one block call over all S = 90 samples
+    # the block size and the worker count tune speed and may never change a
+    # bit: every size, with any number of workers, must match one block call
+    # over all S = 90 samples.  90 leaves a ragged last block at 7 and 32,
+    # and one block is fewer than 2 or 3 workers
     enc = md.FrozenEncoder(CFG)
     x = sample_tokens(seed=5, n=90)
     cp = x.copy()
     cp[:, 2:6, :] -= 1.0
     regions = rg.grid_partition(16)
 
-    def encode(size):
+    def encode(size, workers):
         monkeypatch.setattr(md, "_BLOCK_SAMPLES", size)
+        monkeypatch.setattr(md, "_WORKERS", workers)
         return enc.encode_plain(x), *enc.encode_corit(x, cp, regions, alpha=0.25)
 
-    whole = encode(x.shape[0])
+    whole = encode(x.shape[0], 1)
     assert whole[2].any()
-    for got, want in zip(encode(block), whole):
-        assert np.array_equal(got, want)
+    for workers in (1, 2, 3):
+        for got, want in zip(encode(block, workers), whole):
+            assert np.array_equal(got, want)
+
+
+def test_a_failing_forward_raises_the_lowest_failing_blocks_error(monkeypatch):
+    # blocks 1 and 2 of five overflow, at layers 2 and 0; whatever the worker
+    # count (more than the host's cores too), the switch interval or the
+    # caller's errstate, the forward raises block 1's error, the first a
+    # single shard meets, and only after every shard has stopped
+    enc = md.FrozenEncoder(CFG)
+    x = sample_tokens(seed=6, n=150)
+    x[:, 0, 0] = np.arange(150)           # sample index, read in at layer 0
+    fail_at = {32: 2, 64: 0}              # block start -> failing layer
+    block = md.FrozenEncoder.block
+    lock, active, start_of = threading.Lock(), [0], {}
+
+    def planted(self, xb, l):
+        with lock:
+            active[0] += 1
+        try:
+            if l == 0:
+                start_of[id(xb)] = int(xb[0, 4, 0])     # after CLS and 3 regions
+            out = block(self, xb, l)
+            if fail_at.get(start_of[id(xb)]) == l:
+                out = np.full_like(out, 1e308) * 10.0    # overflows to inf
+            return out
+        finally:
+            with lock:
+                active[0] -= 1
+
+    monkeypatch.setattr(md.FrozenEncoder, "block", planted)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for workers in (1, 2, 3, 8):
+            monkeypatch.setattr(md, "_WORKERS", workers)
+            for errstate in ({}, {"all": "raise"}):
+                with np.errstate(**errstate), pytest.raises(
+                        ad.NonFiniteError, match="^non-finite original activation at layer 2$"):
+                    enc.encode_corit(x, x + 0.5, rg.grid_partition(16), alpha=0.25)
+                assert active[0] == 0
+    finally:
+        sys.setswitchinterval(interval)
+
+
+def test_a_child_forked_after_an_encode_can_encode(monkeypatch):
+    # the child has none of its parent's helper threads, so it must not
+    # hand its blocks to them
+    monkeypatch.setattr(md, "_WORKERS", 2)
+    enc = md.FrozenEncoder(CFG)
+    x = sample_tokens(seed=7, n=90)
+    want = enc.encode_plain(x)            # the parent's helper thread now exists
+
+    def child():
+        sys.exit(0 if np.array_equal(enc.encode_plain(x), want) else 1)
+
+    proc = multiprocessing.get_context("fork").Process(target=child)
+    proc.start()
+    proc.join(timeout=60)
+    hung = proc.is_alive()
+    if hung:
+        proc.kill()
+        proc.join()
+    assert not hung and proc.exitcode == 0
 
 
 def _peak_and_output_bytes(run) -> tuple[int, int]:
@@ -281,9 +350,11 @@ def _peak_and_output_bytes(run) -> tuple[int, int]:
     return peak, sum(a.nbytes for a in (out if isinstance(out, tuple) else (out,)))
 
 
-def test_encoder_peak_memory_does_not_grow_with_depth():
+def test_encoder_peak_memory_does_not_grow_with_depth(monkeypatch):
     # only the per-layer head tokens and masks outlive a layer, so the peak
-    # grows with depth by the size of the extra outputs alone
+    # grows with depth by the size of the extra outputs alone (on one worker:
+    # how W blocks' working sets overlap in time varies from run to run)
+    monkeypatch.setattr(md, "_WORKERS", 1)
     x = np.random.default_rng(4).normal(size=(400, 16, 32))
     cp = x.copy()
     cp[:, 5:7, :] += 1.0
@@ -296,24 +367,42 @@ def test_encoder_peak_memory_does_not_grow_with_depth():
         assert peak_d - peak_s <= out_d - out_s + 16 * 1024, (peak_d - peak_s, out_d - out_s)
 
 
-def test_no_region_field_outlives_its_layer():
-    # the forward is sample-major: a block of samples runs through every layer
-    # before the next starts, so no stream, discrepancy field or pooled token
-    # spans all S samples, and what the encoders hold besides their outputs
-    # does not grow with S
-    enc = md.FrozenEncoder(md.EncoderConfig(layers=4))
+def _held_bytes(enc, S: int) -> dict[str, int]:
+    """What each encoder holds at its peak besides its outputs, on S samples."""
+    x = np.random.default_rng(5).normal(size=(S, 16, 32))
+    cp = x.copy()
+    cp[:, 5:7, :] += 1.0
     held = {}
+    for name, run in (("plain", lambda: enc.encode_plain(x)),
+                      ("corit", lambda: enc.encode_corit(x, cp, rg.grid_partition(16),
+                                                         alpha=0.25))):
+        peak, out = _peak_and_output_bytes(run)
+        held[name] = peak - out
+    return held
+
+
+def test_encoder_working_memory_does_not_grow_with_samples(monkeypatch):
+    # the forward is sample-major: a block of samples runs through every layer
+    # and no stream, discrepancy field or pooled token spans all S samples, so
+    # on one worker what the encoders hold besides their outputs does not
+    # grow with S
+    monkeypatch.setattr(md, "_WORKERS", 1)
+    enc = md.FrozenEncoder(md.EncoderConfig(layers=4))
+    small, large = _held_bytes(enc, 256), _held_bytes(enc, 1024)
+    for name in small:
+        assert abs(large[name] - small[name]) <= 64 * 1024, (name, small, large)
+
+
+def test_each_worker_holds_at_most_one_block(monkeypatch):
+    # W workers hold at most W blocks' working sets at once, at any S
+    enc = md.FrozenEncoder(md.EncoderConfig(layers=4))
+    monkeypatch.setattr(md, "_WORKERS", 1)
+    one = _held_bytes(enc, 256)
+    monkeypatch.setattr(md, "_WORKERS", 2)
     for S in (256, 1024):
-        x = np.random.default_rng(5).normal(size=(S, 16, 32))
-        cp = x.copy()
-        cp[:, 5:7, :] += 1.0
-        for name, run in (("plain", lambda: enc.encode_plain(x)),
-                          ("corit", lambda: enc.encode_corit(x, cp, rg.grid_partition(16),
-                                                             alpha=0.25))):
-            peak, out = _peak_and_output_bytes(run)
-            held.setdefault(name, []).append(peak - out)
-    for name, (small, large) in held.items():
-        assert abs(large - small) <= 64 * 1024, (name, small, large)
+        two = _held_bytes(enc, S)
+        for name in one:
+            assert two[name] <= 2 * one[name] + 64 * 1024, (name, S, one, two)
 
 
 def test_hri_fuse_concatenates_mid_and_final_layers():
