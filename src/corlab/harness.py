@@ -431,6 +431,9 @@ def sweep_rho(config: RunConfig, rho_list, seeds=(0, 1, 2)) -> SweepResult:
         fields.real("rho", r, 0, strict=False)
     if len(rhos) < 3 or any(b <= a for a, b in zip(rhos, rhos[1:])):
         raise ValueError("need >= 3 strictly ascending rho values")
+    seeds = tuple(seeds)
+    if not seeds:
+        raise ValueError("need at least one seed")
 
     cache = {}
     for s in seeds:

@@ -11,10 +11,12 @@ through every layer (both streams' blocks, the region pass, the
 injection) and writes its rows of the outputs, reading no other block's
 rows.  The blocks are independent work, so W blocks are in flight at
 once, one per core this process may run on (`_WORKERS`, capped at the
-number of blocks): the calling thread and W - 1 helper threads each take
-every W-th block.  numpy and BLAS release the interpreter lock inside
-the blocks' products and ufuncs, and besides the outputs the encoder
-holds W blocks' working sets, not a full-size stream or CGP field.
+number of blocks): each forward opens a pool of W threads that take the
+blocks in order while the calling thread waits, and reads their errors
+in block order.  numpy and BLAS release the interpreter lock inside the
+blocks' products and ufuncs, and besides the outputs the encoder holds W
+blocks' working sets, not a full-size stream or CGP field.  No thread
+or pool is module state, so a forked child needs no hook to encode.
 `block(x, l)` is the full-sequence block; with no regions only the CLS
 row of the last layer is read, so that layer computes it alone.
 The block forward is written against the generic array API in
@@ -33,7 +35,6 @@ Token layout is always [CLS | R_1..R_K | V_1..V_N].
 from __future__ import annotations
 
 import os
-import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -59,21 +60,6 @@ _BLOCK_SAMPLES = 32
 # Linux-only).
 _WORKERS = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
             else os.cpu_count() or 1)
-
-
-def _new_helpers() -> None:
-    """Give the forward a fresh executor for its helper threads.  Creating
-    one starts no thread; `submit` starts one when none is idle and reuses
-    it afterwards.  A forked child has none of its parent's threads, so
-    it gets an executor of its own, or its first encode would wait forever
-    on a thread that does not exist there."""
-    global _HELPERS
-    _HELPERS = ThreadPoolExecutor(thread_name_prefix="corlab-encoder")
-
-
-_new_helpers()
-if hasattr(os, "register_at_fork"):         # a platform without fork needs no hook
-    os.register_at_fork(after_in_child=_new_helpers)
 
 # Largest attention-score bound an encoder may have.  Attention takes
 # exp(scores) with no max shift, so the bound must keep exp well inside
@@ -237,8 +223,7 @@ class FrozenEncoder:
             if not idx or not all(0 <= i < cfg.visual_tokens for i in idx):
                 raise ValueError(f"region {k} must be a nonempty index set in "
                                  f"[0, {cfg.visual_tokens})")
-        if alpha < 0:
-            raise ValueError("alpha must be nonnegative")
+        fields.real("alpha", alpha, 0, strict=False)
         orig, cpart = self._visuals(orig_visuals), self._visuals(cpart_visuals)
         if orig.shape != cpart.shape:
             raise ValueError("stream shapes differ")
@@ -254,13 +239,13 @@ class FrozenEncoder:
         `heads` and `masks`.  With no regions the last layer computes the CLS
         row alone.
 
-        The blocks are dealt round-robin to W = `_WORKERS` shards (at most
-        one per block): the calling thread runs shard 0 and helper threads
-        the rest, each its blocks in order.  Every shard is joined before
-        this returns or raises.  A failing block stops its shard, and the
-        error raised is that of the lowest failing block, the one a single
-        shard would raise.  Blocks run under their own `np.errstate`, so no
-        caller's setting moves which error that is."""
+        A pool of W = `_WORKERS` threads (at most one per block), opened
+        for this forward alone, takes the blocks in order while the calling
+        thread waits on them in the same order.  The first error it reads is
+        the lowest failing block's, the one a single thread would raise;
+        blocks not yet started are then cancelled, and the pool is joined
+        before this returns or raises.  Blocks run under their own
+        `np.errstate`, so no caller's setting moves which error that is."""
         for name, visuals in streams.items():
             if not np.all(np.isfinite(visuals)):
                 raise ad.NonFiniteError(f"non-finite {name} input")
@@ -292,36 +277,20 @@ class FrozenEncoder:
                     x["counterpart"][:, 1:1 + K] = x_o[:, 1:1 + K]
                 heads[l + 1, b] = x_o[:, :1 + K]
 
-        starts = range(0, S, _BLOCK_SAMPLES)
-        workers = max(1, min(_WORKERS, len(starts)))
-        lock, failures = threading.Lock(), {}       # block start -> its error
+        def run(b: slice) -> None:
+            # non-finite values are checked, never trapped or warned of
+            with np.errstate(all="ignore"):
+                encode(b)
 
-        def shard(w: int) -> None:
-            for i in starts[w::workers]:
-                with lock:          # no block above a known failure can matter
-                    if failures and min(failures) < i:
-                        return
-                try:
-                    # non-finite values are checked, never trapped or warned of
-                    with np.errstate(all="ignore"):
-                        encode(slice(i, min(i + _BLOCK_SAMPLES, S)))
-                except Exception as e:
-                    with lock:
-                        failures[i] = e
-                    return
-
-        helpers = [_HELPERS.submit(shard, w) for w in range(1, workers)]
-        try:
-            shard(0)
-        except BaseException:       # interrupted: the helpers stop at their next block
-            with lock:
-                failures[-1] = None
-            raise
-        finally:
-            for f in helpers:
-                f.result()
-        if failures:
-            raise failures[min(failures)]
+        blocks = [slice(i, min(i + _BLOCK_SAMPLES, S)) for i in range(0, S, _BLOCK_SAMPLES)]
+        with ThreadPoolExecutor(max(1, min(_WORKERS, len(blocks))),
+                                thread_name_prefix="corlab-encoder") as pool:
+            futures = [pool.submit(run, b) for b in blocks]
+            try:
+                for f in futures:       # block order: the first error is the lowest block's
+                    f.result()
+            finally:                    # after a failure or an interrupt no queued block starts
+                pool.shutdown(cancel_futures=True)
         return heads, masks
 
 

@@ -8,6 +8,8 @@ import math
 
 import numpy as np
 
+from . import fields
+
 POOL_EPSILON = 1e-6
 ANCHOR_REL_FLOOR = 1e-12   # degenerate anchor: centroid norm <= this x mean token norm
 REGION_LABELS = ("foreground", "boundary", "background")   # grid_partition order
@@ -70,8 +72,7 @@ def layer_region_state(cgp: np.ndarray, visuals: np.ndarray,
     the region and its projection onto the direction strictly exceeds alpha
     times the norm, so a degenerate anchor gives an empty mask: a no-op.
     """
-    if alpha < 0:
-        raise ValueError("alpha must be nonnegative")
+    fields.real("alpha", alpha, 0, strict=False)
     M = np.zeros((len(regions), cgp.shape[-2]))
     for k, idx in enumerate(regions):
         M[k, list(idx)] = 1.0

@@ -589,6 +589,9 @@ def test_sweep_rho_rejects_bad_rho_values_before_encoding(monkeypatch):
     for rhos in ([0.01, float("nan"), 0.08], [0.0, 0.01, float("inf")], [-0.1, 0.0, 0.1]):
         with pytest.raises(ValueError, match="rho must be a finite number >= 0"):
             hn.sweep_rho(bifurcation_config(), rhos)
+    # so does an empty seed list, which would vote on no runs at all
+    with pytest.raises(ValueError, match="seed"):
+        hn.sweep_rho(bifurcation_config(), [0.005, 0.02, 0.08], seeds=())
 
 
 # -- campaigns --------------------------------------------------------------------------

@@ -4,6 +4,7 @@ paired-stream forward, and the feature heads."""
 import multiprocessing
 import sys
 import threading
+import time
 import tracemalloc
 
 import numpy as np
@@ -218,9 +219,12 @@ def test_encode_corit_validation():
     enc = md.FrozenEncoder(CFG)
     x = sample_tokens()
     regions = rg.grid_partition(16)
-    for k in (3, 0):                    # alpha is checked with or without regions
-        with pytest.raises(ValueError, match="alpha"):
-            enc.encode_corit(x, x, regions[:k], alpha=-1.0)
+    # alpha is checked with or without regions; NaN or inf would leave every
+    # mask empty and inject nothing
+    for k in (3, 0):
+        for alpha in (-1.0, float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="alpha"):
+                enc.encode_corit(x, x, regions[:k], alpha=alpha)
     with pytest.raises(ValueError):
         enc.encode_corit(x, x[:, :8], regions, alpha=0.5)
     # a region must be a nonempty index set over the visual tokens; the
@@ -277,17 +281,15 @@ def test_encoders_are_exact_under_any_block_size(monkeypatch, block):
             assert np.array_equal(got, want)
 
 
-def test_a_failing_forward_raises_the_lowest_failing_blocks_error(monkeypatch):
-    # blocks 1 and 2 of five overflow, at layers 2 and 0; whatever the worker
-    # count (more than the host's cores too), the switch interval or the
-    # caller's errstate, the forward raises block 1's error, the first a
-    # single shard meets, and only after every shard has stopped
-    enc = md.FrozenEncoder(CFG)
-    x = sample_tokens(seed=6, n=150)
-    x[:, 0, 0] = np.arange(150)           # sample index, read in at layer 0
-    fail_at = {32: 2, 64: 0}              # block start -> failing layer
+def _plant_failures(monkeypatch, fail_at, delay=0.0):
+    """Patch `FrozenEncoder.block` so that the block of samples starting at
+    i overflows at layer fail_at[i], and every call that does not overflow
+    first sleeps `delay` seconds.  Each sample must carry its index in
+    visual token 0, channel 0.  Returns the count of block calls in flight
+    and the set of block starts that reached layer 0, both updated under
+    one lock."""
     block = md.FrozenEncoder.block
-    lock, active, start_of = threading.Lock(), [0], {}
+    lock, active, started, start_of = threading.Lock(), [0], set(), {}
 
     def planted(self, xb, l):
         with lock:
@@ -295,15 +297,31 @@ def test_a_failing_forward_raises_the_lowest_failing_blocks_error(monkeypatch):
         try:
             if l == 0:
                 start_of[id(xb)] = int(xb[0, 4, 0])     # after CLS and 3 regions
+                with lock:
+                    started.add(start_of[id(xb)])
             out = block(self, xb, l)
             if fail_at.get(start_of[id(xb)]) == l:
                 out = np.full_like(out, 1e308) * 10.0    # overflows to inf
+            else:
+                time.sleep(delay)
             return out
         finally:
             with lock:
                 active[0] -= 1
 
     monkeypatch.setattr(md.FrozenEncoder, "block", planted)
+    return active, started
+
+
+def test_a_failing_forward_raises_the_lowest_failing_blocks_error(monkeypatch):
+    # blocks 1 and 2 of five overflow, at layers 2 and 0; whatever the worker
+    # count (more than the host's cores too), the switch interval or the
+    # caller's errstate, the forward raises block 1's error, the first a
+    # single thread meets, and only after every worker has stopped
+    enc = md.FrozenEncoder(CFG)
+    x = sample_tokens(seed=6, n=150)
+    x[:, 0, 0] = np.arange(150)           # sample index, read in at layer 0
+    active, _ = _plant_failures(monkeypatch, {32: 2, 64: 0})   # block start -> layer
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
@@ -318,13 +336,32 @@ def test_a_failing_forward_raises_the_lowest_failing_blocks_error(monkeypatch):
         sys.setswitchinterval(interval)
 
 
+def test_a_failing_block_stops_the_blocks_queued_behind_it(monkeypatch):
+    # block 0 of 64 overflows at layer 0 while the others run slowly: the
+    # forward raises its error once every worker has stopped, and the
+    # blocks still queued never start
+    enc = md.FrozenEncoder(CFG)
+    monkeypatch.setattr(md, "_BLOCK_SAMPLES", 4)
+    x = sample_tokens(seed=8, n=256)
+    x[:, 0, 0] = np.arange(256)           # sample index, read in at layer 0
+    active, started = _plant_failures(monkeypatch, {0: 0}, delay=0.005)
+    for workers in (1, 2, 3):
+        monkeypatch.setattr(md, "_WORKERS", workers)
+        started.clear()
+        with pytest.raises(ad.NonFiniteError,
+                           match="^non-finite original activation at layer 0$"):
+            enc.encode_corit(x, x + 0.5, rg.grid_partition(16), alpha=0.25)
+        assert active[0] == 0
+        assert 0 in started and len(started) <= 3 * workers, (workers, sorted(started))
+
+
 def test_a_child_forked_after_an_encode_can_encode(monkeypatch):
-    # the child has none of its parent's helper threads, so it must not
-    # hand its blocks to them
+    # the child has none of its parent's threads, so its encode must start
+    # threads of its own
     monkeypatch.setattr(md, "_WORKERS", 2)
     enc = md.FrozenEncoder(CFG)
     x = sample_tokens(seed=7, n=90)
-    want = enc.encode_plain(x)            # the parent's helper thread now exists
+    want = enc.encode_plain(x)            # the parent has run a pool of two threads
 
     def child():
         sys.exit(0 if np.array_equal(enc.encode_plain(x), want) else 1)

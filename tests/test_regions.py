@@ -123,8 +123,9 @@ def test_refine_mask_thresholds_in_region_projections():
     # alpha = 0 keeps every in-region token with positive projection
     masks0, _ = rg.layer_region_state(cgp, visuals, [(1, 2)], alpha=0.0)
     assert masks0.tolist() == [[0.0, 1.0, 1.0, 0.0, 0.0]]
-    with pytest.raises(ValueError):
-        rg.layer_region_state(cgp, visuals, [(1, 2)], alpha=-0.5)
+    for alpha in (-0.5, float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="alpha"):
+            rg.layer_region_state(cgp, visuals, [(1, 2)], alpha=alpha)
 
 
 def test_refine_mask_degenerate_anchor_is_empty():
