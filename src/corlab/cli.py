@@ -10,7 +10,6 @@ from dataclasses import asdict, replace
 
 import numpy as np
 
-from . import autodiff as ad
 from . import harness as hn
 
 EXIT_OK = 0
@@ -66,11 +65,9 @@ def cmd_sweep(args) -> int:
 
 def cmd_verify(args) -> int:
     report = hn.verify_theorem_campaign(args.instances, seed=args.seed or 0)
-    if args.out is not None:
-        hn.write_report(args.out, "verify_theorem.json", asdict(report))
-    _emit(args, json.dumps({k: getattr(report, k) for k in
-                            ("n_instances", "n_passed", "max_rel_gap")},
-                           sort_keys=True))
+    payload = asdict(report)
+    del payload["elapsed_s"]            # wall time: the report would differ run to run
+    _report(args, "verify_theorem.json", payload)
     return EXIT_OK if report.passed else EXIT_ASSERTION
 
 
@@ -116,8 +113,9 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except (ad.NonFiniteError, FloatingPointError, np.linalg.LinAlgError,
-            RuntimeError) as e:      # before ValueError, which LinAlgError subclasses
+    # ArithmeticError covers FloatingPointError and the engine's NonFiniteError;
+    # caught before ValueError, which LinAlgError subclasses
+    except (ArithmeticError, np.linalg.LinAlgError, RuntimeError) as e:
         print(f"numerical failure: {e}", file=sys.stderr)
         return EXIT_NUMERICAL
     except (OSError, ValueError, KeyError, TypeError) as e:

@@ -25,7 +25,7 @@ FACTORIZATION_REL_TOL = 1e-6    # campaign pass threshold on both relative gaps
 WHITEN_RIDGE = 1e-6             # added to the feature covariance before whitening
 HEAD_MODES = ("plain-probe", "corit")
 LOSS_MODES = ("bce", "quadratic")
-STANDARDIZE_MODES = ("none", "center", "whiten")
+STANDARDIZE_MODES = ("center", "whiten")
 STEP_CSV_HEADER = ["step", "loss", "train_auc_window", "grad_norm", "gsnr"]
 # Observed steps per evaluation block: one (n, P)·(P, 64) GEMM gives the
 # block's full-train logits in place of 64 GEMVs.  On the 2,000-sample,
@@ -149,8 +149,7 @@ class Standardizer:
 
 
 def fit_standardizer(F: np.ndarray, mode: str) -> Standardizer:
-    if mode == "none":
-        return Standardizer(np.zeros(F.shape[1]), None)
+    fields.choice("standardize", mode, STANDARDIZE_MODES)
     mu = F.mean(axis=0)
     if mode == "center":
         return Standardizer(mu, None)
@@ -365,16 +364,15 @@ def write_report(out_dir: str, name: str, payload: dict) -> None:
 
 
 def emit_run(result: TrainResult, out_dir: str) -> None:
-    os.makedirs(out_dir, exist_ok=True)
+    write_report(out_dir, "diagnostics.json",
+                 {"estimates": [e.to_dict() for e in result.estimates]})
+    write_report(out_dir, "summary.json", result.summary())
     with open(os.path.join(out_dir, "steps.csv"), "w", encoding="utf-8",
               newline="\n") as fh:
         fh.write(",".join(STEP_CSV_HEADER) + "\n")
         for m in result.steps:
             fh.write(f"{m.step},{m.loss!r},{m.train_auc_window!r},"
                      f"{m.grad_norm!r},{m.gsnr!r}\n")
-    write_report(out_dir, "diagnostics.json",
-                 {"estimates": [e.to_dict() for e in result.estimates]})
-    write_report(out_dir, "summary.json", result.summary())
 
 
 # ---------------------------------------------------------------------------
@@ -431,33 +429,28 @@ def sweep_rho(config: RunConfig, rho_list, seeds=(0, 1, 2)) -> SweepResult:
         fields.real("rho", r, 0, strict=False)
     if len(rhos) < 3 or any(b <= a for a, b in zip(rhos, rhos[1:])):
         raise ValueError("need >= 3 strictly ascending rho values")
-    seeds = tuple(seeds)
+    seeds = fields.channels("seeds", seeds, None)   # a repeated seed would vote twice
     if not seeds:
         raise ValueError("need at least one seed")
+    # TaskSpec refuses a negative seed here, before any features are built
+    cfgs = [replace(config, task=replace(config.task, seed=config.task.seed + s))
+            for s in seeds]
 
-    cache = {}
-    for s in seeds:
-        cfg_s = replace(config, task=replace(config.task, seed=config.task.seed + s))
+    runs = []
+    for cfg_s in cfgs:
         feats = build_features(cfg_s)
         problem = _make_problem(cfg_s, feats)
-        cache[s] = (feats, problem, replace(config.optimizer,
-                                           learning_rate=_effective_lr(cfg_s, problem)))
+        runs.append((feats, problem, replace(config.optimizer,
+                                             learning_rate=_effective_lr(cfg_s, problem))))
 
-    def probe(rho: float) -> tuple[bool, float, float]:
-        wins, trs, tes = [], [], []
-        for s in seeds:
-            feats, problem, ocfg = cache[s]
-            win, tr, te = _collapse_stat(problem, feats, replace(ocfg, rho=rho))
-            wins.append(win)
-            trs.append(tr)
-            tes.append(te)
-        votes = sum(w < COLLAPSE_AUC_THRESHOLD for w in wins)
-        return 2 * votes > len(seeds), float(np.mean(trs)), float(np.mean(tes))
+    def probe(rho: float) -> SweepEntry:
+        stats = np.array([_collapse_stat(problem, feats, replace(ocfg, rho=rho))
+                          for feats, problem, ocfg in runs])   # (seeds, 3)
+        votes = np.count_nonzero(stats[:, 0] < COLLAPSE_AUC_THRESHOLD)
+        return SweepEntry(rho, float(np.mean(stats[:, 1])), float(np.mean(stats[:, 2])),
+                          bool(2 * votes > len(runs)))
 
-    entries = []
-    for r in rhos:
-        coll, tr, te = probe(r)
-        entries.append(SweepEntry(r, tr, te, coll))
+    entries = [probe(r) for r in rhos]
 
     flags = [e.collapsed for e in entries]
     monotone = flags == sorted(flags)     # no recovery above a collapsed rho
@@ -471,7 +464,7 @@ def sweep_rho(config: RunConfig, rho_list, seeds=(0, 1, 2)) -> SweepResult:
     hi = rhos[hi_i]
     while hi - lo > BISECTION_RESOLUTION:
         mid = 0.5 * (lo + hi)
-        if probe(mid)[0]:
+        if probe(mid).collapsed:
             hi = mid
         else:
             lo = mid

@@ -11,9 +11,9 @@ through every layer (both streams' blocks, the region pass, the
 injection) and writes its rows of the outputs, reading no other block's
 rows.  The blocks are independent work, so W blocks are in flight at
 once, one per core this process may run on (`_WORKERS`, capped at the
-number of blocks): each forward opens a pool of W threads that take the
-blocks in order while the calling thread waits, and reads their errors
-in block order.  numpy and BLAS release the interpreter lock inside the
+number of blocks): each forward opens a pool of W threads and joins the
+blocks through `Executor.map`, whose results, errors included, come in
+block order.  numpy and BLAS release the interpreter lock inside the
 blocks' products and ufuncs, and besides the outputs the encoder holds W
 blocks' working sets, not a full-size stream or CGP field.  No thread
 or pool is module state, so a forked child needs no hook to encode.
@@ -240,12 +240,14 @@ class FrozenEncoder:
         row alone.
 
         A pool of W = `_WORKERS` threads (at most one per block), opened
-        for this forward alone, takes the blocks in order while the calling
-        thread waits on them in the same order.  The first error it reads is
-        the lowest failing block's, the one a single thread would raise;
-        blocks not yet started are then cancelled, and the pool is joined
-        before this returns or raises.  Blocks run under their own
-        `np.errstate`, so no caller's setting moves which error that is."""
+        for this forward alone, runs the blocks through `Executor.map`, which
+        reads their results in block order: the first error raised is the
+        lowest failing block's, the one a single thread would raise.  On an
+        error or an interrupt the map cancels every block not yet started,
+        and the `with` joins the running ones before this raises.  Each block
+        runs under its own `np.errstate` (a context, not a decorator: numpy
+        1.x keeps a shared instance's saved state on itself), so no caller's
+        setting moves which error that is."""
         for name, visuals in streams.items():
             if not np.all(np.isfinite(visuals)):
                 raise ad.NonFiniteError(f"non-finite {name} input")
@@ -256,41 +258,33 @@ class FrozenEncoder:
         last = self.config.layers - 1
 
         def encode(b: slice) -> None:
-            cls = np.broadcast_to(self.params["cls"], (b.stop - b.start, 1, D))
-            x = {name: np.concatenate([cls, np.zeros((b.stop - b.start, K, D)), v[b]], axis=1)
-                 for name, v in streams.items() if K or name == "original"}
-            x_o = x["original"]
-            heads[0, b] = x_o[:, :1 + K]
-            for l in range(self.config.layers):
-                # without regions only the last layer's CLS row is read
-                full = K or l < last
-                rows = 1 + K + N if full else 1
-                for name, xb in x.items():
-                    xb[:, :rows] = self.block(xb, l) if full else self._block(xb, l, 1)
-                    if not np.all(np.isfinite(xb[:, :rows])):
-                        raise ad.NonFiniteError(f"non-finite {name} activation at layer {l}")
-                if K:
-                    v_o = x_o[:, 1 + K:]
-                    masks[l, b], pooled = rg.layer_region_state(
-                        rg.compute_cgp(v_o, x["counterpart"][:, 1 + K:]), v_o, regions, alpha)
-                    x_o[:, 1:1 + K] += pooled                        # intra-layer residual
-                    x["counterpart"][:, 1:1 + K] = x_o[:, 1:1 + K]
-                heads[l + 1, b] = x_o[:, :1 + K]
-
-        def run(b: slice) -> None:
             # non-finite values are checked, never trapped or warned of
             with np.errstate(all="ignore"):
-                encode(b)
+                cls = np.broadcast_to(self.params["cls"], (b.stop - b.start, 1, D))
+                x = {name: np.concatenate([cls, np.zeros((b.stop - b.start, K, D)), v[b]], axis=1)
+                     for name, v in streams.items() if K or name == "original"}
+                x_o = x["original"]
+                heads[0, b] = x_o[:, :1 + K]
+                for l in range(self.config.layers):
+                    # without regions only the last layer's CLS row is read
+                    full = K or l < last
+                    rows = 1 + K + N if full else 1
+                    for name, xb in x.items():
+                        xb[:, :rows] = self.block(xb, l) if full else self._block(xb, l, 1)
+                        if not np.all(np.isfinite(xb[:, :rows])):
+                            raise ad.NonFiniteError(f"non-finite {name} activation at layer {l}")
+                    if K:
+                        v_o = x_o[:, 1 + K:]
+                        masks[l, b], pooled = rg.layer_region_state(
+                            rg.compute_cgp(v_o, x["counterpart"][:, 1 + K:]), v_o, regions, alpha)
+                        x_o[:, 1:1 + K] += pooled                        # intra-layer residual
+                        x["counterpart"][:, 1:1 + K] = x_o[:, 1:1 + K]
+                    heads[l + 1, b] = x_o[:, :1 + K]
 
         blocks = [slice(i, min(i + _BLOCK_SAMPLES, S)) for i in range(0, S, _BLOCK_SAMPLES)]
         with ThreadPoolExecutor(max(1, min(_WORKERS, len(blocks))),
                                 thread_name_prefix="corlab-encoder") as pool:
-            futures = [pool.submit(run, b) for b in blocks]
-            try:
-                for f in futures:       # block order: the first error is the lowest block's
-                    f.result()
-            finally:                    # after a failure or an interrupt no queued block starts
-                pool.shutdown(cancel_futures=True)
+            list(pool.map(encode, blocks))
         return heads, masks
 
 

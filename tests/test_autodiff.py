@@ -74,6 +74,9 @@ def test_grad_check_on_composite_graph():
     pv = ad.ParamVector({"w": rng.normal(size=12)})
     report = ad.grad_check(graph, pv, X)
     assert report["max_rel_error"] < 1e-6
+    for step in (0.0, -1e-5, 0.1):
+        with pytest.raises(ValueError, match="step must lie in"):
+            ad.grad_check(graph, pv, X, step=step)
 
 
 def test_gradient_of_layer_norm_gelu_chain():

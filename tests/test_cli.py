@@ -50,6 +50,12 @@ def test_train_writes_reports_and_exits_zero(config_path, tmp_path, capsys):
         assert (other / name).read_bytes() == (out / name).read_bytes()
 
 
+def test_train_without_config_runs_the_default_config(capsys):
+    assert cli.main(["train"]) == 0
+    printed = json.loads(capsys.readouterr().out)
+    assert printed["config"] == json.loads(json.dumps(hn.RunConfig().to_dict()))
+
+
 def test_seed_override_changes_both_task_and_optimizer(config_path, capsys):
     code = cli.main(["train", "--config", config_path, "--seed", "9",
                      "--rho", "0.0"])
@@ -99,6 +105,7 @@ def test_malformed_config_exits_2(config_path, tmp_path, capsys):
                                    bias_channels=[40])), "bias_channels"),
              (dict(d, counterpart=dict(d["counterpart"], target_channels=[-1])),
               "counterpart.target_channels"),
+             (dict(d, standardize="none"), "standardize"),
              (dict(d, cadence=2.5), "cadence"),
              (dict(d, cadence=True), "cadence"),
              (dict(d, head="corit", l_mid=1.5), "l_mid"),
@@ -256,6 +263,7 @@ def test_verify_theorem_subcommand(tmp_path, capsys):
     payload = json.loads((out / "verify_theorem.json").read_text())
     assert payload["n_passed"] == 10
     assert payload["max_rel_gap"] < 1e-6
+    assert dict(json.loads(capsys.readouterr().out), schema_version=hn.SCHEMA_VERSION) == payload
 
 
 def test_verify_theorem_failure_exits_4(monkeypatch, capsys):
@@ -278,22 +286,35 @@ def test_compare_subcommand(config_path, tmp_path, capsys):
 
 
 @pytest.fixture(scope="module")
-def report_dir(tmp_path_factory):
-    """Every JSON report the CLI writes, from one small config."""
-    out = tmp_path_factory.mktemp("reports")
-    path = out / "config.json"
-    path.write_text(json.dumps(small_config(l_mid=1).to_dict()))
-    config = ["--config", str(path)]
-    for argv in (["train", "--rho", "0.01"] + config, ["sweep-rho"] + config,
-                 ["compare"] + config, ["verify-theorem", "--instances", "10"]):
-        assert cli.main(argv + ["--out", str(out), "--quiet"]) == 0
-    return out
+def report_dirs(tmp_path_factory):
+    """Every file the CLI writes, from one small config, written twice into
+    two directories."""
+    config = tmp_path_factory.mktemp("config") / "config.json"
+    config.write_text(json.dumps(small_config(l_mid=1).to_dict()))
+    dirs = [tmp_path_factory.mktemp("reports") for _ in range(2)]
+    for out in dirs:
+        for argv in (["train", "--rho", "0.01", "--config", str(config)],
+                     ["sweep-rho", "--config", str(config)],
+                     ["compare", "--config", str(config)],
+                     ["verify-theorem", "--instances", "10"]):
+            assert cli.main(argv + ["--out", str(out), "--quiet"]) == 0
+    return dirs
+
+
+def test_every_report_is_byte_identical_across_runs(report_dirs):
+    first, second = report_dirs
+    names = sorted(p.name for p in first.iterdir())
+    assert names == ["compare.json", "diagnostics.json", "steps.csv", "summary.json",
+                     "sweep.json", "verify_theorem.json"]
+    assert names == sorted(p.name for p in second.iterdir())
+    for name in names:
+        assert (first / name).read_bytes() == (second / name).read_bytes(), name
 
 
 @pytest.mark.parametrize("name", ["summary.json", "diagnostics.json", "sweep.json",
                                   "verify_theorem.json", "compare.json"])
-def test_json_reports_share_one_versioned_format(report_dir, name):
-    text = (report_dir / name).read_text()
+def test_json_reports_share_one_versioned_format(report_dirs, name):
+    text = (report_dirs[0] / name).read_text()
     payload = json.loads(text)
     assert payload["schema_version"] == hn.SCHEMA_VERSION
     assert text == json.dumps(payload, indent=2, sort_keys=True) + "\n"

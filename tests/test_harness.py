@@ -212,9 +212,9 @@ def test_run_config_validation():
 
 
 @pytest.mark.parametrize("module, owners", [
-    # the engine is the array API of the encoder blocks and the CLI's error
-    # type; every other module is closed-form numpy
-    ("autodiff", {"model", "cli"}),
+    # the engine is the array API of the encoder blocks; every other module
+    # is closed-form numpy
+    ("autodiff", {"model"}),
     # the integer and real field rules have one owner; every config calls it
     ("numbers", {"fields"}),
     # measurement code with no file I/O; harness runs it and writes its reports
@@ -266,8 +266,9 @@ def test_whitening_produces_identity_covariance(d, per_dim, lo, hi, seed):
     W = hn.fit_standardizer(F, "whiten").apply(F)
     assert np.allclose(W.mean(axis=0), 0.0, atol=1e-9)
     assert np.allclose(np.cov(W, rowvar=False), np.eye(d), atol=1e-3)
-    identity = hn.fit_standardizer(F, "none").apply(F)
-    assert np.array_equal(identity, F)
+    for mode in ("none", "zscore"):
+        with pytest.raises(ValueError, match="standardize"):
+            hn.fit_standardizer(F, mode)
 
 
 def test_build_features_standardizer_is_fit_on_train_only():
@@ -569,6 +570,11 @@ def test_sweep_rho_degenerate_ranges_set_flags():
     assert res_all.all_collapsed and res_all.empirical_cor == 0.2
     res_none = hn.sweep_rho(cfg, [0.001, 0.002, 0.003])
     assert res_none.none_collapsed and res_none.empirical_cor == 0.003
+    # a probe run that diverges votes collapsed and reads chance-level AUCs
+    res_failed = hn.sweep_rho(bifurcation_config(lr_relative=300.0), [0.0, 0.01, 0.02],
+                              seeds=(0,))
+    assert res_failed.all_collapsed
+    assert all(e.train_auc == e.test_auc == 0.5 for e in res_failed.entries)
 
 
 def test_sweep_rho_rejects_bad_rho_lists():
@@ -589,9 +595,13 @@ def test_sweep_rho_rejects_bad_rho_values_before_encoding(monkeypatch):
     for rhos in ([0.01, float("nan"), 0.08], [0.0, 0.01, float("inf")], [-0.1, 0.0, 0.1]):
         with pytest.raises(ValueError, match="rho must be a finite number >= 0"):
             hn.sweep_rho(bifurcation_config(), rhos)
-    # so does an empty seed list, which would vote on no runs at all
-    with pytest.raises(ValueError, match="seed"):
-        hn.sweep_rho(bifurcation_config(), [0.005, 0.02, 0.08], seeds=())
+    # so does an empty seed list, which would vote on no runs at all, a
+    # repeated seed, which would vote twice, and an offset that makes a task
+    # seed negative
+    for seeds, named in (((), "seed"), ((0, 0, 1), "seeds"), ((0, 1.0), "seeds"),
+                         ((0, -1), "seed must be an integer >= 0")):
+        with pytest.raises(ValueError, match=named):
+            hn.sweep_rho(bifurcation_config(), [0.005, 0.02, 0.08], seeds=seeds)
 
 
 # -- campaigns --------------------------------------------------------------------------

@@ -227,6 +227,8 @@ def test_encode_corit_validation():
                 enc.encode_corit(x, x, regions[:k], alpha=alpha)
     with pytest.raises(ValueError):
         enc.encode_corit(x, x[:, :8], regions, alpha=0.5)
+    with pytest.raises(ValueError, match="stream shapes differ"):
+        enc.encode_corit(x, x[:-1], regions, alpha=0.5)
     # a region must be a nonempty index set over the visual tokens; the
     # error names its position
     for bad in ((), (99,), (-1,), (3, 16)):
