@@ -44,16 +44,17 @@ from . import autodiff as ad
 from . import fields
 from . import regions as rg
 
-# Samples per block of the sample-major forward.  At B = 32 samples of
-# T = 20 tokens (CLS, 3 regions, 16 visuals) and D = 32 channels a block's
-# working set is its two streams, 2 x 32*20*32*8 B = 2 x 164 KB, the
-# (B, T, 4D) MLP hidden array and GELU result, 2 x 32*20*128*8 B =
-# 2 x 655 KB, and between layers the (B, N, D) CGP, 131 KB: 1.8 MB.  W
-# blocks are in flight at once, each on its own core, so each fits that
-# core's 2 MB L2, where 128 samples would need 7 MB and spill it.  No
-# encoder temporary spans more than one block, whatever S is, and samples
+# Samples per block of the sample-major forward.  No encoder temporary
+# spans more than one block: on one worker a forward holds 3.3 MB (plain)
+# or 4.6 MB (CoRIT) besides its outputs at 64 samples, half that at 32,
+# whatever S is.  A block's products and ufuncs release the interpreter
+# lock but its Python steps hold it, so the fewer the blocks, the less W
+# workers wait for it: on a 2-core host (4 MB L2 per core) two workers
+# ran the regionless forward on 2,000 samples in 0.37 s at 32 samples,
+# barely faster than one worker (0.40 s), and in 0.25 s at 64, where one
+# worker is no faster than at 32; 128 was no faster than 64.  Samples
 # never mix, so neither the block size nor W changes a bit of any output.
-_BLOCK_SAMPLES = 32
+_BLOCK_SAMPLES = 64
 
 # Blocks the forward runs at once: the cores this process may run on, or
 # all cores where the platform cannot say which (sched_getaffinity is

@@ -79,10 +79,12 @@ def small_config(**kw) -> hn.RunConfig:
     return hn.RunConfig(**defaults)
 
 
-def test_corit_features_make_one_region_pass_per_layer_and_block():
+def test_corit_features_make_one_region_pass_per_layer_and_block(monkeypatch):
     # the encoder's helper threads call the region pass too, and the tracer
     # counts without a lock, so the passes are counted by hooks of this
-    # test's own, installed over the tracer's
+    # test's own, installed over the tracer's; 32-sample blocks split the
+    # train split in two
+    monkeypatch.setattr(md, "_BLOCK_SAMPLES", 32)
     cfg = small_config(head="corit")
     lock, calls = threading.Lock(), {}
 

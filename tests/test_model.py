@@ -191,9 +191,10 @@ def test_zero_region_paired_forward_reduces_to_plain():
 
 
 def test_zero_region_forward_runs_one_stream_but_checks_both(monkeypatch):
-    # encode_plain and the K = 0 paired forward run one stream, L ceil(S/32)
-    # calls of the one block implementation (the last layer's CLS-only ones
-    # included); with regions the counterpart runs too, twice as many
+    # encode_plain and the K = 0 paired forward run one stream, L ceil(S/B)
+    # calls (B = _BLOCK_SAMPLES) of the one block implementation (the last
+    # layer's CLS-only ones included); with regions the counterpart runs
+    # too, twice as many
     enc = md.FrozenEncoder(CFG)
     x = sample_tokens(n=70)
     layers = []
@@ -259,12 +260,12 @@ def test_encoders_are_exact_under_any_sample_split():
     assert np.array_equal(masks, np.concatenate([m for _, m in split], axis=1))
 
 
-@pytest.mark.parametrize("block", [1, 7, md._BLOCK_SAMPLES, 90])
+@pytest.mark.parametrize("block", [1, 7, 32, md._BLOCK_SAMPLES, 90])
 def test_encoders_are_exact_under_any_block_size(monkeypatch, block):
     # the block size and the worker count tune speed and may never change a
     # bit: every size, with any number of workers, must match one block call
-    # over all S = 90 samples.  90 leaves a ragged last block at 7 and 32,
-    # and one block is fewer than 2 or 3 workers
+    # over all S = 90 samples.  90 leaves a ragged last block at 7, 32 and
+    # the default size, and one block is fewer than 2 or 3 workers
     enc = md.FrozenEncoder(CFG)
     x = sample_tokens(seed=5, n=90)
     cp = x.copy()
@@ -321,6 +322,7 @@ def test_a_failing_forward_raises_the_lowest_failing_blocks_error(monkeypatch):
     # caller's errstate, the forward raises block 1's error, the first a
     # single thread meets, and only after every worker has stopped
     enc = md.FrozenEncoder(CFG)
+    monkeypatch.setattr(md, "_BLOCK_SAMPLES", 32)
     x = sample_tokens(seed=6, n=150)
     x[:, 0, 0] = np.arange(150)           # sample index, read in at layer 0
     active, _ = _plant_failures(monkeypatch, {32: 2, 64: 0})   # block start -> layer
