@@ -38,12 +38,14 @@ _OBSERVE_STEPS = 64
 # metrics
 # ---------------------------------------------------------------------------
 
-def compute_auc(scores, labels) -> float:
-    """Mann-Whitney AUC, a tie counting one half.  Scores may be infinite
-    but not NaN; labels must be 0 or 1."""
-    s = np.asarray(scores, dtype=np.float64)
+def _aucs(Z, labels) -> list[float]:
+    """Mann-Whitney AUC of each column of the (n, C) scores `Z`, a tie
+    counting one half.  Scores may be infinite but not NaN; labels must be
+    0 or 1.  The labels are split and each class gathered and sorted once
+    for the whole block."""
+    Z = np.asarray(Z, dtype=np.float64)
     y = np.asarray(labels)
-    if s.ndim != 1 or s.shape != y.shape:
+    if Z.ndim != 2 or y.shape != Z.shape[:1]:
         raise ValueError("scores and labels must be aligned 1-d arrays")
     is_pos, is_neg = y == 1, y == 0
     n1, n0 = int(np.count_nonzero(is_pos)), int(np.count_nonzero(is_neg))
@@ -51,15 +53,32 @@ def compute_auc(scores, labels) -> float:
         raise ValueError("labels must be 0 or 1")
     if n1 == 0 or n0 == 0:
         raise ValueError("both classes must be present")
-    # a positive beats the negatives below it and ties those equal to it;
-    # sorted needles keep each search near the last one, and the sum of
-    # the two counts is an exact integer in any order
-    neg, pos = np.sort(s[is_neg]), np.sort(s[is_pos])
-    if np.isnan(neg[-1]) or np.isnan(pos[-1]):     # NaN sorts last
+    neg, pos = np.sort(Z[is_neg].T, axis=1), np.sort(Z[is_pos].T, axis=1)
+    if np.isnan(neg[:, -1]).any() or np.isnan(pos[:, -1]).any():   # NaN sorts last
         raise ValueError("scores must not be NaN")
-    below = np.searchsorted(neg, pos, side="left")
-    not_above = np.searchsorted(neg, pos, side="right")
-    return float((below.sum() + not_above.sum()) / 2.0 / (n1 * n0))
+    # a positive beats the negatives below it and ties those equal to it;
+    # sorted needles keep each search near the last one.  A positive ties a
+    # negative only if the first negative at or above it (clipped to the
+    # last) equals it, so a column without a tie skips the right-side
+    # search; twice the count is an exact integer either way
+    out = []
+    for neg_j, pos_j in zip(neg, pos):
+        below = np.searchsorted(neg_j, pos_j, side="left")
+        if (neg_j.take(below, mode="clip") == pos_j).any():
+            twice = below.sum() + np.searchsorted(neg_j, pos_j, side="right").sum()
+        else:
+            twice = 2 * below.sum()
+        out.append(float(twice / 2.0 / (n1 * n0)))
+    return out
+
+
+def compute_auc(scores, labels) -> float:
+    """Mann-Whitney AUC of one score vector, a tie counting one half:
+    `_aucs` of a single column, with the same rules for scores and labels."""
+    s = np.asarray(scores, dtype=np.float64)
+    if s.ndim != 1:
+        raise ValueError("scores and labels must be aligned 1-d arrays")
+    return _aucs(s[:, None], labels)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -271,14 +290,14 @@ def _run_observed(problem, ocfg: op.SamConfig, feats: FeatureSet, first: int,
     """`op.run` with its steps from `first` on evaluated a block at a time:
     every `_OBSERVE_STEPS` steps and after the run, `evaluate(recs, W, Z,
     aucs)` gets the block's step records, (P, C) pre-step weights, (n, C)
-    full-train logits from one GEMM and AUCs."""
+    full-train logits from one GEMM and their AUCs from one `_aucs`."""
     recs, ws = [], []
 
     def flush():
         if recs:
             W = np.stack(ws, axis=1)
             Z = op.probe_logits(W, feats.train)
-            evaluate(recs, W, Z, [compute_auc(z, feats.train_labels) for z in Z.T])
+            evaluate(recs, W, Z, _aucs(Z, feats.train_labels))
             recs.clear()
             ws.clear()
 

@@ -81,6 +81,51 @@ def test_auc_input_validation():
     assert hn.compute_auc([np.inf, -np.inf, 0.0], [1, 0, 1]) == 1.0
 
 
+def pairwise_aucs(Z, labels):
+    """Each column's share of (positive, negative) pairs in order, a tie
+    counting one half, counted pair by pair."""
+    pos, neg = Z[labels == 1][:, None, :], Z[labels == 0][None, :, :]
+    wins = (pos > neg).sum(axis=(0, 1)) + 0.5 * (pos == neg).sum(axis=(0, 1))
+    return list(wins / (pos.shape[0] * neg.shape[1]))
+
+
+def test_block_aucs_match_compute_auc_and_the_pairwise_count():
+    # the block count skips its second search on a column where no positive
+    # equals a negative, so the columns cover both branches: no ties, many
+    # ties, one tie at either end of the sorted negatives, all scores equal,
+    # and infinite scores
+    rng = np.random.default_rng(3)
+    n = 301
+    labels = rng.integers(0, 2, size=n)
+    pos, neg = np.flatnonzero(labels == 1), np.flatnonzero(labels == 0)
+    Z = rng.normal(size=(n, 6))
+    Z[:, 1] = rng.integers(0, 4, size=n)
+    Z[pos[7], 2] = Z[neg, 2].max()
+    Z[pos[8], 3] = Z[neg, 3].min()
+    Z[:, 4] = 0.7
+    Z[rng.random(n) < 0.3, 5] = np.inf
+    Z[rng.random(n) < 0.3, 5] = -np.inf
+    got = hn._aucs(Z, labels)
+    assert got == [hn.compute_auc(z, labels) for z in Z.T] == pairwise_aucs(Z, labels)
+    assert got[4] == 0.5
+    assert all(type(a) is float for a in got)
+    assert hn._aucs(Z, labels.astype(np.float64)) == got
+
+
+def test_block_aucs_input_validation():
+    Z = np.array([[0.3, 0.1], [0.1, 0.2], [0.2, 0.4]])
+    for labels in ([1, 0, 2], [1, 0, 0.5], [1, 1, 1], [0, 0, 0], [1, 0], [[1, 0, 1]]):
+        with pytest.raises(ValueError):
+            hn._aucs(Z, labels)
+    for col in (0, 1):             # a NaN in any column fails the whole block
+        bad = Z.copy()
+        bad[1, col] = np.nan
+        with pytest.raises(ValueError, match="NaN"):
+            hn._aucs(bad, [1, 0, 1])
+    with pytest.raises(ValueError):
+        hn._aucs(Z[:, 0], [1, 0, 1])
+
+
 # -- config ----------------------------------------------------------------------
 
 def test_run_config_json_round_trip_is_exact():
@@ -326,6 +371,29 @@ def test_surrogate_on_whitened_features_is_nearly_isotropic():
     surro = hn.quadratic_surrogate(feats.train, feats.train_labels)
     evals = np.linalg.eigvalsh(surro.A)
     assert evals.max() / evals.min() < 1.5
+
+
+@pytest.mark.parametrize("head, width", [("plain-probe", 33), ("corit", 257)])
+def test_zero_init_curvature_on_whitened_features_is_a_ruler(monkeypatch, head, width):
+    # at w = 0 the probe Hessian is aug^T aug / (4 n) with centered features,
+    # so its top eigenvalue is the bias direction's 1/4, and its trace counts
+    # the whitened covariance eigenvalues (n - 1)/n * lam / (lam + ridge) of
+    # the raw features' eigenvalues lam, plus the bias
+    raw = []
+    fit = hn.fit_standardizer
+    monkeypatch.setattr(hn, "fit_standardizer",
+                        lambda F, mode: raw.append(F) or fit(F, mode))
+    cfg = bifurcation_config(head=head, l_mid=1,
+                             task=tk.TaskSpec(artifact_amp=30.0, artifact_region="boundary",
+                                              n_train=600, n_test=20, seed=0))
+    feats = hn.build_features(cfg)
+    n = feats.train.shape[0]
+    H = op.LogisticProbeProblem(feats.train, feats.train_labels).dense_hessian(np.zeros(width))
+    assert H.shape == (width, width)
+    assert abs(np.linalg.eigvalsh(H).max() - 0.25) <= 1e-12
+    lam = np.linalg.eigvalsh(np.cov(raw[0], rowvar=False))
+    ruler = ((n - 1) / n * np.sum(lam / (lam + hn.WHITEN_RIDGE)) + 1) / 4
+    assert np.trace(H) == pytest.approx(ruler, rel=1e-10, abs=0)
 
 
 def test_effective_lr_scales_by_top_curvature():

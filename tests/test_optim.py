@@ -1,6 +1,8 @@
 """Optimizer checks: hand-computed steps, problem oracles, batch sampling,
 failure marking, and the geometric stability probe."""
 
+from dataclasses import astuple
+
 import numpy as np
 import pytest
 
@@ -200,6 +202,72 @@ def test_rho_zero_run_is_bit_identical_to_sgd():
     for _ in range(50):
         w, _ = op.sgd_step(prob, w, sampler.next_batch(), 0.05)
     assert np.array_equal(w_sam, w)
+
+
+@np.errstate(over="ignore", invalid="ignore")
+def reference_sgd_step(problem, w, batch_idx, lr):
+    loss, g = problem.loss_and_grad(w, batch_idx)
+    rec = op.StepRecord(step=-1, loss=loss, grad_norm=float(np.linalg.norm(g)))
+    w_new = w - lr * g
+    rec.failed = not (np.isfinite(loss) and np.all(np.isfinite(w_new)))
+    return (w if rec.failed else w_new), rec
+
+
+@np.errstate(over="ignore", invalid="ignore")
+def reference_sam_step(problem, w, batch_idx, lr, rho):
+    loss, g = problem.loss_and_grad(w, batch_idx)
+    gn = float(np.linalg.norm(g))
+    rec = op.StepRecord(step=-1, loss=loss, grad_norm=gn)
+    if not (np.isfinite(loss) and np.all(np.isfinite(g))):
+        rec.failed = True
+        return w, rec
+    if rho > 0:
+        eps = (rho / gn) * g if gn > 0 else np.zeros_like(g)
+        _, g = problem.loss_and_grad(w + eps, batch_idx)
+    w_new = w - lr * g
+    rec.failed = not np.all(np.isfinite(w_new))
+    return (w if rec.failed else w_new), rec
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_step_functions_are_bit_identical_to_the_reference_steps(monkeypatch):
+    # `run` looks `sam_step` up at call time, so each step function drives
+    # the same loop; every weight and record field must match the reference
+    # bit for bit (repr tells -0.0 from 0.0 and reads NaN equal to NaN)
+    logistic = small_logistic(seed=4, n=200, dim=8)
+    quadratic = small_quadratic(seed=4, n=50, dim=5)
+    lam = np.linalg.eigvalsh(quadratic.A).max()
+    cases = [(logistic, op.SamConfig(rho=0.0, learning_rate=0.5, batch_size=20,
+                                     steps=300, seed=1)),
+             (logistic, op.SamConfig(rho=0.05, learning_rate=0.5, batch_size=20,
+                                     steps=300, seed=1)),
+             (quadratic, op.SamConfig(rho=0.05, learning_rate=1.0 / lam,
+                                      batch_size=50, steps=300)),
+             (quadratic, op.SamConfig(rho=0.05, learning_rate=1e3 / lam,
+                                      batch_size=50, steps=300))]
+    sam, sgd = op.sam_step, op.sgd_step
+    pairs = [(sam, reference_sam_step),
+             (lambda p, w, b, lr, rho: sgd(p, w, b, lr),
+              lambda p, w, b, lr, rho: reference_sgd_step(p, w, b, lr))]
+
+    def trajectory(step, problem, cfg):
+        monkeypatch.setattr(op, "sam_step", step)
+        ws, recs = [], []
+        w, failed_step = op.run(problem, cfg,
+                                lambda t, w, rec: (ws.append(w), recs.append(rec)))
+        return w, failed_step, ws, [repr(astuple(r)) for r in recs]
+
+    failed = []
+    for problem, cfg in cases:
+        for step, reference in pairs:
+            got, want = trajectory(step, problem, cfg), trajectory(reference, problem, cfg)
+            assert np.array_equal(got[0], want[0]) and got[1] == want[1]
+            assert all(np.array_equal(a, b) for a, b in zip(got[2], want[2]))
+            assert got[3] == want[3] and len(got[3]) == len(want[3])
+            failed.append(got[1])
+    # only the last problem diverges, with SAM and with SGD, mid-run
+    assert failed[:6] == [None] * 6
+    assert all(0 < t < 300 for t in failed[6:])
 
 
 # -- failure handling ---------------------------------------------------------------

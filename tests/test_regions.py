@@ -226,3 +226,22 @@ def test_layer_region_state_equals_the_per_region_loop(D, N, K, lead, field, alp
     assert np.array_equal(masks, ref_masks)
     err = np.abs(pooled - ref_pooled).max(axis=-1)
     assert np.all(err <= 1e-15 * np.abs(visuals).max())
+
+
+def test_masks_read_only_the_direction_of_the_cgp():
+    # the anchor's projections and its threshold both scale with the field,
+    # so scaling the CGP by a power of two, which is exact in floating
+    # point, leaves every mask and pooled token bit for bit as it was
+    rng = np.random.default_rng(8)
+    S, N, D = 6, 16, 8
+    cgp = rng.normal(size=(S, N, D))
+    visuals = rng.normal(size=(S, N, D))
+    cgp[2] = 0.0                    # a degenerate anchor in every region
+    regions = rg.grid_partition(N)
+    for alpha in (0.0, 0.5, 0.75):
+        masks, pooled = rg.layer_region_state(cgp, visuals, regions, alpha)
+        assert 0 < masks.sum() < sum(map(len, regions)) * (S - 1)
+        for j in range(-8, 9):
+            got = rg.layer_region_state(2.0**j * cgp, visuals, regions, alpha)
+            assert np.array_equal(got[0], masks)
+            assert np.array_equal(got[1], pooled)
