@@ -60,7 +60,8 @@ def _aucs(Z, labels) -> list[float]:
     # sorted needles keep each search near the last one.  A positive ties a
     # negative only if the first negative at or above it (clipped to the
     # last) equals it, so a column without a tie skips the right-side
-    # search; twice the count is an exact integer either way
+    # search, about a third of its count; training logits almost never tie.
+    # Twice the count is an exact integer either way
     out = []
     for neg_j, pos_j in zip(neg, pos):
         below = np.searchsorted(neg_j, pos_j, side="left")
