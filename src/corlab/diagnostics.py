@@ -55,10 +55,33 @@ class SpectralEstimate:
             return float("inf")
         return float(np.sqrt(self.grad_norm_sq)) / self.lambda_max
 
+    # cor_bound = geometric * misspecification * statistical; off its
+    # domain a factor is nan
+    @property
+    def geometric(self) -> float:
+        """kappa_s / sqrt(TrH), for lambda_max > 0 and TrH > 0."""
+        return float(self.kappa_s / np.sqrt(self.trace_h)) if self.trace_h > 0 else float("nan")
+
+    @property
+    def misspecification(self) -> float:
+        """sqrt(1 + TrXi/TrH), for TrH > 0; a radicand within `WELLPOSED_TOL`
+        below 0 counts as 0."""
+        radicand = 1.0 + self.trace_xi / self.trace_h if self.trace_h > 0 else float("nan")
+        return float(np.sqrt(max(radicand, 0.0))) if radicand >= -WELLPOSED_TOL else float("nan")
+
+    @property
+    def statistical(self) -> float:
+        """f(GSNR) = sqrt(s / (1 + s)), strictly increasing, 1 at s = inf."""
+        s = self.gsnr
+        if s == GSNR_INF:
+            return 1.0
+        return float(np.sqrt(s / (1.0 + s))) if s >= 0 else float("nan")
+
     def to_dict(self) -> dict:
         d = asdict(self)
         d.update(kappa_s=self.kappa_s, trace_xi=self.trace_xi,
-                 gsnr=self.gsnr, cor_bound=self.cor_bound)
+                 gsnr=self.gsnr, cor_bound=self.cor_bound, geometric=self.geometric,
+                 misspecification=self.misspecification, statistical=self.statistical)
         return d
 
 
@@ -76,19 +99,6 @@ class GsnrTrace:
     phase_boundaries: tuple[int | None, int | None]
     bottleneck_step: int
     bottleneck_gsnr: float
-
-
-@dataclass
-class DecompositionReport:
-    geometric: float
-    misspecification: float
-    statistical: float
-    lhs: float
-    rhs: float
-    rel_gap: float
-
-    def to_dict(self) -> dict:
-        return asdict(self)
 
 
 # ---------------------------------------------------------------------------
@@ -193,35 +203,17 @@ def hessian_trace(hvp_oracle, dim: int, probes: int = 100, seed: int = 0,
     return float(vals.mean()), se
 
 
-def statistical_term(s: float) -> float:
-    """f(s) = sqrt(s / (1 + s)), strictly increasing on [0, inf)."""
-    if s < 0:
-        raise ValueError("GSNR must be nonnegative")
-    if np.isinf(s):
-        return 1.0
-    return float(np.sqrt(s / (1.0 + s)))
-
-
-def verify_decomposition(spec: SpectralEstimate) -> DecompositionReport:
-    """Check the tripartite factorization of the per-step stability bound.
-
-    LHS is ||grad|| / lambda_max computed directly; RHS is the product
-    geometric * misspecification * statistical assembled from traces.
+def verify_decomposition(spec: SpectralEstimate) -> float:
+    """Relative gap between `cor_bound` and the product of its three factors,
+    inf where the factorization is undefined (lambda_max <= 0 or TrH <= 0).
     Raises when TrH > 0 and 1 + TrXi/TrH < -`WELLPOSED_TOL`, which only
-    inconsistent inputs reach.
-    """
-    geometric = spec.kappa_s / np.sqrt(spec.trace_h)
-    radicand = 1.0 + spec.trace_xi / spec.trace_h
-    if spec.trace_h > 0 and radicand < -WELLPOSED_TOL:
+    inconsistent inputs reach."""
+    radicand = 1.0 + spec.trace_xi / spec.trace_h if spec.trace_h > 0 else 0.0
+    if radicand < -WELLPOSED_TOL:
         raise ValueError(f"well-posedness violated: 1 + TrXi/TrH = {radicand:.3e}")
-    if radicand < 0:
-        radicand = 0.0  # within well-posedness tolerance
-    misspec = float(np.sqrt(radicand))
-    stat = statistical_term(spec.gsnr)
-    rhs = float(geometric * misspec * stat)
+    rhs = spec.geometric * spec.misspecification * spec.statistical
     lhs = spec.cor_bound
-    rel_gap = abs(lhs - rhs) / max(lhs, DECOMPOSITION_REL_FLOOR)
-    return DecompositionReport(float(geometric), misspec, stat, lhs, rhs, float(rel_gap))
+    return float("inf") if np.isnan(rhs) else abs(lhs - rhs) / max(lhs, DECOMPOSITION_REL_FLOOR)
 
 
 def cor_trajectory(estimates) -> CorReport:

@@ -303,5 +303,6 @@ def hri_fuse(heads: np.ndarray, l_mid: int) -> np.ndarray:
 
 
 def plain_feature(heads: np.ndarray) -> np.ndarray:
-    """Final-layer CLS token, the linear-probing baseline feature."""
-    return heads[-1, :, 0]
+    """Final-layer CLS token, the linear-probing baseline feature, copied
+    out of the heads so that they can be freed."""
+    return heads[-1, :, 0].copy()

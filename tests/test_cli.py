@@ -235,7 +235,7 @@ def test_diagnose_forces_zero_radius_and_emits_estimates(config_path, capsys):
     assert len(printed["estimates"]) >= 1
     est = printed["estimates"][0]
     for key in ("lambda_max", "trace_h", "trace_cov", "grad_norm_sq",
-                "gsnr", "cor_bound"):
+                "gsnr", "cor_bound", "geometric", "misspecification", "statistical"):
         assert key in est
 
 

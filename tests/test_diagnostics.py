@@ -2,6 +2,7 @@
 stability-bound factorization, trajectory minima, and phase segmentation."""
 
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -105,23 +106,30 @@ def test_hessian_trace_hutchinson_mode():
 # -- factorization -----------------------------------------------------------------
 
 def test_statistical_term_limits_and_monotonicity():
-    assert dg.statistical_term(0.0) == 0.0
-    assert dg.statistical_term(float("inf")) == 1.0
+    factor = lambda s: dg.SpectralEstimate(1.0, 1.0, 1.0, s).statistical
+    assert factor(0.0) == 0.0
+    assert dg.SpectralEstimate(1.0, 1.0, 0.0, 1.0).statistical == 1.0   # GSNR inf
     s = 1e-4
-    assert dg.statistical_term(s) / np.sqrt(s) == pytest.approx(1.0, abs=1e-4)
-    grid = [dg.statistical_term(x) for x in np.logspace(-4, 4, 30)]
+    assert factor(s) / np.sqrt(s) == pytest.approx(1.0, abs=1e-4)
+    grid = [factor(x) for x in np.logspace(-4, 4, 30)]
     assert all(b > a for a, b in zip(grid, grid[1:]))
-    with pytest.raises(ValueError):
-        dg.statistical_term(-1e-3)
+    # off its domain a factor is nan and raises nothing
+    assert np.isnan(factor(-1e-3))
 
 
 def test_verify_decomposition_wellposedness_boundary_and_guard():
     # the boundary case 1 + trace_xi/trace_h == 0 is still well posed
-    rep = dg.verify_decomposition(dg.SpectralEstimate(1.0, 10.0, 0.0, 0.0))
-    assert rep.misspecification == 0.0 and rep.rel_gap == 0.0
-    # but inconsistent inputs that push the ratio below -tol must raise
-    with pytest.raises(ValueError, match="well-posedness"):
-        dg.verify_decomposition(dg.SpectralEstimate(1.0, 1.0, -3.0, 0.0))
+    est = dg.SpectralEstimate(1.0, 10.0, 0.0, 0.0)
+    assert est.misspecification == 0.0 and dg.verify_decomposition(est) == 0.0
+    # a radicand just inside the tolerance counts as 0, just outside it is nan
+    # (a negative trace_cov sets the radicand to trace_cov / trace_h)
+    assert dg.SpectralEstimate(1.0, 1.0, -1e-10, 0.0).misspecification == 0.0
+    for trace_cov in (-1e-8, -3.0):
+        outside = dg.SpectralEstimate(1.0, 1.0, trace_cov, 0.0)
+        assert np.isnan(outside.misspecification)
+        # but inconsistent inputs that push the ratio below -tol must raise
+        with pytest.raises(ValueError, match="well-posedness"):
+            dg.verify_decomposition(outside)
 
 
 def test_verify_decomposition_exact_when_residual_vanishes():
@@ -130,19 +138,34 @@ def test_verify_decomposition_exact_when_residual_vanishes():
     lam, trace_h, g2 = 2.0, 5.0, 3.0
     cov = trace_h - g2
     est = dg.SpectralEstimate(lam, trace_h, cov, g2)
-    rep = dg.verify_decomposition(est)
-    assert rep.rel_gap < 1e-12
-    assert rep.lhs == pytest.approx(np.sqrt(g2) / lam)
-    assert rep.misspecification == pytest.approx(1.0)
+    assert dg.verify_decomposition(est) < 1e-12
+    assert est.cor_bound == pytest.approx(np.sqrt(g2) / lam)
+    assert est.geometric == pytest.approx((trace_h / lam) / np.sqrt(trace_h))
+    assert est.misspecification == pytest.approx(1.0)
+    assert est.statistical == pytest.approx(np.sqrt((g2 / cov) / (1 + g2 / cov)))
 
 
 def test_verify_decomposition_holds_with_nonzero_residual():
     est = dg.SpectralEstimate(lambda_max=1.7, trace_h=4.0, trace_cov=2.5,
                               grad_norm_sq=6.0)
-    rep = dg.verify_decomposition(est)
-    assert rep.rel_gap < 1e-12
-    assert rep.rhs == pytest.approx(rep.geometric * rep.misspecification
-                                    * rep.statistical)
+    assert dg.verify_decomposition(est) < 1e-12
+    assert est.misspecification == pytest.approx(np.sqrt(1 + est.trace_xi / 4.0))
+    d = est.to_dict()
+    assert all(d[k] == getattr(est, k)
+               for k in ("geometric", "misspecification", "statistical"))
+
+
+@pytest.mark.parametrize("lam, trace_h", [(0.0, 2.0), (-1.0, 2.0), (1.0, 0.0),
+                                          (1e-17, -2.0)])
+def test_undefined_factorization_has_an_infinite_gap(lam, trace_h):
+    # lambda_max <= 0 or TrH <= 0: the geometric factor is undefined, so the
+    # gap is inf, never a NaN that a running max would drop, and nothing warns
+    est = dg.SpectralEstimate(lam, trace_h, 1.0, 1.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert np.isnan(est.geometric)
+        assert dg.verify_decomposition(est) == float("inf")
+        json.dumps(est.to_dict())
 
 
 positive = st.floats(1e-6, 1e6)
@@ -153,8 +176,11 @@ positive = st.floats(1e-6, 1e6)
 def test_verify_decomposition_closes_to_rounding(lam, trace_h, trace_cov, g2):
     # 1 + TrXi/TrH cancels when TrH dwarfs trace_cov + |g|^2, so the gap
     # allowed grows with that ratio
-    rep = dg.verify_decomposition(dg.SpectralEstimate(lam, trace_h, trace_cov, g2))
-    assert rep.rel_gap <= 1e-14 * (1.0 + trace_h / (trace_cov + g2))
+    est = dg.SpectralEstimate(lam, trace_h, trace_cov, g2)
+    product = est.geometric * est.misspecification * est.statistical
+    gap = abs(product - est.cor_bound) / est.cor_bound
+    assert gap <= 1e-14 * (1.0 + trace_h / (trace_cov + g2))
+    assert dg.verify_decomposition(est) == gap
 
 
 # -- trajectory minima ---------------------------------------------------------------

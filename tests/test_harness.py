@@ -334,6 +334,21 @@ def test_corit_head_features_have_fused_width():
     assert feats.train.shape == (200, 2 * 4 * 32)
 
 
+@pytest.mark.parametrize("head", hn.HEAD_MODES)
+def test_standardizer_input_holds_no_memory_beyond_its_own(monkeypatch, head):
+    # a view into the split's (L+1, S, 1+K, D) heads would keep them alive
+    # through the test split's encoding and the standardizer fit
+    seen, fit = [], hn.fit_standardizer
+    monkeypatch.setattr(hn, "fit_standardizer",
+                        lambda F, mode: seen.append(F) or fit(F, mode))
+    hn.build_features(bifurcation_config(head=head, l_mid=1))
+    (F,) = seen
+    root = F
+    while root.base is not None:
+        root = root.base
+    assert root.nbytes == F.nbytes
+
+
 @pytest.mark.parametrize("head", ["plain-probe", "corit"])
 def test_build_features_are_exact_under_any_worker_count(monkeypatch, head):
     # the encoder's sample blocks run on as many workers as there are cores;
@@ -711,6 +726,33 @@ def test_verify_theorem_campaign_wellposedness_reads_the_direct_residual(monkeyp
     report = hn.verify_theorem_campaign(100, seed=0)
     assert not report.passed
     assert report.min_wellposed < -1e-9
+
+
+@pytest.mark.parametrize("scale", [-1.0, 0.0])
+def test_verify_theorem_campaign_fails_an_undefined_factorization(monkeypatch, scale):
+    # -H has tr H < 0 and 0 H has tr H = lambda_max = 0: the factorization
+    # is undefined, so every instance fails with an infinite gap, which
+    # neither drops out of the maximum nor raises
+    dense_hessian = sr.SoftmaxRegression.dense_hessian
+    monkeypatch.setattr(sr.SoftmaxRegression, "dense_hessian",
+                        lambda self: scale * dense_hessian(self))
+    report = hn.verify_theorem_campaign(10, seed=1)
+    assert report.n_passed == 0
+    assert report.max_rel_gap == float("inf")
+    assert [f["rel_gap"] for f in report.failures] == [float("inf")] * 10
+
+
+@pytest.mark.parametrize("head", hn.HEAD_MODES)
+def test_diagnostics_estimates_carry_factors_that_multiply_to_the_bound(tmp_path, head):
+    opt = op.SamConfig(rho=0.0, learning_rate=1.0, batch_size=50, steps=30, seed=0)
+    cfg = bifurcation_config(head=head, l_mid=1, loss="bce", lr_relative=None,
+                             cadence=5, optimizer=opt)
+    hn.run_train(cfg, out_dir=str(tmp_path))
+    estimates = json.loads((tmp_path / "diagnostics.json").read_text())["estimates"]
+    assert len(estimates) == 6
+    for e in estimates:
+        product = e["geometric"] * e["misspecification"] * e["statistical"]
+        assert product == pytest.approx(e["cor_bound"], rel=1e-12, abs=0.0)
 
 
 def test_corit_vs_baseline_report_structure():
