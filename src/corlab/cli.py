@@ -73,8 +73,10 @@ def cmd_verify(args) -> int:
 
 def cmd_compare(args) -> int:
     cfg = _load_config(args)
-    report = hn.corit_vs_baseline(cfg)
-    _report(args, "compare.json", dict(asdict(report), lifted=report.lifted))
+    payload = {head: asdict(res.cor_report)
+               for head, res in hn.corit_vs_baseline(cfg).items()}
+    payload["lifted"] = payload["corit"]["rho_critical"] > payload["plain-probe"]["rho_critical"]
+    _report(args, "compare.json", payload)
     return EXIT_OK
 
 

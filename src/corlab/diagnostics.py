@@ -148,9 +148,13 @@ def lambda_max(hvp_oracle, dim: int, iters: int = 200, tol: float = 1e-8,
                seed: int = 0, shift: float | None = None) -> float:
     """Top eigenvalue of a symmetric operator via shifted power iteration.
 
-    The operator is shifted by sigma*I (sigma defaults to the magnitude of
-    a trace estimate) so that possibly indefinite spectra still converge
-    to the algebraically largest eigenvalue.  Convergence is declared when
+    The iteration runs on H + shift*I.  With the default `shift=None` it
+    first runs unshifted, which finds the eigenvalue of largest magnitude;
+    if that is negative it is lambda_min, and a second run shifted by its
+    magnitude, where every eigenvalue is >= 0, finds the algebraically
+    largest one.  Extreme eigenvalues of equal magnitude and opposite
+    signs leave the unshifted run without a dominant direction, so it
+    does not converge; pass `shift` there.  Convergence is declared when
     the eigen-residual ||H v - lam v|| falls below tol * max(1, |lam|);
     for symmetric operators the eigenvalue error is bounded by that
     residual.  Raises with the last Rayleigh quotient and residual on
@@ -159,7 +163,10 @@ def lambda_max(hvp_oracle, dim: int, iters: int = 200, tol: float = 1e-8,
     if iters < 1:
         raise ValueError("iters must be >= 1")
     if shift is None:
-        shift = abs(hessian_trace(hvp_oracle, dim, probes=10, seed=seed + 1)[0])
+        lam = lambda_max(hvp_oracle, dim, iters, tol, seed, shift=0.0)
+        if lam >= 0:
+            return lam
+        shift = -lam
     rng = np.random.default_rng(seed)
     v = rng.normal(size=dim)
     v /= np.linalg.norm(v)

@@ -4,6 +4,7 @@ campaigns, and report emission."""
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import os
 import time
@@ -26,7 +27,6 @@ WHITEN_RIDGE = 1e-6             # added to the feature covariance before whiteni
 HEAD_MODES = ("plain-probe", "corit")
 LOSS_MODES = ("bce", "quadratic")
 STANDARDIZE_MODES = ("center", "whiten")
-STEP_CSV_HEADER = ["step", "loss", "train_auc_window", "grad_norm", "gsnr"]
 # Observed steps per evaluation block: one (n, P)·(P, 64) GEMM gives the
 # block's full-train logits in place of 64 GEMVs.  On the 2,000-sample,
 # 257-parameter CoRIT head the block holds 132 KB of weights and 1 MB for
@@ -173,8 +173,16 @@ def fit_standardizer(F: np.ndarray, mode: str) -> Standardizer:
     mu = F.mean(axis=0)
     if mode == "center":
         return Standardizer(mu, None)
-    C = np.cov(F - mu, rowvar=False) + WHITEN_RIDGE * np.eye(F.shape[1])
+    n, width = F.shape
+    C = np.cov(F - mu, rowvar=False) + WHITEN_RIDGE * np.eye(width)
     evals, evecs = np.linalg.eigh(C)
+    # numpy's matrix_rank cutoff: the ridge would scale a null direction
+    # by ~1/sqrt(WHITEN_RIDGE) instead of whitening it
+    lam = evals - WHITEN_RIDGE
+    if lam[0] <= width * np.finfo(np.float64).eps * lam[-1]:
+        raise ValueError(f"standardize 'whiten' needs full-rank train features, but "
+                         f"the {width} features of n_train {n} samples are rank-"
+                         f"deficient; use standardize 'center' or n_train > {width}")
     return Standardizer(mu, evecs @ np.diag(evals ** -0.5) @ evecs.T)
 
 
@@ -394,10 +402,10 @@ def emit_run(result: TrainResult, out_dir: str) -> None:
     write_report(out_dir, "summary.json", result.summary())
     with open(os.path.join(out_dir, "steps.csv"), "w", encoding="utf-8",
               newline="\n") as fh:
-        fh.write(",".join(STEP_CSV_HEADER) + "\n")
+        names = [f.name for f in dataclasses.fields(StepMetrics)]
+        fh.write(",".join(names) + "\n")
         for m in result.steps:
-            fh.write(f"{m.step},{m.loss!r},{m.train_auc_window!r},"
-                     f"{m.grad_norm!r},{m.gsnr!r}\n")
+            fh.write(",".join([repr(getattr(m, n)) for n in names]) + "\n")
 
 
 # ---------------------------------------------------------------------------
@@ -434,9 +442,9 @@ def _collapse_stat(problem, feats: FeatureSet,
     w, failed_step = _run_observed(problem, ocfg, feats,
                                    ocfg.steps - _collapse_window(ocfg.steps),
                                    lambda recs, W, Z, aucs: vals.extend(aucs))
-    if failed_step is not None:
-        return 0.5, 0.5, 0.5
-    return (float(np.mean(vals)),
+    # a failed run votes collapsed; its AUCs, like `run_train`'s, are those
+    # of its last valid weights
+    return (0.5 if failed_step is not None else float(np.mean(vals)),
             compute_auc(op.probe_logits(w, feats.train), feats.train_labels),
             compute_auc(op.probe_logits(w, feats.test), feats.test_labels))
 
@@ -557,32 +565,16 @@ def verify_theorem_campaign(n_instances: int = 100, seed: int = 0) -> CampaignRe
                           time.time() - t0)
 
 
-@dataclass
-class ComparisonReport:
-    plain_cor: float
-    corit_cor: float
-    plain_collapse_zone: bool
-    corit_collapse_zone: bool
-
-    @property
-    def lifted(self) -> bool:
-        return self.corit_cor > self.plain_cor
-
-
-def corit_vs_baseline(config: RunConfig) -> ComparisonReport:
+def corit_vs_baseline(config: RunConfig) -> dict[str, TrainResult]:
     """Head comparison on one task: identical encoder and optimizer, only
-    the head mode differs.  Reports the trajectory-minimum stability bound
-    per head, and raises when either run fails; `sweep_rho` gives the
-    empirical collapse boundary."""
+    the head mode differs.  Returns the rho = 0 run of each head, keyed in
+    `HEAD_MODES` order, and raises when either run fails; `sweep_rho` gives
+    the empirical collapse boundary."""
     out = {}
     for head in HEAD_MODES:
         cfg = replace(config, head=head,
                       optimizer=replace(config.optimizer, rho=0.0))
-        res = run_train(cfg)
+        out[head] = res = run_train(cfg)
         if res.failed:
             raise FloatingPointError(f"{head} run failed at step {res.failed_step}")
-        out[head] = res.cor_report
-    return ComparisonReport(out["plain-probe"].rho_critical,
-                            out["corit"].rho_critical,
-                            out["plain-probe"].collapsed_zone,
-                            out["corit"].collapsed_zone)
+    return out

@@ -59,8 +59,13 @@ class TaskSpec:
         object.__setattr__(self, "artifact_channels",
                            fields.channels("artifact_channels", self.artifact_channels,
                                            self.dim))
-        if self.artifact_amp > 0 and not self.artifact_channels:
-            raise ValueError("artifact_amp > 0 requires nonempty artifact_channels")
+        # a nonzero amplitude needs a channel for its pattern, whose unit
+        # norm is 0/0 on no channel
+        if self.artifact_amp != 0 and not self.artifact_channels:
+            raise ValueError("artifact_amp != 0 requires nonempty artifact_channels")
+        if self.semantic_amp != 0 and len(self.artifact_channels) == self.dim:
+            raise ValueError("semantic_amp != 0 requires a channel outside "
+                             "artifact_channels")
 
     def artifact_pattern(self) -> np.ndarray:
         """(N, D) pattern: unit norm, exactly zero outside the artifact
@@ -97,15 +102,18 @@ def _sample_noise(spec: TaskSpec, split: str, index: int) -> np.ndarray:
 def generate(spec: TaskSpec, split: str) -> Dataset:
     """Deterministic balanced dataset: samples alternate real, fake, so
     |#real - #fake| <= 1.  Fake samples carry the semantic and artifact
-    patterns, added in that order; real samples carry only noise."""
+    patterns, added in that order and only at a nonzero amplitude; real
+    samples carry only noise."""
     if split not in ("train", "test"):
         raise ValueError("split must be 'train' or 'test'")
     n = spec.n_train if split == "train" else spec.n_test
     tokens = np.empty((n, spec.n_tokens, spec.dim))
     for i in range(n):
         tokens[i] = _sample_noise(spec, split, i)
-    tokens[1::2] += spec.semantic_amp * spec.semantic_pattern()
-    tokens[1::2] += spec.artifact_amp * spec.artifact_pattern()
+    if spec.semantic_amp != 0:
+        tokens[1::2] += spec.semantic_amp * spec.semantic_pattern()
+    if spec.artifact_amp != 0:
+        tokens[1::2] += spec.artifact_amp * spec.artifact_pattern()
     return Dataset(tokens, (np.arange(n) % 2).astype(np.uint8))
 
 

@@ -13,10 +13,12 @@ from corlab import optim as op
 from corlab import tasks as tk
 
 
-def small_config(**kw) -> hn.RunConfig:
+def small_config(n_train=120, **kw) -> hn.RunConfig:
+    """Whitened quadratic task; a corit head (256 features at l_mid 1) needs
+    n_train > 256 for full-rank whitening."""
     return hn.RunConfig(
         task=tk.TaskSpec(artifact_amp=30.0, artifact_region="boundary",
-                         n_train=120, n_test=120, seed=0),
+                         n_train=n_train, n_test=120, seed=0),
         encoder=md.EncoderConfig(layers=2),
         loss="quadratic", standardize="whiten", lr_relative=1.95,
         optimizer=op.SamConfig(rho=0.05, learning_rate=1.0, batch_size=500,
@@ -274,15 +276,44 @@ def test_verify_theorem_failure_exits_4(monkeypatch, capsys):
     assert cli.main(["verify-theorem", "--instances", "3", "--quiet"]) == 4
 
 
-def test_compare_subcommand(config_path, tmp_path, capsys):
-    cfg = hn.RunConfig.from_json(open(config_path).read())
-    from dataclasses import replace
+def test_compare_subcommand(tmp_path, capsys):
     path = tmp_path / "cmp.json"
-    path.write_text(json.dumps(replace(cfg, l_mid=1).to_dict()))
-    code = cli.main(["compare", "--config", str(path)])
+    path.write_text(json.dumps(small_config(l_mid=1, n_train=300).to_dict()))
+    out = tmp_path / "cmp"
+    code = cli.main(["compare", "--config", str(path), "--out", str(out)])
     assert code == 0
     payload = json.loads(capsys.readouterr().out)
-    assert set(payload) >= {"plain_cor", "corit_cor", "lifted"}
+    # each head's CorReport, keyed by head, and whether corit's bound is higher
+    assert set(payload) == {*hn.HEAD_MODES, "lifted"}
+    for head in hn.HEAD_MODES:
+        assert set(payload[head]) == {"rho_critical", "argmin_step", "collapsed_zone"}
+        assert payload[head]["rho_critical"] > 0.0
+    assert payload["lifted"] == (payload["corit"]["rho_critical"]
+                                 > payload["plain-probe"]["rho_critical"])
+    written = json.loads((out / "compare.json").read_text())
+    assert written == dict(payload, schema_version=hn.SCHEMA_VERSION)
+
+
+def test_rank_deficient_whitening_exits_2(tmp_path, capsys):
+    # 120 train samples span at most 119 of the corit head's 256 feature
+    # directions; the ridge would scale the others by ~1,000
+    path = tmp_path / "deficient.json"
+    path.write_text(json.dumps(small_config(head="corit", l_mid=1).to_dict()))
+    assert cli.main(["train", "--config", str(path), "--quiet"]) == 2
+    err = capsys.readouterr().err
+    assert "standardize" in err and "256 features" in err and "n_train 120" in err
+
+
+def test_artifact_on_every_channel_trains(tmp_path):
+    # no channel is left for the semantic pattern, which at amplitude 0
+    # adds nothing instead of 0 x NaN
+    cfg = hn.RunConfig(task=tk.TaskSpec(artifact_amp=4.0, artifact_channels=range(32),
+                                        n_train=40, n_test=30),
+                       encoder=md.EncoderConfig(layers=2),
+                       optimizer=op.SamConfig(batch_size=10, steps=20))
+    path = tmp_path / "every_channel.json"
+    path.write_text(json.dumps(cfg.to_dict()))
+    assert cli.main(["train", "--config", str(path), "--quiet"]) == 0
 
 
 @pytest.fixture(scope="module")
@@ -290,7 +321,7 @@ def report_dirs(tmp_path_factory):
     """Every file the CLI writes, from one small config, written twice into
     two directories."""
     config = tmp_path_factory.mktemp("config") / "config.json"
-    config.write_text(json.dumps(small_config(l_mid=1).to_dict()))
+    config.write_text(json.dumps(small_config(l_mid=1, n_train=300).to_dict()))
     dirs = [tmp_path_factory.mktemp("reports") for _ in range(2)]
     for out in dirs:
         for argv in (["train", "--rho", "0.01", "--config", str(config)],

@@ -76,6 +76,17 @@ def test_lambda_max_indefinite_spectrum_with_shift():
     assert lam == pytest.approx(evals.max(), abs=1e-6)
 
 
+@pytest.mark.parametrize("evals", [[1.0, -2.0, 1.0], [1.0, -3.0, 0.5, 0.5, 0.5],
+                                   [-0.5, -3.0, -1.0, -2.0]])
+def test_lambda_max_default_shift_finds_the_top_of_indefinite_spectra(evals):
+    # a negative eigenvalue of largest magnitude dominates the unshifted
+    # iteration; the default then shifts it out
+    n = len(evals)
+    Q, _ = np.linalg.qr(np.random.default_rng(n).normal(size=(n, n)))
+    H = Q @ np.diag(evals) @ Q.T
+    assert dg.lambda_max(lambda v: H @ v, n) == pytest.approx(max(evals), abs=1e-6)
+
+
 def test_lambda_max_raises_on_non_convergence():
     H = np.eye(30)  # fully degenerate spectrum, no dominant direction gap
     with pytest.raises(RuntimeError):

@@ -20,11 +20,12 @@ from corlab import softmaxreg as sr
 from corlab import tasks as tk
 
 
-def bifurcation_config(**kw):
-    """Small whitened artifact task whose probe collapses near rho ~ 0.05."""
+def bifurcation_config(n_train=200, **kw):
+    """Small whitened artifact task whose probe collapses near rho ~ 0.05.
+    A corit head (256 features at l_mid 1) needs n_train > 256 to whiten."""
     defaults = dict(
         task=tk.TaskSpec(artifact_amp=30.0, artifact_region="boundary",
-                         n_train=200, n_test=200, seed=0),
+                         n_train=n_train, n_test=200, seed=0),
         encoder=md.EncoderConfig(layers=2),
         loss="quadratic", standardize="whiten", lr_relative=1.95,
         optimizer=op.SamConfig(rho=0.05, learning_rate=1.0, batch_size=500,
@@ -316,6 +317,22 @@ def test_whitening_produces_identity_covariance(d, per_dim, lo, hi, seed):
             hn.fit_standardizer(F, mode)
 
 
+@pytest.mark.parametrize("n, d", [(10, 10), (5, 12), (200, 256)])
+def test_whitening_refuses_rank_deficient_features(n, d):
+    # n samples span at most n - 1 centered directions, and a repeated
+    # column leaves one direction empty at any n: the ridge would scale an
+    # empty direction by ~1,000 instead of whitening it
+    rng = np.random.default_rng(n + d)
+    F = rng.normal(size=(n, d))
+    G = rng.normal(size=(10 * d, d))
+    G[:, -1] = G[:, 0]
+    for deficient in (F, G):
+        with pytest.raises(ValueError, match=f"standardize 'whiten'.* {d} features"):
+            hn.fit_standardizer(deficient, "whiten")
+        hn.fit_standardizer(deficient, "center")
+    hn.fit_standardizer(rng.normal(size=(d + 1, d)), "whiten")
+
+
 def test_build_features_standardizer_is_fit_on_train_only():
     cfg = bifurcation_config()
     feats = hn.build_features(cfg)
@@ -328,7 +345,7 @@ def test_build_features_standardizer_is_fit_on_train_only():
 
 
 def test_corit_head_features_have_fused_width():
-    cfg = bifurcation_config(head="corit", l_mid=1)
+    cfg = bifurcation_config(head="corit", l_mid=1, standardize="center")
     feats = hn.build_features(cfg)
     # [CLS + 3 region tokens] x dim x two layers
     assert feats.train.shape == (200, 2 * 4 * 32)
@@ -341,7 +358,7 @@ def test_standardizer_input_holds_no_memory_beyond_its_own(monkeypatch, head):
     seen, fit = [], hn.fit_standardizer
     monkeypatch.setattr(hn, "fit_standardizer",
                         lambda F, mode: seen.append(F) or fit(F, mode))
-    hn.build_features(bifurcation_config(head=head, l_mid=1))
+    hn.build_features(bifurcation_config(head=head, l_mid=1, standardize="center"))
     (F,) = seen
     root = F
     while root.base is not None:
@@ -353,7 +370,7 @@ def test_standardizer_input_holds_no_memory_beyond_its_own(monkeypatch, head):
 def test_build_features_are_exact_under_any_worker_count(monkeypatch, head):
     # the encoder's sample blocks run on as many workers as there are cores;
     # the feature arrays must not depend on how many that is
-    cfg = bifurcation_config(head=head, l_mid=1)
+    cfg = bifurcation_config(head=head, l_mid=1, standardize="center")
     built = []
     for workers in (1, 2, 3):
         monkeypatch.setattr(md, "_WORKERS", workers)
@@ -653,11 +670,27 @@ def test_sweep_rho_degenerate_ranges_set_flags():
     assert res_all.all_collapsed and res_all.empirical_cor == 0.2
     res_none = hn.sweep_rho(cfg, [0.001, 0.002, 0.003])
     assert res_none.none_collapsed and res_none.empirical_cor == 0.003
-    # a probe run that diverges votes collapsed and reads chance-level AUCs
+    # a probe run that diverges votes collapsed
     res_failed = hn.sweep_rho(bifurcation_config(lr_relative=300.0), [0.0, 0.01, 0.02],
                               seeds=(0,))
     assert res_failed.all_collapsed
-    assert all(e.train_auc == e.test_auc == 0.5 for e in res_failed.entries)
+
+
+def test_sweep_rho_failed_seeds_report_their_run_train_aucs():
+    # every seed's run diverges at every rho; each entry's AUCs are the seed
+    # mean of run_train's, from the last valid weights, not a made-up 0.5
+    cfg = bifurcation_config(lr_relative=40.0)
+    rhos = [0.0, 0.01, 0.02]
+    res = hn.sweep_rho(cfg, rhos, seeds=(0, 1))
+    assert res.all_collapsed
+    for rho, entry in zip(rhos, res.entries):
+        runs = [hn.run_train(replace(cfg, task=replace(cfg.task, seed=s),
+                                     optimizer=replace(cfg.optimizer, rho=rho)))
+                for s in (0, 1)]
+        assert all(r.failed for r in runs)
+        assert entry.train_auc == float(np.mean([r.train_auc for r in runs]))
+        assert entry.test_auc == float(np.mean([r.test_auc for r in runs]))
+        assert entry.train_auc != 0.5 and entry.test_auc != 0.5
 
 
 def test_sweep_rho_rejects_bad_rho_lists():
@@ -746,7 +779,7 @@ def test_verify_theorem_campaign_fails_an_undefined_factorization(monkeypatch, s
 def test_diagnostics_estimates_carry_factors_that_multiply_to_the_bound(tmp_path, head):
     opt = op.SamConfig(rho=0.0, learning_rate=1.0, batch_size=50, steps=30, seed=0)
     cfg = bifurcation_config(head=head, l_mid=1, loss="bce", lr_relative=None,
-                             cadence=5, optimizer=opt)
+                             standardize="center", cadence=5, optimizer=opt)
     hn.run_train(cfg, out_dir=str(tmp_path))
     estimates = json.loads((tmp_path / "diagnostics.json").read_text())["estimates"]
     assert len(estimates) == 6
@@ -756,10 +789,15 @@ def test_diagnostics_estimates_carry_factors_that_multiply_to_the_bound(tmp_path
 
 
 def test_corit_vs_baseline_report_structure():
+    # the rho = 0 run of each head, in HEAD_MODES order
     cfg = bifurcation_config(
-        l_mid=1,
-        optimizer=op.SamConfig(rho=0.0, learning_rate=1.0, batch_size=500,
+        n_train=300, l_mid=1,
+        optimizer=op.SamConfig(rho=0.05, learning_rate=1.0, batch_size=500,
                                steps=40, seed=0))
-    report = hn.corit_vs_baseline(cfg)
-    assert report.plain_cor > 0.0 and report.corit_cor > 0.0
-    assert report.lifted == (report.corit_cor > report.plain_cor)
+    runs = hn.corit_vs_baseline(cfg)
+    assert list(runs) == list(hn.HEAD_MODES)
+    for head, res in runs.items():
+        assert res.config == replace(cfg, head=head,
+                                     optimizer=replace(cfg.optimizer, rho=0.0))
+        assert not res.failed
+        assert res.cor_report.rho_critical > 0.0

@@ -60,8 +60,12 @@ def test_class_mean_shift_matches_spec_amplitudes():
 
 
 def test_spec_validation():
-    with pytest.raises(ValueError):
-        tk.TaskSpec(artifact_amp=1.0, artifact_channels=())
+    # a nonzero amplitude needs a channel for its pattern
+    for kw, named in ((dict(artifact_amp=1.0, artifact_channels=()), "artifact_amp"),
+                      (dict(artifact_amp=-1.0, artifact_channels=()), "artifact_amp"),
+                      (dict(semantic_amp=1.0, artifact_channels=range(32)), "semantic_amp")):
+        with pytest.raises(ValueError, match=named):
+            tk.TaskSpec(**kw)
     with pytest.raises(ValueError):
         tk.TaskSpec(noise_sigma=0.0)
     for bad in ((40,), (-1,), (8, 16)):
@@ -70,6 +74,17 @@ def test_spec_validation():
     tk.TaskSpec(dim=16, artifact_channels=(0, 15))
     with pytest.raises(ValueError):
         tk.TaskSpec(artifact_region="nowhere").artifact_pattern()
+
+
+def test_zero_amplitude_adds_no_pattern():
+    # so the semantic pattern, whose unit norm is 0/0 on no channel, is
+    # never multiplied by 0 into every fake sample
+    spec = tk.TaskSpec(artifact_amp=4.0, artifact_channels=range(32), n_train=6)
+    ds = tk.generate(spec, "train")
+    assert np.isfinite(ds.tokens).all()
+    plain = tk.generate(tk.TaskSpec(artifact_channels=range(32), n_train=6), "train")
+    assert np.array_equal(ds.tokens[1::2], plain.tokens[1::2] + 4.0 * spec.artifact_pattern())
+    assert np.array_equal(ds.tokens[::2], plain.tokens[::2])
 
 
 def test_counterpart_operator_adds_fixed_pattern():
