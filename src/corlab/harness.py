@@ -195,7 +195,9 @@ class FeatureSet:
 
 
 def build_features(config: RunConfig) -> FeatureSet:
-    """Encode both splits under the configured head and standardization."""
+    """Encode both splits under the configured head and standardization.  The
+    standardizer is fitted on the train split before the test split is
+    generated, so a refused fit costs no test-split work."""
     enc = md.FrozenEncoder(config.encoder)
 
     def split_features(split: str) -> tuple[np.ndarray, np.ndarray]:
@@ -211,8 +213,9 @@ def build_features(config: RunConfig) -> FeatureSet:
             F = md.hri_fuse(heads, config.l_mid)
         return F, ds.labels.astype(np.float64)
 
-    (F_tr, y_tr), (F_te, y_te) = split_features("train"), split_features("test")
+    F_tr, y_tr = split_features("train")
     std = fit_standardizer(F_tr, config.standardize)
+    F_te, y_te = split_features("test")
     return FeatureSet(std.apply(F_tr), std.apply(F_te), y_tr, y_te)
 
 

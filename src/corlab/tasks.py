@@ -92,24 +92,94 @@ class Dataset:
         return self.labels.size
 
 
-def _sample_noise(spec: TaskSpec, split: str, index: int) -> np.ndarray:
-    split_id = {"train": 0, "test": 1}[split]
-    ss = np.random.SeedSequence(spec.seed, spawn_key=(split_id, index))
-    return np.random.default_rng(ss).normal(scale=spec.noise_sigma,
-                                            size=(spec.n_tokens, spec.dim))
+# numpy's SeedSequence hash (numpy/random/bit_generator.pyx): pool of four
+# uint32 words, hashmix and mix constants, and the PCG64 multiplier of
+# pcg64_set_seed
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+_MASK32, _MASK128 = (1 << 32) - 1, (1 << 128) - 1
+_PCG_MULT = (2549297995355413924 << 64) + 4865540595714422341
+
+
+def _spawn_seed_words(seed: int, split_id: int, n: int) -> np.ndarray:
+    """(4, n) uint64 words of `SeedSequence(seed, spawn_key=(split_id, i))
+    .generate_state(4, np.uint64)` for i in range(n), in one pass: the hash
+    constants do not depend on the data, so each step is one uint32 array
+    operation over the n indices."""
+    # one uint32 word per index keeps the entropy fixed-width; a split of
+    # 2**32 samples would be 16 TiB of the default 16 x 32 float64 tokens
+    if n >= 1 << 32:
+        raise ValueError(f"split size {n} does not fit one uint32 index word")
+    seed = int(seed)
+    run = [(seed >> s) & _MASK32 for s in range(0, max(seed.bit_length(), 1), 32)]
+    run += [0] * (4 - len(run))   # zero-padded to the pool, as with any spawn key
+    entropy = [np.full(n, w, np.uint32) for w in (*run, split_id)]
+    entropy.append(np.arange(n, dtype=np.uint32))
+    hc = _INIT_A
+
+    def hashmix(value):
+        nonlocal hc
+        value = value ^ np.uint32(hc)
+        hc = hc * _MULT_A & _MASK32
+        value *= np.uint32(hc)
+        return value ^ (value >> 16)
+
+    def mix(x, y):
+        r = np.uint32(_MIX_L) * x - np.uint32(_MIX_R) * y
+        return r ^ (r >> 16)
+
+    pool = [hashmix(w) for w in entropy[:4]]
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for w in entropy[4:]:
+        for dst in range(4):
+            pool[dst] = mix(pool[dst], hashmix(w))
+    hc = _INIT_B
+    state = []
+    for k in range(8):
+        value = pool[k % 4] ^ np.uint32(hc)
+        hc = hc * _MULT_B & _MASK32
+        value *= np.uint32(hc)
+        state.append((value ^ (value >> 16)).astype(np.uint64))
+    return np.stack([state[2 * j] | state[2 * j + 1] << np.uint64(32) for j in range(4)])
 
 
 def generate(spec: TaskSpec, split: str) -> Dataset:
     """Deterministic balanced dataset: samples alternate real, fake, so
-    |#real - #fake| <= 1.  Fake samples carry the semantic and artifact
+    |#real - #fake| <= 1.  Sample i's noise is
+    `default_rng(SeedSequence(seed, spawn_key=(split_id, i))).normal(scale=
+    noise_sigma)` with split_id 0 for train and 1 for test, drawn from one
+    PCG64 re-seeded per sample.  Fake samples carry the semantic and artifact
     patterns, added in that order and only at a nonzero amplitude; real
     samples carry only noise."""
     if split not in ("train", "test"):
         raise ValueError("split must be 'train' or 'test'")
     n = spec.n_train if split == "train" else spec.n_test
+    split_id = {"train": 0, "test": 1}[split]
+    words = _spawn_seed_words(spec.seed, split_id, n)
+    expected = np.random.SeedSequence(spec.seed, spawn_key=(split_id, 0))
+    if not np.array_equal(words[:, 0], expected.generate_state(4, np.uint64)):
+        raise RuntimeError("numpy's SeedSequence no longer matches the derived "
+                           "seed words; generated tasks would change")
     tokens = np.empty((n, spec.n_tokens, spec.dim))
+    bg = np.random.PCG64(0)   # re-seeded for every sample below
+    gen = np.random.Generator(bg)
+    pcg = {"state": 0, "inc": 0}
+    state = {"bit_generator": "PCG64", "state": pcg, "has_uint32": 0, "uinteger": 0}
     for i in range(n):
-        tokens[i] = _sample_noise(spec, split, i)
+        s_hi, s_lo, q_hi, q_lo = words[:, i].tolist()
+        # pcg64_set_seed: inc = seq << 1 | 1, then two LCG steps around + seed
+        inc = ((q_hi << 64 | q_lo) << 1 | 1) & _MASK128
+        pcg["state"] = ((inc + (s_hi << 64 | s_lo)) * _PCG_MULT + inc) & _MASK128
+        pcg["inc"] = inc
+        bg.state = state
+        gen.standard_normal(out=tokens[i])
+    # normal(scale=sigma) is 0.0 + sigma * z: the + 0.0 turns -0.0 into +0.0
+    tokens *= spec.noise_sigma
+    tokens += 0.0
     if spec.semantic_amp != 0:
         tokens[1::2] += spec.semantic_amp * spec.semantic_pattern()
     if spec.artifact_amp != 0:

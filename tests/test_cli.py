@@ -294,14 +294,20 @@ def test_compare_subcommand(tmp_path, capsys):
     assert written == dict(payload, schema_version=hn.SCHEMA_VERSION)
 
 
-def test_rank_deficient_whitening_exits_2(tmp_path, capsys):
+def test_rank_deficient_whitening_exits_2(tmp_path, capsys, monkeypatch):
     # 120 train samples span at most 119 of the corit head's 256 feature
     # directions; the ridge would scale the others by ~1,000
     path = tmp_path / "deficient.json"
     path.write_text(json.dumps(small_config(head="corit", l_mid=1).to_dict()))
+    splits = []
+    generate = tk.generate
+    monkeypatch.setattr(tk, "generate",
+                        lambda spec, split: splits.append(split) or generate(spec, split))
     assert cli.main(["train", "--config", str(path), "--quiet"]) == 2
     err = capsys.readouterr().err
     assert "standardize" in err and "256 features" in err and "n_train 120" in err
+    # the fit refuses before the test split is generated and encoded
+    assert splits == ["train"]
 
 
 def test_artifact_on_every_channel_trains(tmp_path):

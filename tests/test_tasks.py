@@ -101,6 +101,13 @@ def test_counterpart_operator_adds_fixed_pattern():
             tk.CounterpartOp(target_channels=bad).apply(x)
 
 
+def reference_noise(spec, split_id, i):
+    """Sample i's noise drawn as numpy draws it: a SeedSequence and a
+    Generator of its own."""
+    rng = np.random.default_rng(np.random.SeedSequence(spec.seed, spawn_key=(split_id, i)))
+    return rng.normal(scale=spec.noise_sigma, size=(spec.n_tokens, spec.dim))
+
+
 def test_generate_equals_the_per_sample_reference():
     # fake samples are noise + semantic + artifact, added in that order
     spec = tk.TaskSpec(semantic_amp=1.5, artifact_amp=2.5, artifact_region="boundary",
@@ -110,14 +117,55 @@ def test_generate_equals_the_per_sample_reference():
     for split in ("train", "test"):
         ds = tk.generate(spec, split)
         n = spec.n_train if split == "train" else spec.n_test
+        split_id = {"train": 0, "test": 1}[split]
         tokens, labels = [], []
         for i in range(n):
-            x = tk._sample_noise(spec, split, i)
+            x = reference_noise(spec, split_id, i)
             tokens.append(x + sem + art if i % 2 else x)
             labels.append(i % 2)
         assert np.array_equal(ds.tokens, np.stack(tokens))
         assert ds.labels.dtype == np.uint8
         assert np.array_equal(ds.labels, np.array(labels, dtype=np.uint8))
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2**32 - 1, 2**32, 2**64 + 5, 2**128 + 1])
+def test_generate_draws_each_samples_own_seed_sequence_stream(seed):
+    # bytes, so -0.0 against +0.0 counts; 2**128 + 1 has five entropy words,
+    # one more than the seed pool holds
+    for sigma in (1.0, 0.3):
+        spec = tk.TaskSpec(noise_sigma=sigma, n_train=13, n_test=6, seed=seed)
+        for split_id, split in enumerate(("train", "test")):
+            n = spec.n_train if split == "train" else spec.n_test
+            ref = np.stack([reference_noise(spec, split_id, i) for i in range(n)])
+            assert tk.generate(spec, split).tokens.tobytes() == ref.tobytes()
+
+
+def test_generate_turns_a_negative_zero_draw_positive_as_normal_does(monkeypatch):
+    # normal(scale=sigma) returns 0.0 + sigma * z, and 0.0 + -0.0 is +0.0
+    class NegativeZeros(np.random.Generator):
+        def standard_normal(self, out):
+            out[...] = -0.0
+
+    monkeypatch.setattr(np.random, "Generator", NegativeZeros)
+    tokens = tk.generate(tk.TaskSpec(noise_sigma=0.3, n_train=2), "train").tokens
+    assert not np.signbit(tokens).any()
+
+
+def test_generate_refuses_a_split_wider_than_one_index_word():
+    # refused before anything the size of the split is allocated
+    spec = tk.TaskSpec(n_test=2**32)
+    with pytest.raises(ValueError, match=f"split size {2**32}"):
+        tk.generate(spec, "test")
+
+
+def test_generate_fails_loudly_if_numpy_seeding_changes(monkeypatch):
+    class Shifted(np.random.SeedSequence):
+        def generate_state(self, n_words, dtype=np.uint32):
+            return super().generate_state(n_words, dtype) + 1
+
+    monkeypatch.setattr(np.random, "SeedSequence", Shifted)
+    with pytest.raises(RuntimeError, match="SeedSequence"):
+        tk.generate(tk.TaskSpec(), "train")
 
 
 def test_non_square_token_count_fails_with_the_one_regions_message():
