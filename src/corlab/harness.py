@@ -201,16 +201,17 @@ def build_features(config: RunConfig) -> FeatureSet:
     enc = md.FrozenEncoder(config.encoder)
 
     def split_features(split: str) -> tuple[np.ndarray, np.ndarray]:
-        # a split's features and labels, in arrays of their own: its tokens
-        # and per-layer heads are freed before the next split is generated
+        # a split's features and labels: the encoder writes only the layers
+        # the head reads, each block builds its own counterpart from the
+        # offset, and the split's tokens are freed before the next split is
+        # generated
         ds = tk.generate(config.task, split)
         if config.head == "plain-probe":
-            F = md.plain_feature(enc.encode_plain(ds.tokens))
+            F = enc.encode_plain(ds.tokens)
         else:
-            heads, _ = enc.encode_corit(ds.tokens, config.counterpart.apply(ds.tokens),
-                                        rg.grid_partition(config.task.n_tokens),
-                                        config.alpha)
-            F = md.hri_fuse(heads, config.l_mid)
+            F, _ = enc.encode_corit(ds.tokens, config.counterpart.offset(*ds.tokens.shape[1:]),
+                                    rg.grid_partition(config.task.n_tokens), config.alpha,
+                                    config.l_mid)
         return F, ds.labels.astype(np.float64)
 
     F_tr, y_tr = split_features("train")

@@ -3,19 +3,22 @@
 The encoder is a seeded pre-norm transformer whose parameters never
 receive gradients; trainable state lives exclusively in the linear probe
 over its features (`corlab.optim`).
-The encoders take (S, N, D) visual tokens and return only the per-layer
-head tokens, [CLS] or [CLS | R], as one array with a leading layer axis;
-they share one forward, and `encode_plain` is CoRIT's with no regions.
-The forward is sample-major: each block of `_BLOCK_SAMPLES` samples runs
-through every layer (both streams' blocks, the region pass, the
-injection) and writes its rows of the outputs, reading no other block's
-rows.  The blocks are independent work, so W blocks are in flight at
-once, one per core this process may run on (`_WORKERS`, capped at the
-number of blocks): each forward opens a pool of W threads and joins the
-blocks through `Executor.map`, whose results, errors included, come in
-block order.  numpy and BLAS release the interpreter lock inside the
-blocks' products and ufuncs, and besides the outputs the encoder holds W
-blocks' working sets, not a full-size stream or CGP field.  No thread
+The encoders take (S, N, D) visual tokens and return only what their
+head reads: `encode_plain` the final CLS, `encode_corit` the [CLS | R]
+tokens of layers l_mid and L, fused (Hierarchical Representation
+Integration).  They share one forward, which writes only the layers it is
+told to read, and `encode_plain` is CoRIT's with no regions.
+The forward is sample-major: each block of `_BLOCK_SAMPLES` samples
+builds its own counterpart (the visuals plus an offset), runs through
+every layer (both streams' blocks, the region pass, the injection) and
+writes its rows of the outputs, reading no other block's rows.  The
+blocks are independent work, so W blocks are in flight at once, one per
+core this process may run on (`_WORKERS`, capped at the number of
+blocks): each forward opens a pool of W threads and joins the blocks
+through `Executor.map`, whose results, errors included, come in block
+order.  numpy and BLAS release the interpreter lock inside the blocks'
+products and ufuncs, and besides the outputs the encoder holds W blocks'
+working sets, not a full-size stream, counterpart or CGP field.  No thread
 or pool is module state, so a forked child needs no hook to encode.
 `block(x, l)` is the full-sequence block; with no regions only the CLS
 row of the last layer is read, so that layer computes it alone.
@@ -188,36 +191,29 @@ class FrozenEncoder:
             x = ad.mul(x, keep)
         return x
 
-    def _visuals(self, visuals) -> np.ndarray:
-        x = np.asarray(visuals, dtype=np.float64)
-        shape = (self.config.visual_tokens, self.config.dim)
-        if x.ndim != 3 or x.shape[1:] != shape:
-            raise ValueError(f"expected (S, {shape[0]}, {shape[1]}) visual tokens, "
-                             f"got {x.shape}")
-        return x
-
     # -- encoders ----------------------------------------------------------
 
     def encode_plain(self, visuals: np.ndarray) -> np.ndarray:
-        """Per-layer CLS tokens of the [CLS | V] forward on (S, N, D) visuals,
-        as one (L+1, S, 1, D) array: the paired forward with no regions."""
-        return self._forward({"original": self._visuals(visuals)}, [], 0.0)[0]
+        """(S, D) final CLS tokens, the linear-probing baseline: the paired
+        forward on (S, N, D) visuals with no regions, reading layer L alone."""
+        heads = self._forward(visuals, None, [], 0.0, (self.config.layers,))[0]
+        return heads.reshape(len(heads), -1)
 
-    def encode_corit(self, orig_visuals: np.ndarray, cpart_visuals: np.ndarray,
-                     regions: list[tuple[int, ...]],
-                     alpha: float) -> tuple[np.ndarray, np.ndarray]:
+    def encode_corit(self, visuals: np.ndarray, offset, regions: list[tuple[int, ...]],
+                     alpha: float, l_mid: int) -> tuple[np.ndarray, np.ndarray]:
         """Paired-stream forward with per-layer region-token injection.
 
-        `regions` are K nonempty index sets over the visual tokens.  Both
-        streams carry the shared region tokens; at every layer the
-        discrepancy field over visual tokens drives the refinement masks,
-        the pooled token is computed from the original stream, and the
-        injected region tokens feed the next layer of both streams.
+        The counterpart stream is the visuals plus `offset`, any array that
+        broadcasts to them.  `regions` are K nonempty index sets over the
+        visual tokens.  Both streams carry the shared region tokens; at every
+        layer the discrepancy field over visual tokens drives the refinement
+        masks, the pooled token is computed from the original stream, and
+        the injected region tokens feed the next layer of both streams.
 
-        Returns `(heads, masks)`: the original stream's per-layer
-        [CLS | R] tokens, (L+1, S, 1+K, D), and the refinement masks,
-        (L, S, K, N) booleans.  With K = 0 nothing is injected, so only the
-        original stream runs and the heads are those of `encode_plain`.
+        Returns `(features, masks)`: the HRI features, the original stream's
+        [CLS | R] at layers l_mid and L, (S, 2 (1+K) D), and the refinement
+        masks, (L, S, K, N) booleans.  With K = 0 only the original stream
+        runs, and the final CLS is `encode_plain`'s.
         """
         cfg = self.config
         for k, idx in enumerate(regions):
@@ -225,20 +221,22 @@ class FrozenEncoder:
                 raise ValueError(f"region {k} must be a nonempty index set in "
                                  f"[0, {cfg.visual_tokens})")
         fields.real("alpha", alpha, 0, strict=False)
-        orig, cpart = self._visuals(orig_visuals), self._visuals(cpart_visuals)
-        if orig.shape != cpart.shape:
-            raise ValueError("stream shapes differ")
-        return self._forward({"original": orig, "counterpart": cpart}, regions, alpha)
+        fields.integer("l_mid", l_mid, 1)
+        if l_mid >= cfg.layers:
+            raise ValueError(f"l_mid must be in [1, {cfg.layers - 1}], got {l_mid}")
+        heads, masks = self._forward(visuals, offset, regions, alpha, (l_mid, cfg.layers))
+        return heads.reshape(len(heads), -1), masks
 
-    def _forward(self, streams: dict[str, np.ndarray], regions: list[tuple[int, ...]],
-                 alpha: float) -> tuple[np.ndarray, np.ndarray]:
-        """The one forward of both encoders over checked (S, N, D) input
-        streams.  Every stream must be finite, but the counterpart runs only
-        when there are regions to inject.  Sample-major: each block of
-        `_BLOCK_SAMPLES` samples runs through every layer, each layer
-        overwriting the block's stream arrays in place, and writes its rows of
-        `heads` and `masks`.  With no regions the last layer computes the CLS
-        row alone.
+    def _forward(self, visuals, offset, regions: list[tuple[int, ...]], alpha: float,
+                 read: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
+        """The one forward of both encoders on (S, N, D) visuals: the original
+        stream's [CLS | R] at the distinct layers `read` (in [0, L]), as
+        (S, len(read), 1+K, D) `heads`, and (L, S, K, N) `masks`.
+        Sample-major: each block of `_BLOCK_SAMPLES` samples builds its
+        counterpart, its visuals plus its rows of `offset` (None: none), and
+        checks it finite, then runs every layer in place on its streams (the
+        counterpart only if there are regions to inject) and writes its rows
+        of the outputs.  With no regions the last layer computes CLS alone.
 
         A pool of W = `_WORKERS` threads (at most one per block), opened
         for this forward alone, runs the blocks through `Executor.map`, which
@@ -249,23 +247,44 @@ class FrozenEncoder:
         runs under its own `np.errstate` (a context, not a decorator: numpy
         1.x keeps a shared instance's saved state on itself), so no caller's
         setting moves which error that is."""
-        for name, visuals in streams.items():
-            if not np.all(np.isfinite(visuals)):
-                raise ad.NonFiniteError(f"non-finite {name} input")
+        visuals = np.asarray(visuals, dtype=np.float64)
+        shape = (self.config.visual_tokens, self.config.dim)
+        if visuals.ndim != 3 or visuals.shape[1:] != shape:
+            raise ValueError(f"expected (S, {shape[0]}, {shape[1]}) visual tokens, "
+                             f"got {visuals.shape}")
+        # one pass: freeing its (S, N, D) booleans also lifts glibc's dynamic
+        # mmap threshold above the blocks' temporaries, which a first forward
+        # otherwise maps afresh (1.8x slower on one thread at S = 4,000)
+        if not np.all(np.isfinite(visuals)):
+            raise ad.NonFiniteError("non-finite original input")
+        if offset is not None:
+            try:
+                offset = np.broadcast_to(np.asarray(offset, dtype=np.float64), visuals.shape)
+            except ValueError:
+                raise ValueError(f"offset of shape {np.shape(offset)} does not broadcast "
+                                 f"to the visuals' {visuals.shape}") from None
         K = len(regions)
-        S, N, D = streams["original"].shape
-        heads = np.empty((self.config.layers + 1, S, 1 + K, D))
+        S, N, D = visuals.shape
+        heads = np.empty((S, len(read), 1 + K, D))
         masks = np.empty((self.config.layers, S, K, N), dtype=bool)
         last = self.config.layers - 1
 
         def encode(b: slice) -> None:
             # non-finite values are checked, never trapped or warned of
             with np.errstate(all="ignore"):
-                cls = np.broadcast_to(self.params["cls"], (b.stop - b.start, 1, D))
-                x = {name: np.concatenate([cls, np.zeros((b.stop - b.start, K, D)), v[b]], axis=1)
-                     for name, v in streams.items() if K or name == "original"}
+                n = b.stop - b.start
+                cls = np.broadcast_to(self.params["cls"], (n, 1, D))
+                x = {"original": np.concatenate([cls, np.zeros((n, K, D)), visuals[b]], axis=1)}
+                if offset is not None:
+                    cp = x["original"].copy()
+                    cp[:, 1 + K:] += offset[b]
+                    if not np.all(np.isfinite(cp[:, 1 + K:])):
+                        raise ad.NonFiniteError("non-finite counterpart input")
+                    if K:
+                        x["counterpart"] = cp
                 x_o = x["original"]
-                heads[0, b] = x_o[:, :1 + K]
+                if 0 in read:
+                    heads[b, read.index(0)] = x_o[:, :1 + K]
                 for l in range(self.config.layers):
                     # without regions only the last layer's CLS row is read
                     full = K or l < last
@@ -280,7 +299,8 @@ class FrozenEncoder:
                             rg.compute_cgp(v_o, x["counterpart"][:, 1 + K:]), v_o, regions, alpha)
                         x_o[:, 1:1 + K] += pooled                        # intra-layer residual
                         x["counterpart"][:, 1:1 + K] = x_o[:, 1:1 + K]
-                    heads[l + 1, b] = x_o[:, :1 + K]
+                    if l + 1 in read:
+                        heads[b, read.index(l + 1)] = x_o[:, :1 + K]
 
         blocks = [slice(i, min(i + _BLOCK_SAMPLES, S)) for i in range(0, S, _BLOCK_SAMPLES)]
         with ThreadPoolExecutor(max(1, min(_WORKERS, len(blocks))),
@@ -288,21 +308,3 @@ class FrozenEncoder:
             list(pool.map(encode, blocks))
         return heads, masks
 
-
-# ---------------------------------------------------------------------------
-# feature heads
-# ---------------------------------------------------------------------------
-
-def hri_fuse(heads: np.ndarray, l_mid: int) -> np.ndarray:
-    """Concatenate [CLS, R] from layer l_mid and the final layer of
-    (L+1, S, 1+K, D) per-layer tokens into (S, 2 (1+K) D) features."""
-    L = len(heads) - 1
-    if not (1 <= l_mid < L):
-        raise ValueError(f"l_mid must be in [1, {L - 1}]")
-    return np.concatenate([heads[l_mid], heads[L]], axis=1).reshape(heads.shape[1], -1)
-
-
-def plain_feature(heads: np.ndarray) -> np.ndarray:
-    """Final-layer CLS token, the linear-probing baseline feature, copied
-    out of the heads so that they can be freed."""
-    return heads[-1, :, 0].copy()

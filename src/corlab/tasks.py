@@ -204,14 +204,10 @@ class CounterpartOp:
         object.__setattr__(self, "target_channels",
                            fields.channels("target_channels", self.target_channels, None))
 
-    def pattern(self, n_tokens: int, dim: int) -> np.ndarray:
-        return _region_pattern(("counterpart", self.seed), self.target_region,
-                               self.target_channels, n_tokens, dim)
-
-    def apply(self, tokens: np.ndarray) -> np.ndarray:
-        """Counterpart tokens; label semantics are unchanged by design."""
-        tokens = np.asarray(tokens, dtype=np.float64)
-        n, d = tokens.shape[-2], tokens.shape[-1]
-        if any(not 0 <= c < d for c in self.target_channels):
+    def offset(self, n_tokens: int, dim: int) -> np.ndarray:
+        """(n_tokens, dim) offset that makes any tokens their counterpart,
+        perturb_amp times the seeded pattern; labels are unchanged by design."""
+        if any(not 0 <= c < dim for c in self.target_channels):
             raise ValueError("target channel out of range")
-        return tokens + self.perturb_amp * self.pattern(n, d)
+        return self.perturb_amp * _region_pattern(("counterpart", self.seed), self.target_region,
+                                                  self.target_channels, n_tokens, dim)

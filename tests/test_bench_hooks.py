@@ -60,7 +60,7 @@ def test_each_encoder_call_is_one_span_over_its_samples():
     x = np.random.default_rng(0).normal(size=(5, 16, 32))
     for name, run in (("model.encode_plain", lambda: enc.encode_plain(x)),
                       ("model.encode_corit",
-                       lambda: enc.encode_corit(x, x + 1.0, rg.grid_partition(16), 0.5))):
+                       lambda: enc.encode_corit(x, 1.0, rg.grid_partition(16), 0.5, 1))):
         tracer = Tracer(CalibratedClock())
         with patched(tracer.hooks()):
             run()

@@ -1,5 +1,5 @@
 """Frozen encoder checks: determinism, the channel attenuation switch, the
-paired-stream forward, and the feature heads."""
+paired-stream forward, and the layers each head reads."""
 
 import multiprocessing
 import sys
@@ -11,8 +11,10 @@ import numpy as np
 import pytest
 
 from corlab import autodiff as ad
+from corlab import harness as hn
 from corlab import model as md
 from corlab import regions as rg
+from corlab import tasks as tk
 
 
 CFG = md.EncoderConfig(layers=3, dim=16, heads=4, visual_tokens=16)
@@ -21,6 +23,36 @@ CFG = md.EncoderConfig(layers=3, dim=16, heads=4, visual_tokens=16)
 def sample_tokens(seed=0, n=2):
     rng = np.random.default_rng(seed)
     return rng.normal(size=(n, CFG.visual_tokens, CFG.dim))
+
+
+def every_layer(enc, x, offset=None, regions=(), alpha=0.0):
+    """The forward reading all L + 1 layers: (S, L+1, 1+K, D) heads, and the
+    masks.  `offset` None runs no counterpart, as `encode_plain` does."""
+    return enc._forward(x, offset, list(regions), alpha, tuple(range(enc.config.layers + 1)))
+
+
+def layer_major_corit(enc, x, cp, regions, alpha):
+    """The layer-major paired forward that encodes a whole (S, N, D)
+    counterpart array `cp` as its second stream, reading every layer: the
+    reference a per-block counterpart must reproduce bit for bit."""
+    S, N, D = x.shape
+    K = len(regions)
+
+    def tokens(v):
+        return np.concatenate([np.broadcast_to(enc.params["cls"], (S, 1, D)),
+                               np.zeros((S, K, D)), v], axis=1)
+
+    xo, xc = tokens(x), tokens(cp)
+    heads, masks = [xo[:, :1 + K].copy()], []
+    for l in range(enc.config.layers):
+        xo, xc = enc.block(xo, l), enc.block(xc, l)
+        m, pooled = rg.layer_region_state(rg.compute_cgp(xo[:, 1 + K:], xc[:, 1 + K:]),
+                                          xo[:, 1 + K:], regions, alpha)
+        xo[:, 1:1 + K] += pooled
+        xc[:, 1:1 + K] = xo[:, 1:1 + K]
+        heads.append(xo[:, :1 + K].copy())
+        masks.append(m.astype(bool))
+    return np.stack(heads, axis=1), np.stack(masks)
 
 
 def same_params(a, b):
@@ -35,8 +67,8 @@ def test_encoder_is_deterministic_per_seed():
     c = md.FrozenEncoder(md.EncoderConfig(layers=3, dim=16, heads=4, seed=99))
     assert not same_params(a, c)
     x = sample_tokens()
-    out_a = md.plain_feature(a.encode_plain(x))
-    out_b = md.plain_feature(b.encode_plain(x))
+    out_a = a.encode_plain(x)
+    out_b = b.encode_plain(x)
     assert np.array_equal(out_a, out_b)
 
 
@@ -48,27 +80,28 @@ def test_config_validation():
 def test_encode_plain_shapes_and_unbatched_input():
     enc = md.FrozenEncoder(CFG)
     x = sample_tokens(n=3)
-    heads = enc.encode_plain(x)
-    assert heads.shape == (CFG.layers + 1, 3, 1, CFG.dim)
+    assert enc.encode_plain(x).shape == (3, CFG.dim)
+    heads, _ = every_layer(enc, x)
+    assert heads.shape == (3, CFG.layers + 1, 1, CFG.dim)
     seq = np.concatenate([np.broadcast_to(enc.params["cls"], (3, 1, CFG.dim)), x], axis=1)
     last = CFG.layers - 1
     for l in range(last + 1):
-        assert np.array_equal(heads[l], seq[:, :1])
+        assert np.array_equal(heads[:, l], seq[:, :1])
         if l < last:
             seq = enc.block(seq, l)
     # the last layer computes the CLS row alone; numpy's one-row products
     # take another BLAS path than the rows of the full ones, so the full
     # block's CLS row differs from it at rounding level only
-    assert np.array_equal(heads[-1], enc._block(seq, last, 1))
+    assert np.array_equal(heads[:, -1], enc._block(seq, last, 1))
     full = enc.block(seq, last)[:, :1]
-    assert np.max(np.abs(heads[-1] - full)) <= 1e-15 * np.max(np.abs(full))
+    assert np.max(np.abs(heads[:, -1] - full)) <= 1e-15 * np.max(np.abs(full))
     # encoders take (S, N, D) only: one unbatched sample or a wrong token
     # count or width is refused, not broadcast
     for bad in (x[0], x[:, :8], x[..., :8], x[None]):
         with pytest.raises(ValueError):
             enc.encode_plain(bad)
         with pytest.raises(ValueError):
-            enc.encode_corit(bad, bad, rg.grid_partition(16), alpha=0.5)
+            enc.encode_corit(bad, 0.5, rg.grid_partition(16), alpha=0.5, l_mid=1)
     with pytest.raises(ad.NonFiniteError):
         enc.encode_plain(np.full_like(x, np.nan))
 
@@ -82,8 +115,8 @@ def test_channel_attenuation_suppresses_designated_channels():
     enc_p = md.FrozenEncoder(plain_cfg)
     assert same_params(enc_b, enc_p)  # same weights, new switch
     x = sample_tokens(n=8)
-    out_b = enc_b.encode_plain(x)[-1]        # final CLS tokens
-    out_p = enc_p.encode_plain(x)[-1]
+    out_b = enc_b.encode_plain(x)            # final CLS tokens
+    out_p = enc_p.encode_plain(x)
     ratio_bias = np.abs(out_b[..., 12:]).mean() / np.abs(out_p[..., 12:]).mean()
     ratio_rest = np.abs(out_b[..., :12]).mean() / np.abs(out_p[..., :12]).mean()
     assert ratio_bias < 0.5 * ratio_rest
@@ -156,7 +189,7 @@ def test_paired_streams_with_identical_inputs_are_inert():
     enc = md.FrozenEncoder(CFG)
     x = sample_tokens(n=2)
     regions = rg.grid_partition(16)
-    heads, masks = enc.encode_corit(x, x.copy(), regions, alpha=0.0)
+    heads, masks = every_layer(enc, x, 0.0, regions, alpha=0.0)
     # zero discrepancy everywhere: no masks fire even at alpha 0, nothing is
     # pooled, and the heads are those of the forward without injection
     assert masks.shape == (CFG.layers, 2, 3, CFG.visual_tokens)
@@ -164,7 +197,7 @@ def test_paired_streams_with_identical_inputs_are_inert():
     seq = np.concatenate([np.broadcast_to(enc.params["cls"], (2, 1, CFG.dim)),
                           np.zeros((2, 3, CFG.dim)), x], axis=1)
     for l in range(CFG.layers + 1):
-        assert np.array_equal(heads[l], seq[:, :4])
+        assert np.array_equal(heads[:, l], seq[:, :4])
         if l < CFG.layers:
             seq = enc.block(seq, l)
 
@@ -172,12 +205,12 @@ def test_paired_streams_with_identical_inputs_are_inert():
 def test_paired_streams_diverge_under_a_real_counterpart():
     enc = md.FrozenEncoder(CFG)
     x = sample_tokens(n=2)
-    x2 = x.copy()
-    x2[:, 5:7, :] += 1.0  # foreground tokens perturbed
+    offset = np.zeros((CFG.visual_tokens, CFG.dim))
+    offset[5:7] = 1.0     # foreground tokens perturbed
     regions = rg.grid_partition(16)
-    heads, masks = enc.encode_corit(x, x2, regions, alpha=0.25)
+    feats, masks = enc.encode_corit(x, offset, regions, alpha=0.25, l_mid=1)
     assert np.any(masks != 0.0)
-    assert heads.shape == (CFG.layers + 1, 2, 1 + 3, CFG.dim)
+    assert feats.shape == (2, 2 * (1 + 3) * CFG.dim)
     assert masks.shape == (CFG.layers, 2, 3, CFG.visual_tokens)
 
 
@@ -185,8 +218,9 @@ def test_zero_region_paired_forward_reduces_to_plain():
     cfg0 = md.EncoderConfig(layers=3, dim=16, heads=4)
     enc = md.FrozenEncoder(cfg0)
     x = sample_tokens(n=2)
-    heads, masks = enc.encode_corit(x, x + 0.5, [], alpha=0.5)
-    assert np.array_equal(heads, enc.encode_plain(x))
+    assert np.array_equal(every_layer(enc, x, 0.5)[0], every_layer(enc, x)[0])
+    feats, masks = enc.encode_corit(x, 0.5, [], alpha=0.5, l_mid=1)
+    assert np.array_equal(feats[:, cfg0.dim:], enc.encode_plain(x))
     assert masks.shape == (cfg0.layers, 2, 0, cfg0.visual_tokens)
 
 
@@ -202,18 +236,24 @@ def test_zero_region_forward_runs_one_stream_but_checks_both(monkeypatch):
     monkeypatch.setattr(md.FrozenEncoder, "_block", lambda self, y, l, rows:
                         layers.append(l) or block(self, y, l, rows))
     one = CFG.layers * -(-x.shape[0] // md._BLOCK_SAMPLES)
+    regions = rg.grid_partition(16)
     for run, calls in ((lambda: enc.encode_plain(x), one),
-                       (lambda: enc.encode_corit(x, x + 0.5, [], alpha=0.5), one),
-                       (lambda: enc.encode_corit(x, x + 0.5, rg.grid_partition(16),
-                                                 alpha=0.5), 2 * one)):
+                       (lambda: enc.encode_corit(x, 0.5, [], alpha=0.5, l_mid=1), one),
+                       (lambda: enc.encode_corit(x, 0.5, regions, alpha=0.5, l_mid=1),
+                        2 * one)):
         layers.clear()
         run()
         assert len(layers) == calls
-    # the counterpart is unread at K = 0 but must still be finite
-    layers.clear()
-    with pytest.raises(ad.NonFiniteError, match="counterpart"):
-        enc.encode_corit(x, np.full_like(x, np.nan), [], alpha=0.5)
-    assert layers == []
+    # the counterpart is unread at K = 0 but must still be finite, whether
+    # the offset is non-finite or the sum overflows; every block checks its
+    # counterpart before its first layer
+    big = 1e307 * np.abs(x)
+    for visuals, offset in ((x, np.nan), (x, np.full(x.shape[1:], -np.inf)), (big, 1.7e308)):
+        for k in (0, 3):
+            layers.clear()
+            with pytest.raises(ad.NonFiniteError, match="^non-finite counterpart input$"):
+                enc.encode_corit(visuals, offset, regions[:k], alpha=0.5, l_mid=1)
+            assert layers == []
 
 
 def test_encode_corit_validation():
@@ -225,16 +265,20 @@ def test_encode_corit_validation():
     for k in (3, 0):
         for alpha in (-1.0, float("nan"), float("inf")):
             with pytest.raises(ValueError, match="alpha"):
-                enc.encode_corit(x, x, regions[:k], alpha=alpha)
-    with pytest.raises(ValueError):
-        enc.encode_corit(x, x[:, :8], regions, alpha=0.5)
-    with pytest.raises(ValueError, match="stream shapes differ"):
-        enc.encode_corit(x, x[:-1], regions, alpha=0.5)
+                enc.encode_corit(x, 0.0, regions[:k], alpha=alpha, l_mid=1)
+    # the offset must broadcast to the visuals' (S, N, D) shape
+    for bad in (x[:, :8], np.concatenate([x, x]), x[None], np.zeros(8)):
+        with pytest.raises(ValueError, match="does not broadcast"):
+            enc.encode_corit(x, bad, regions, alpha=0.5, l_mid=1)
+    # l_mid names a layer strictly between the input and the last one
+    for bad in (0, CFG.layers, 1.0, True):
+        with pytest.raises(ValueError, match="l_mid"):
+            enc.encode_corit(x, 0.5, regions, alpha=0.5, l_mid=bad)
     # a region must be a nonempty index set over the visual tokens; the
     # error names its position
     for bad in ((), (99,), (-1,), (3, 16)):
         with pytest.raises(ValueError, match="region 1 "):
-            enc.encode_corit(x, x, [regions[0], bad, regions[2]], alpha=0.5)
+            enc.encode_corit(x, 0.0, [regions[0], bad, regions[2]], alpha=0.5, l_mid=1)
 
 
 def test_encoders_are_exact_under_any_sample_split():
@@ -243,20 +287,20 @@ def test_encoders_are_exact_under_any_sample_split():
     enc = md.FrozenEncoder(CFG)
     x = sample_tokens(seed=3, n=300)
     assert x.shape[0] % md._BLOCK_SAMPLES != 0      # a ragged last block
-    cp = x.copy()
-    cp[:, 5:7, :] += 1.0
-    cp[::7] = x[::7]                               # some samples see no change
+    offset = np.zeros_like(x)
+    offset[:, 5:7, :] = 1.0
+    offset[::7] = 0.0                              # some samples see no change
     parts = (slice(0, 100), slice(100, 300))
 
-    whole = enc.encode_plain(x)
-    split = [enc.encode_plain(x[p]) for p in parts]
-    assert np.array_equal(whole, np.concatenate(split, axis=1))
+    whole, _ = every_layer(enc, x)
+    split = [every_layer(enc, x[p])[0] for p in parts]
+    assert np.array_equal(whole, np.concatenate(split))
 
     regions = rg.grid_partition(16)
-    heads, masks = enc.encode_corit(x, cp, regions, alpha=0.25)
-    split = [enc.encode_corit(x[p], cp[p], regions, alpha=0.25) for p in parts]
+    heads, masks = every_layer(enc, x, offset, regions, alpha=0.25)
+    split = [every_layer(enc, x[p], offset[p], regions, alpha=0.25) for p in parts]
     assert masks.any()
-    assert np.array_equal(heads, np.concatenate([h for h, _ in split], axis=1))
+    assert np.array_equal(heads, np.concatenate([h for h, _ in split]))
     assert np.array_equal(masks, np.concatenate([m for _, m in split], axis=1))
 
 
@@ -265,23 +309,59 @@ def test_encoders_are_exact_under_any_block_size(monkeypatch, block):
     # the block size and the worker count tune speed and may never change a
     # bit: every size, with any number of workers, must match one block call
     # over all S = 90 samples.  90 leaves a ragged last block at 7, 32 and
-    # the default size, and one block is fewer than 2 or 3 workers
+    # the default size, and one block is fewer than 2 or 3 workers.  A
+    # readout of any layer subset, the two heads' included, is the same
+    # layers of the all-layer forward, bit for bit
     enc = md.FrozenEncoder(CFG)
     x = sample_tokens(seed=5, n=90)
-    cp = x.copy()
-    cp[:, 2:6, :] -= 1.0
+    offset = np.zeros(x.shape[1:])
+    offset[2:6] = -1.0
     regions = rg.grid_partition(16)
+    L = CFG.layers
+    streams = ((None, []), (offset, regions))     # plain, CoRIT
 
-    def encode(size, workers):
+    def encode(size, workers, read):
         monkeypatch.setattr(md, "_BLOCK_SAMPLES", size)
         monkeypatch.setattr(md, "_WORKERS", workers)
-        return enc.encode_plain(x), *enc.encode_corit(x, cp, regions, alpha=0.25)
+        return [enc._forward(x, off, k, 0.25, read) for off, k in streams]
 
-    whole = encode(x.shape[0], 1)
-    assert whole[2].any()
+    whole = encode(x.shape[0], 1, tuple(range(L + 1)))
+    assert whole[1][1].any()
     for workers in (1, 2, 3):
-        for got, want in zip(encode(block, workers), whole):
-            assert np.array_equal(got, want)
+        for read in ((L,), (1, L), (0,), (0, 2), (2,), tuple(range(L + 1))):
+            for (heads, masks), (all_heads, all_masks) in zip(encode(block, workers, read),
+                                                               whole):
+                assert np.array_equal(heads, all_heads[:, list(read)])
+                assert np.array_equal(masks, all_masks)
+        assert np.array_equal(enc.encode_plain(x), whole[0][0][:, L, 0])
+        for l_mid in range(1, L):
+            feats, masks = enc.encode_corit(x, offset, regions, alpha=0.25, l_mid=l_mid)
+            assert np.array_equal(feats, whole[1][0][:, [l_mid, L]].reshape(len(x), -1))
+            assert np.array_equal(masks, whole[1][1])
+
+
+@pytest.mark.parametrize("per_sample", [False, True])
+def test_a_counterpart_offset_matches_encoding_the_whole_counterpart_array(per_sample):
+    # each block adds the offset to its own visuals: every layer's heads and
+    # masks equal, bit for bit, those of the layer-major forward that encodes
+    # the array x + offset, for an (N, D) or an (S, N, D) offset
+    enc = md.FrozenEncoder(CFG)
+    x = sample_tokens(seed=9, n=150)
+    if per_sample:
+        offset = np.random.default_rng(2).normal(size=x.shape)
+        offset[::5] = 0.0
+    else:
+        offset = tk.CounterpartOp(perturb_amp=2.0, target_channels=(12, 13, 14, 15)).offset(
+            CFG.visual_tokens, CFG.dim)
+    regions = rg.grid_partition(16)
+    want_heads, want_masks = layer_major_corit(enc, x, x + offset, regions, 0.25)
+    assert want_masks.any()
+    heads, masks = every_layer(enc, x, offset, regions, alpha=0.25)
+    assert np.array_equal(heads, want_heads)
+    assert np.array_equal(masks, want_masks)
+    feats, masks = enc.encode_corit(x, offset, regions, alpha=0.25, l_mid=2)
+    assert np.array_equal(feats, want_heads[:, [2, CFG.layers]].reshape(len(x), -1))
+    assert np.array_equal(masks, want_masks)
 
 
 def _plant_failures(monkeypatch, fail_at, delay=0.0):
@@ -334,7 +414,7 @@ def test_a_failing_forward_raises_the_lowest_failing_blocks_error(monkeypatch):
             for errstate in ({}, {"all": "raise"}):
                 with np.errstate(**errstate), pytest.raises(
                         ad.NonFiniteError, match="^non-finite original activation at layer 2$"):
-                    enc.encode_corit(x, x + 0.5, rg.grid_partition(16), alpha=0.25)
+                    enc.encode_corit(x, 0.5, rg.grid_partition(16), alpha=0.25, l_mid=1)
                 assert active[0] == 0
     finally:
         sys.setswitchinterval(interval)
@@ -354,7 +434,7 @@ def test_a_failing_block_stops_the_blocks_queued_behind_it(monkeypatch):
         started.clear()
         with pytest.raises(ad.NonFiniteError,
                            match="^non-finite original activation at layer 0$"):
-            enc.encode_corit(x, x + 0.5, rg.grid_partition(16), alpha=0.25)
+            enc.encode_corit(x, 0.5, rg.grid_partition(16), alpha=0.25, l_mid=1)
         assert active[0] == 0
         assert 0 in started and len(started) <= 3 * workers, (workers, sorted(started))
 
@@ -392,31 +472,36 @@ def _peak_and_output_bytes(run) -> tuple[int, int]:
 
 
 def test_encoder_peak_memory_does_not_grow_with_depth(monkeypatch):
-    # only the per-layer head tokens and masks outlive a layer, so the peak
-    # grows with depth by the size of the extra outputs alone (on one worker:
-    # how W blocks' working sets overlap in time varies from run to run)
+    # the two heads read two layers and one whatever the depth, and nothing
+    # else outlives a layer, so their peak does not grow with depth; only
+    # CoRIT's masks, one per layer by contract, add their own bytes (on one
+    # worker: how W blocks' working sets overlap in time varies from run to
+    # run)
     monkeypatch.setattr(md, "_WORKERS", 1)
     x = np.random.default_rng(4).normal(size=(400, 16, 32))
-    cp = x.copy()
-    cp[:, 5:7, :] += 1.0
+    offset = np.zeros(x.shape[1:])
+    offset[5:7] = 1.0
     regions = rg.grid_partition(16)
     shallow, deep = (md.FrozenEncoder(md.EncoderConfig(layers=l)) for l in (2, 8))
-    for run in (lambda enc: enc.encode_corit(x, cp, regions, alpha=0.25),
-                lambda enc: enc.encode_plain(x)):
+    mask_bytes = (8 - 2) * x.shape[0] * len(regions) * x.shape[1]
+    for run, grown in ((lambda enc: enc.encode_corit(x, offset, regions, alpha=0.25, l_mid=1),
+                        mask_bytes),
+                       (lambda enc: enc.encode_plain(x), 0)):
         peak_s, out_s = _peak_and_output_bytes(lambda: run(shallow))
         peak_d, out_d = _peak_and_output_bytes(lambda: run(deep))
-        assert peak_d - peak_s <= out_d - out_s + 16 * 1024, (peak_d - peak_s, out_d - out_s)
+        assert out_d - out_s == grown
+        assert peak_d - peak_s <= grown + 16 * 1024, (peak_d - peak_s, grown)
 
 
 def _held_bytes(enc, S: int) -> dict[str, int]:
     """What each encoder holds at its peak besides its outputs, on S samples."""
     x = np.random.default_rng(5).normal(size=(S, 16, 32))
-    cp = x.copy()
-    cp[:, 5:7, :] += 1.0
+    offset = np.zeros(x.shape[1:])
+    offset[5:7] = 1.0
     held = {}
     for name, run in (("plain", lambda: enc.encode_plain(x)),
-                      ("corit", lambda: enc.encode_corit(x, cp, rg.grid_partition(16),
-                                                         alpha=0.25))):
+                      ("corit", lambda: enc.encode_corit(x, offset, rg.grid_partition(16),
+                                                         alpha=0.25, l_mid=1))):
         peak, out = _peak_and_output_bytes(run)
         held[name] = peak - out
     return held
@@ -446,24 +531,45 @@ def test_each_worker_holds_at_most_one_block(monkeypatch):
             assert two[name] <= 2 * one[name] + 64 * 1024, (name, S, one, two)
 
 
-def test_hri_fuse_concatenates_mid_and_final_layers():
+def test_encode_corit_reads_the_mid_and_final_layers():
     enc = md.FrozenEncoder(CFG)
     x = sample_tokens(n=4)
-    heads, _ = enc.encode_corit(x, x + 0.1, rg.grid_partition(16), alpha=0.5)
-    feats = md.hri_fuse(heads, l_mid=2)
+    offset = np.full(x.shape[1:], 0.1)
+    heads, _ = every_layer(enc, x, offset, rg.grid_partition(16), alpha=0.5)
+    feats, _ = enc.encode_corit(x, offset, rg.grid_partition(16), alpha=0.5, l_mid=2)
     K, D = 3, CFG.dim
     assert feats.shape == (4, 2 * (1 + K) * D)
-    mid = heads[2].reshape(4, -1)
-    fin = heads[-1].reshape(4, -1)
+    mid = heads[:, 2].reshape(4, -1)
+    fin = heads[:, -1].reshape(4, -1)
     assert np.array_equal(feats, np.concatenate([mid, fin], axis=1))
-    with pytest.raises(ValueError):
-        md.hri_fuse(heads, l_mid=0)
-    with pytest.raises(ValueError):
-        md.hri_fuse(heads, l_mid=CFG.layers)
 
 
-def test_plain_feature_is_final_cls():
+def test_encode_plain_reads_the_final_cls():
     enc = md.FrozenEncoder(CFG)
     x = sample_tokens(n=2)
-    heads = enc.encode_plain(x)
-    assert np.array_equal(md.plain_feature(heads), heads[-1][:, 0, :])
+    heads, _ = every_layer(enc, x)
+    assert np.array_equal(enc.encode_plain(x), heads[:, -1, 0, :])
+
+
+def test_corit_build_features_holds_no_counterpart_stream_and_no_unread_layer(monkeypatch):
+    # at a CoRIT build's peak the split-sized arrays are its tokens, its
+    # features (two layers' [CLS | R]) and its masks; the rest is the
+    # encoder's weights and one block's working set, as at any S.  A full
+    # (S, N, D) counterpart, or any unread layer's heads, would add far more
+    # than the tolerance
+    monkeypatch.setattr(md, "_WORKERS", 1)
+    cfg = hn.RunConfig(task=tk.TaskSpec(n_train=1024, n_test=2), head="corit",
+                       encoder=md.EncoderConfig(layers=4), l_mid=2)
+    S, N, D, K, L = 1024, cfg.task.n_tokens, cfg.task.dim, 3, cfg.encoder.layers
+    tracemalloc.start()
+    try:
+        hn.build_features(cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    enc = md.FrozenEncoder(cfg.encoder)
+    weights = sum(p.nbytes for p in enc.params.values())
+    held = peak - weights - 8 * S * N * D - 8 * S * 2 * (1 + K) * D - L * S * K * N
+    one_block = _held_bytes(enc, 256)["corit"]
+    assert 64 * 1024 < 8 * S * (1 + K) * D < 8 * S * N * D       # one layer, a counterpart
+    assert held <= one_block + 64 * 1024, (held, one_block)

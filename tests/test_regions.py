@@ -74,7 +74,7 @@ def test_region_spec_sorts_and_rejects_empty():
     enc = md.FrozenEncoder(md.EncoderConfig(layers=2, dim=8, heads=2,
                                             visual_tokens=16))
     with pytest.raises(ValueError, match="region 0 "):
-        enc.encode_corit(visuals, visuals, [(), (1, 2)], alpha=0.5)
+        enc.encode_corit(visuals, 0.5, [(), (1, 2)], alpha=0.5, l_mid=1)
 
 
 def test_compute_cgp_is_plain_difference():

@@ -88,17 +88,20 @@ def test_zero_amplitude_adds_no_pattern():
 
 
 def test_counterpart_operator_adds_fixed_pattern():
+    # the (N, D) offset is perturb_amp times a unit pattern that is zero
+    # outside the target region's tokens and the target channels
     op = tk.CounterpartOp(perturb_amp=2.0)
-    x = np.random.default_rng(0).normal(size=(3, 16, 32))
-    out = op.apply(x)
-    delta = out - x
-    assert np.allclose(delta[0], delta[1])
-    assert np.isclose(np.linalg.norm(delta[0]), 2.0)
+    offset = op.offset(16, 32)
+    assert offset.shape == (16, 32)
+    assert np.isclose(np.linalg.norm(offset), 2.0)
+    fg = list(rg.grid_partition(16)[0])
+    assert np.count_nonzero(offset) == np.count_nonzero(offset[np.ix_(fg, range(24, 32))]) > 0
+    assert np.array_equal(offset, 2.0 * tk.CounterpartOp(perturb_amp=1.0).offset(16, 32))
     with pytest.raises(ValueError):
         tk.CounterpartOp(perturb_amp=-1.0)
-    for bad in ((40,), (-1,)):
+    for bad in ((40,), (32,), (-1,)):
         with pytest.raises(ValueError):
-            tk.CounterpartOp(target_channels=bad).apply(x)
+            tk.CounterpartOp(target_channels=bad).offset(16, 32)
 
 
 def reference_noise(spec, split_id, i):
@@ -171,7 +174,7 @@ def test_generate_fails_loudly_if_numpy_seeding_changes(monkeypatch):
 def test_non_square_token_count_fails_with_the_one_regions_message():
     message = r"n_tokens \(15\) must be a square token grid"
     for build in (lambda: tk.TaskSpec(n_tokens=15),
-                  lambda: tk.CounterpartOp().apply(np.zeros((2, 15, 32))),
+                  lambda: tk.CounterpartOp().offset(15, 32),
                   lambda: rg.grid_partition(15)):
         with pytest.raises(ValueError, match=message):
             build()
