@@ -252,9 +252,7 @@ class FrozenEncoder:
         if visuals.ndim != 3 or visuals.shape[1:] != shape:
             raise ValueError(f"expected (S, {shape[0]}, {shape[1]}) visual tokens, "
                              f"got {visuals.shape}")
-        # one pass: freeing its (S, N, D) booleans also lifts glibc's dynamic
-        # mmap threshold above the blocks' temporaries, which a first forward
-        # otherwise maps afresh (1.8x slower on one thread at S = 4,000)
+        # one pass, before any block starts
         if not np.all(np.isfinite(visuals)):
             raise ad.NonFiniteError("non-finite original input")
         if offset is not None:
@@ -302,6 +300,15 @@ class FrozenEncoder:
                     if l + 1 in read:
                         heads[b, read.index(l + 1)] = x_o[:, :1 + K]
 
+        # glibc maps every allocation above its mmap threshold (128 KiB at
+        # start) and faults its pages in afresh; freeing a larger mapped chunk
+        # raises the threshold to its size and the trim threshold to twice it
+        # (mallopt(3)).  So map and free, never touching it, a buffer of a
+        # block's two MLP hidden arrays, above every block temporary: the
+        # blocks then reuse heap memory, whatever S is and whatever ran before.
+        # A repeated plain forward at S = 512 took 17,000-46,000 minor faults
+        # without it and under 100 with it.
+        np.empty((2, min(S, _BLOCK_SAMPLES), 1 + K + N, 4 * D))
         blocks = [slice(i, min(i + _BLOCK_SAMPLES, S)) for i in range(0, S, _BLOCK_SAMPLES)]
         with ThreadPoolExecutor(max(1, min(_WORKERS, len(blocks))),
                                 thread_name_prefix="corlab-encoder") as pool:
