@@ -138,10 +138,20 @@ def spectral_estimate(mean_grad: np.ndarray, trace_cov: float, hessian: np.ndarr
     """Exact estimate at one point from the full-sample mean gradient, the
     trace of the per-sample gradient covariance and the dense (P, P)
     Hessian: full eigendecomposition, no sampling."""
-    return SpectralEstimate(lambda_max=float(np.linalg.eigvalsh(hessian).max()),
-                            trace_h=float(np.trace(hessian)),
-                            trace_cov=float(trace_cov),
-                            grad_norm_sq=float(mean_grad @ mean_grad), step=step)
+    return spectral_estimates(mean_grad[None], [trace_cov], hessian[None], [step])[0]
+
+
+def spectral_estimates(mean_grads: np.ndarray, trace_covs, hessians: np.ndarray,
+                       steps) -> list[SpectralEstimate]:
+    """`spectral_estimate` of each of n problems of one size P, from (n, P)
+    mean gradients, n covariance traces, (n, P, P) Hessians and n steps,
+    with one stacked eigendecomposition.  Each estimate is bit for bit the
+    one its problem gets alone."""
+    lam = np.linalg.eigvalsh(hessians).max(axis=-1).tolist()
+    trace_h = np.trace(hessians, axis1=-2, axis2=-1).tolist()
+    return [SpectralEstimate(lambda_max=l, trace_h=t, trace_cov=float(c),
+                             grad_norm_sq=float(g @ g), step=s)
+            for l, t, c, g, s in zip(lam, trace_h, trace_covs, mean_grads, steps)]
 
 
 def lambda_max(hvp_oracle, dim: int, iters: int = 200, tol: float = 1e-8,

@@ -5,7 +5,8 @@ collapse sweeps, and the verification campaign."""
 import ast
 import json
 import warnings
-from dataclasses import astuple, replace
+from collections import Counter
+from dataclasses import asdict, astuple, replace
 from pathlib import Path
 
 import numpy as np
@@ -733,16 +734,58 @@ def test_verify_theorem_campaign_small():
         hn.verify_theorem_campaign(0)
 
 
+def test_verify_theorem_campaign_times_itself_with_a_monotonic_clock(monkeypatch):
+    # a wall clock that steps back an hour between reads
+    wall = iter(range(10 ** 9, 0, -3600))
+    monkeypatch.setattr(hn.time, "time", lambda: float(next(wall)))
+    assert 0.0 <= hn.verify_theorem_campaign(3, seed=0).elapsed_s < 60.0
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_verify_theorem_campaign_is_the_same_at_any_chunk_size(monkeypatch, seed):
+    reports = []
+    for chunk in (1, 7, hn.CAMPAIGN_CHUNK):
+        monkeypatch.setattr(hn, "CAMPAIGN_CHUNK", chunk)
+        report = asdict(hn.verify_theorem_campaign(300, seed=seed))
+        report.pop("elapsed_s")
+        reports.append(report)
+    assert reports[0] == reports[1] == reports[2]
+
+
+def test_campaign_instances_grouped_by_shape_equal_the_same_instances_alone():
+    # the campaign's draws, evaluated one (C, F) group per chunk, against
+    # each instance drawn by SoftmaxRegression.random and evaluated alone
+    rng = np.random.default_rng(np.random.SeedSequence(0, spawn_key=(3,)))
+    shapes = []
+    for i, (est, xi_direct) in enumerate(hn._campaign_estimates(200, 0)):
+        inst = sr.SoftmaxRegression.random(
+            rng, n_samples=int(rng.integers(4, 40)), n_classes=int(rng.integers(2, 6)),
+            n_features=int(rng.integers(2, 11)))
+        shapes.append((i // hn.CAMPAIGN_CHUNK, inst.M, inst.C, inst.F))
+        H = inst.dense_hessian()
+        gbar, trace_cov = sr.SoftmaxGroup.stack([(inst.X, inst.y, inst.W)]).grad_moments()
+        assert est.step == i
+        assert est.lambda_max == float(np.linalg.eigvalsh(H).max())
+        assert est.trace_h == float(np.trace(H))
+        assert est.trace_cov == float(trace_cov[0])
+        assert est.grad_norm_sq == float(gbar[0] @ gbar[0])
+        assert xi_direct == inst.trace_xi_direct()
+    group_sizes = Counter((chunk, C, F) for chunk, _, C, F in shapes).values()
+    assert min(group_sizes) == 1 and max(group_sizes) > 4
+    assert any(M == 4 for _, M, _, _ in shapes)
+    assert any(C * F == 50 for _, _, C, F in shapes)
+
+
 def test_verify_theorem_campaign_fails_a_wrong_hessian(monkeypatch):
     # the factorization closes for any Hessian; only the direct residual
     # trace ties tr H to the model
-    dense_hessian = sr.SoftmaxRegression.dense_hessian
+    hessians = sr.SoftmaxGroup.hessians
 
     def planted(self):
-        H = dense_hessian(self)
-        return 3.0 * H + 0.1 * np.eye(H.shape[0])
+        H = hessians(self)
+        return 3.0 * H + 0.1 * np.eye(H.shape[-1])
 
-    monkeypatch.setattr(sr.SoftmaxRegression, "dense_hessian", planted)
+    monkeypatch.setattr(sr.SoftmaxGroup, "hessians", planted)
     report = hn.verify_theorem_campaign(10, seed=1)
     assert not report.passed
     assert report.n_passed == 0
@@ -753,9 +796,8 @@ def test_verify_theorem_campaign_wellposedness_reads_the_direct_residual(monkeyp
     # 1 + TrXi/TrH from the derived TrXi is (trace_cov + |g|^2) / tr H >= 0
     # for any Hessian; from the direct residual, a Hessian planted too small
     # makes it negative on the instances whose residual trace is negative
-    dense_hessian = sr.SoftmaxRegression.dense_hessian
-    monkeypatch.setattr(sr.SoftmaxRegression, "dense_hessian",
-                        lambda self: 0.01 * dense_hessian(self))
+    hessians = sr.SoftmaxGroup.hessians
+    monkeypatch.setattr(sr.SoftmaxGroup, "hessians", lambda self: 0.01 * hessians(self))
     report = hn.verify_theorem_campaign(100, seed=0)
     assert not report.passed
     assert report.min_wellposed < -1e-9
@@ -766,9 +808,8 @@ def test_verify_theorem_campaign_fails_an_undefined_factorization(monkeypatch, s
     # -H has tr H < 0 and 0 H has tr H = lambda_max = 0: the factorization
     # is undefined, so every instance fails with an infinite gap, which
     # neither drops out of the maximum nor raises
-    dense_hessian = sr.SoftmaxRegression.dense_hessian
-    monkeypatch.setattr(sr.SoftmaxRegression, "dense_hessian",
-                        lambda self: scale * dense_hessian(self))
+    hessians = sr.SoftmaxGroup.hessians
+    monkeypatch.setattr(sr.SoftmaxGroup, "hessians", lambda self: scale * hessians(self))
     report = hn.verify_theorem_campaign(10, seed=1)
     assert report.n_passed == 0
     assert report.max_rel_gap == float("inf")

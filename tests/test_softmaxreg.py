@@ -84,14 +84,21 @@ def test_dense_hessian_matches_engine_hvp():
 
 
 @settings(max_examples=200, deadline=None, derandomize=True)
-@given(st.integers(1, 40), st.integers(2, 6), st.integers(1, 10),
-       st.integers(0, 2 ** 32 - 1))
-def test_dense_hessian_matches_kron_reference(M, C, F, seed):
-    inst = sr.SoftmaxRegression.random(np.random.default_rng(seed), n_samples=M,
-                                       n_classes=C, n_features=F)
-    ref = kron_hessian(inst)
-    np.testing.assert_allclose(inst.dense_hessian(), ref, rtol=0.0,
-                               atol=1e-14 * max(1.0, np.abs(ref).max()))
+@given(st.lists(st.integers(1, 40), min_size=1, max_size=4), st.integers(2, 6),
+       st.integers(1, 10), st.integers(0, 2 ** 32 - 1))
+def test_dense_hessian_matches_kron_reference(Ms, C, F, seed):
+    # each instance alone, and the same instances as one group with ragged
+    # sample counts
+    rng = np.random.default_rng(seed)
+    insts = [sr.SoftmaxRegression.random(rng, n_samples=M, n_classes=C, n_features=F)
+             for M in Ms]
+    grouped = sr.SoftmaxGroup.stack([(i.X, i.y, i.W) for i in insts]).hessians()
+    assert grouped.shape == (len(Ms), C * F, C * F)
+    for inst, H in zip(insts, grouped):
+        ref = kron_hessian(inst)
+        for got in (inst.dense_hessian(), H):
+            np.testing.assert_allclose(got, ref, rtol=0.0,
+                                       atol=1e-14 * max(1.0, np.abs(ref).max()))
 
 
 def test_per_sample_grads_average_to_mean_grad():
@@ -123,3 +130,43 @@ def test_factorization_is_exact_on_instances():
                                   float(np.trace(H)), dg.trace_cov(G),
                                   float(gbar @ gbar))
         assert dg.verify_decomposition(est) < 1e-12
+
+
+GOOD_X = np.arange(10.0).reshape(5, 2) / 10
+GOOD_W = np.ones((3, 2))
+
+
+@pytest.mark.parametrize("X, y, W, named", [
+    (GOOD_X, [0, 1, -1, 2, 0], GOOD_W, "y"),            # would wrap to the last class
+    (GOOD_X, [0, 1, 0.7, 2, 0], GOOD_W, "y"),           # would truncate to class 0
+    (GOOD_X, [0, 1, 3, 2, 0], GOOD_W, "y"),
+    (GOOD_X, [0, 1, 2, 0], GOOD_W, "y"),
+    (GOOD_X, [0, 1, np.nan, 2, 0], GOOD_W, "y"),
+    (GOOD_X, [[0, 1, 1, 2, 0]], GOOD_W, "y"),
+    (np.where(GOOD_X > 0.5, np.nan, GOOD_X), [0, 1, 1, 2, 0], GOOD_W, "X"),
+    (GOOD_X.ravel(), [0, 1, 1, 2, 0], GOOD_W, "X"),
+    (GOOD_X[:0], [], GOOD_W, "X"),
+    (GOOD_X, [0, 1, 1, 2, 0], np.full((3, 2), np.inf), "W"),
+    (GOOD_X, [0, 1, 1, 2, 0], np.ones((3, 3)), "X .* W"),
+])
+def test_invalid_instances_are_refused_at_construction(X, y, W, named):
+    with pytest.raises(ValueError, match=f"^{named}"):
+        sr.SoftmaxRegression(X, y, W)
+    with pytest.raises(ValueError, match=f"^{named}"):
+        sr.SoftmaxGroup(X, y, np.asarray(W)[None], np.shape(X)[:1])
+
+
+def test_shape_errors_name_the_array():
+    with pytest.raises(ValueError, match="^W must be a 2-D"):
+        sr.SoftmaxRegression(GOOD_X, [0, 1, 1, 2, 0], GOOD_W[None])
+    with pytest.raises(ValueError, match="^W must be a 3-D"):
+        sr.SoftmaxGroup(GOOD_X, [0, 1, 1, 2, 0], GOOD_W, [5])
+    with pytest.raises(ValueError, match="^X must hold >= 1 sample"):
+        sr.SoftmaxGroup(GOOD_X, [0, 1, 1, 2, 0], np.stack([GOOD_W] * 2), [5, 0])
+
+
+def test_integer_valued_float_labels_are_class_labels():
+    as_float = sr.SoftmaxRegression(GOOD_X, [0.0, 1.0, 1.0, 2.0, 0.0], GOOD_W)
+    as_int = sr.SoftmaxRegression(GOOD_X, [0, 1, 1, 2, 0], GOOD_W)
+    assert as_float.y.dtype == np.intp
+    assert as_float.loss() == as_int.loss()
