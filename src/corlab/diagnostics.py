@@ -8,6 +8,8 @@ from dataclasses import dataclass, asdict
 
 import numpy as np
 
+from . import fields
+
 GSNR_INF = float("inf")
 COLLAPSE_ZONE_THRESHOLD = 0.05
 WELLPOSED_TOL = 1e-9              # slack on 1 + TrXi/TrH >= 0
@@ -133,20 +135,12 @@ def trace_cov(per_sample_grads: np.ndarray) -> float:
     return float(((G - gbar) ** 2).sum(axis=1).mean())
 
 
-def spectral_estimate(mean_grad: np.ndarray, trace_cov: float, hessian: np.ndarray,
-                      step: int = 0) -> SpectralEstimate:
-    """Exact estimate at one point from the full-sample mean gradient, the
-    trace of the per-sample gradient covariance and the dense (P, P)
-    Hessian: full eigendecomposition, no sampling."""
-    return spectral_estimates(mean_grad[None], [trace_cov], hessian[None], [step])[0]
-
-
 def spectral_estimates(mean_grads: np.ndarray, trace_covs, hessians: np.ndarray,
                        steps) -> list[SpectralEstimate]:
-    """`spectral_estimate` of each of n problems of one size P, from (n, P)
-    mean gradients, n covariance traces, (n, P, P) Hessians and n steps,
-    with one stacked eigendecomposition.  Each estimate is bit for bit the
-    one its problem gets alone."""
+    """Exact estimate of each of n problems of one size P, from (n, P) mean
+    gradients, n traces of the per-sample gradient covariance, (n, P, P)
+    dense Hessians and n steps: one stacked full eigendecomposition, no
+    sampling.  Each estimate is bit for bit the one its problem gets alone."""
     lam = np.linalg.eigvalsh(hessians).max(axis=-1).tolist()
     trace_h = np.trace(hessians, axis1=-2, axis2=-1).tolist()
     return [SpectralEstimate(lambda_max=l, trace_h=t, trace_cov=float(c),
@@ -170,8 +164,8 @@ def lambda_max(hvp_oracle, dim: int, iters: int = 200, tol: float = 1e-8,
     residual.  Raises with the last Rayleigh quotient and residual on
     non-convergence.
     """
-    if iters < 1:
-        raise ValueError("iters must be >= 1")
+    fields.integer("dim", dim, 1)
+    fields.integer("iters", iters, 1)
     if shift is None:
         lam = lambda_max(hvp_oracle, dim, iters, tol, seed, shift=0.0)
         if lam >= 0:
@@ -204,6 +198,8 @@ def hessian_trace(hvp_oracle, dim: int, probes: int = 100, seed: int = 0,
 
     Returns (estimate, standard_error); standard error is 0 in dense mode.
     """
+    fields.integer("dim", dim, 1)
+    fields.integer("probes", probes, 1)
     if dim <= dense_threshold:
         tr = 0.0
         for i in range(dim):

@@ -238,8 +238,8 @@ def stability_probe(problem, w: np.ndarray, rho: float, n_batches: int,
     are resampled uniformly with replacement across trials.  Returns the
     mean inner product and its standard error.
     """
-    if n_batches < 2:
-        raise ValueError("n_batches must be >= 2")
+    fields.integer("n_batches", n_batches, 2)
+    fields.integer("batch_size", batch_size, 1)
     if hasattr(problem, "labels"):
         labels = np.asarray(problem.labels)
         if np.unique(labels).size < 2:

@@ -43,7 +43,7 @@ class TaskSpec:
     artifact_channels: tuple[int, ...] = tuple(range(24, 32))
     artifact_region: str = "foreground"
     noise_sigma: float = 1.0
-    n_train: int = 200
+    n_train: int = 300
     n_test: int = 200
     seed: int = 0
 

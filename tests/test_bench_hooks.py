@@ -70,9 +70,11 @@ def test_each_encoder_call_is_one_span_over_its_samples():
 
 
 def small_config(**kw) -> hn.RunConfig:
-    defaults = dict(task=tk.TaskSpec(n_train=40, n_test=30, seed=0),
+    """A corit head reads 256 features at l_mid 2, so n_train is above 256
+    for whitening."""
+    defaults = dict(task=tk.TaskSpec(n_train=300, n_test=30, seed=0),
                     encoder=md.EncoderConfig(layers=3),
-                    l_mid=2, standardize="center", loss="bce", cadence=3,
+                    l_mid=2, loss="bce", cadence=3,
                     optimizer=op.SamConfig(rho=0.0, learning_rate=1e-2,
                                            batch_size=10, steps=7))
     defaults.update(kw)
@@ -82,9 +84,9 @@ def small_config(**kw) -> hn.RunConfig:
 def test_corit_features_make_one_region_pass_per_layer_and_block(monkeypatch):
     # the encoder's helper threads call the region pass too, and the tracer
     # counts without a lock, so the passes are counted by hooks of this
-    # test's own, installed over the tracer's; 32-sample blocks split the
+    # test's own, installed over the tracer's; 160-sample blocks split the
     # train split in two
-    monkeypatch.setattr(md, "_BLOCK_SAMPLES", 32)
+    monkeypatch.setattr(md, "_BLOCK_SAMPLES", 160)
     cfg = small_config(head="corit")
     lock, calls = threading.Lock(), {}
 

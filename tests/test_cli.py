@@ -58,6 +58,13 @@ def test_train_without_config_runs_the_default_config(capsys):
     assert printed["config"] == json.loads(json.dumps(hn.RunConfig().to_dict()))
 
 
+@pytest.mark.parametrize("command", ["diagnose", "sweep-rho", "compare"])
+def test_every_subcommand_runs_the_default_config(command):
+    # the default n_train is above the corit head's 256 features, so both
+    # heads whiten
+    assert cli.main([command, "--quiet"]) == 0
+
+
 def test_seed_override_changes_both_task_and_optimizer(config_path, capsys):
     code = cli.main(["train", "--config", config_path, "--seed", "9",
                      "--rho", "0.0"])
@@ -108,6 +115,7 @@ def test_malformed_config_exits_2(config_path, tmp_path, capsys):
              (dict(d, counterpart=dict(d["counterpart"], target_channels=[-1])),
               "counterpart.target_channels"),
              (dict(d, standardize="none"), "standardize"),
+             (dict(d, standardize="center"), "standardize"),
              (dict(d, cadence=2.5), "cadence"),
              (dict(d, cadence=True), "cadence"),
              (dict(d, head="corit", l_mid=1.5), "l_mid"),
@@ -182,18 +190,33 @@ def test_divergent_run_exits_3(config_path, tmp_path):
     assert cli.main(["train", "--config", str(path), "--quiet"]) == 3
 
 
-def test_singular_surrogate_exits_3(tmp_path, capsys):
-    # full attenuation zeroes 8 feature columns, so the quadratic
-    # surrogate's solve is singular: a numerical failure, not a config
-    # error, though LinAlgError subclasses ValueError
+def test_zeroed_feature_channels_exit_2(tmp_path, capsys):
+    # full attenuation zeroes 8 feature columns, so the train features are
+    # rank-deficient and whitening refuses them: a config error
     cfg = hn.RunConfig(task=tk.TaskSpec(n_train=40, n_test=40),
                        encoder=md.EncoderConfig(semantic_bias=True,
                                                 bias_channels=tuple(range(24, 32)),
                                                 bias_attenuation=0.0),
-                       loss="quadratic", standardize="center")
-    path = tmp_path / "singular.json"
+                       loss="quadratic")
+    path = tmp_path / "zeroed.json"
     path.write_text(json.dumps(cfg.to_dict()))
-    assert cli.main(["train", "--config", str(path), "--quiet"]) == 3
+    assert cli.main(["train", "--config", str(path), "--quiet"]) == 2
+    assert "rank-deficient" in capsys.readouterr().err
+
+
+def test_singular_surrogate_exits_3(config_path, capsys, monkeypatch):
+    # a transform that zeroes 8 feature columns makes the quadratic
+    # surrogate's solve singular: a numerical failure, not a config error,
+    # though LinAlgError subclasses ValueError
+    fit = hn.fit_standardizer
+
+    def zeroing(F):
+        std = fit(F)
+        std.transform[:, 24:] = 0.0
+        return std
+
+    monkeypatch.setattr(hn, "fit_standardizer", zeroing)
+    assert cli.main(["train", "--config", config_path, "--quiet"]) == 3
     assert "numerical failure" in capsys.readouterr().err
 
 
@@ -212,7 +235,7 @@ def test_compare_refuses_failed_runs(tmp_path, capsys):
 def test_saturated_bce_probe_is_diagnosed_not_crashed(tmp_path, learning_rate):
     # the probe saturates after step 0, so later snapshots have lambda_max 0:
     # they set no stability limit and the COR comes from step 0
-    cfg = hn.RunConfig(task=tk.TaskSpec(n_train=40, n_test=30, seed=0),
+    cfg = hn.RunConfig(task=tk.TaskSpec(n_train=300, n_test=30, seed=0),
                        encoder=md.EncoderConfig(layers=3), l_mid=2, cadence=3,
                        optimizer=op.SamConfig(rho=0.0, learning_rate=learning_rate,
                                               batch_size=10, steps=7))

@@ -105,6 +105,19 @@ def test_hessian_trace_dense_mode_is_exact():
     assert se == 0.0
 
 
+def test_estimators_refuse_counts_that_measure_nothing():
+    # no probe gives a NaN mean, a negative count fails inside numpy, and a
+    # zero-dimensional operator has no top eigenvalue to report as 0.0
+    H = np.eye(4)
+    for bad in (0, -3, True, 2.0):
+        with pytest.raises(ValueError, match="probes"):
+            dg.hessian_trace(lambda v: H @ v, 4, probes=bad, dense_threshold=0)
+        with pytest.raises(ValueError, match="dim"):
+            dg.lambda_max(lambda v: v, bad)
+        with pytest.raises(ValueError, match="dim"):
+            dg.hessian_trace(lambda v: v, bad)
+
+
 def test_hessian_trace_hutchinson_mode():
     rng = np.random.default_rng(2)
     B = rng.normal(size=(100, 100))

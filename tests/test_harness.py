@@ -146,8 +146,10 @@ def test_run_config_validation():
         hn.RunConfig(head="mlp")
     with pytest.raises(ValueError):
         hn.RunConfig(loss="hinge")
-    with pytest.raises(ValueError):
-        hn.RunConfig(standardize="zscore")
+    # whitening is the one transform; a config that names another is refused
+    for bad in ("center", "zscore"):
+        with pytest.raises(ValueError, match="standardize"):
+            hn.RunConfig(standardize=bad)
     with pytest.raises(ValueError):
         hn.RunConfig(cadence=0)
     # integers must be integers (not bool), floats finite; the field is named
@@ -306,16 +308,9 @@ def test_whitening_produces_identity_covariance(d, per_dim, lo, hi, seed):
     rot = np.linalg.qr(rng.normal(size=(d, d)))[0]
     scales = np.exp(rng.uniform(np.log(min(lo, hi)), np.log(max(lo, hi)), size=d))
     F = rng.normal(size=(n, d)) @ np.diag(scales) @ rot + rng.normal(scale=10.0, size=d)
-    tol = 1e-12 * np.abs(F).max()
-    centered = hn.fit_standardizer(F, "center").apply(F)
-    assert np.allclose(centered, F - F.mean(axis=0))
-    assert np.allclose(centered.mean(axis=0), 0.0, atol=tol)
-    W = hn.fit_standardizer(F, "whiten").apply(F)
+    W = hn.fit_standardizer(F).apply(F)
     assert np.allclose(W.mean(axis=0), 0.0, atol=1e-9)
     assert np.allclose(np.cov(W, rowvar=False), np.eye(d), atol=1e-3)
-    for mode in ("none", "zscore"):
-        with pytest.raises(ValueError, match="standardize"):
-            hn.fit_standardizer(F, mode)
 
 
 @pytest.mark.parametrize("n, d", [(10, 10), (5, 12), (200, 256)])
@@ -329,9 +324,8 @@ def test_whitening_refuses_rank_deficient_features(n, d):
     G[:, -1] = G[:, 0]
     for deficient in (F, G):
         with pytest.raises(ValueError, match=f"standardize 'whiten'.* {d} features"):
-            hn.fit_standardizer(deficient, "whiten")
-        hn.fit_standardizer(deficient, "center")
-    hn.fit_standardizer(rng.normal(size=(d + 1, d)), "whiten")
+            hn.fit_standardizer(deficient)
+    hn.fit_standardizer(rng.normal(size=(d + 1, d)))
 
 
 def test_build_features_standardizer_is_fit_on_train_only():
@@ -346,10 +340,10 @@ def test_build_features_standardizer_is_fit_on_train_only():
 
 
 def test_corit_head_features_have_fused_width():
-    cfg = bifurcation_config(head="corit", l_mid=1, standardize="center")
+    cfg = bifurcation_config(head="corit", l_mid=1, n_train=300)
     feats = hn.build_features(cfg)
     # [CLS + 3 region tokens] x dim x two layers
-    assert feats.train.shape == (200, 2 * 4 * 32)
+    assert feats.train.shape == (300, 2 * 4 * 32)
 
 
 @pytest.mark.parametrize("head", hn.HEAD_MODES)
@@ -358,8 +352,8 @@ def test_standardizer_input_holds_no_memory_beyond_its_own(monkeypatch, head):
     # through the test split's encoding and the standardizer fit
     seen, fit = [], hn.fit_standardizer
     monkeypatch.setattr(hn, "fit_standardizer",
-                        lambda F, mode: seen.append(F) or fit(F, mode))
-    hn.build_features(bifurcation_config(head=head, l_mid=1, standardize="center"))
+                        lambda F: seen.append(F) or fit(F))
+    hn.build_features(bifurcation_config(head=head, l_mid=1, n_train=300))
     (F,) = seen
     root = F
     while root.base is not None:
@@ -371,7 +365,7 @@ def test_standardizer_input_holds_no_memory_beyond_its_own(monkeypatch, head):
 def test_build_features_are_exact_under_any_worker_count(monkeypatch, head):
     # the encoder's sample blocks run on as many workers as there are cores;
     # the feature arrays must not depend on how many that is
-    cfg = bifurcation_config(head=head, l_mid=1, standardize="center")
+    cfg = bifurcation_config(head=head, l_mid=1, n_train=300)
     built = []
     for workers in (1, 2, 3):
         monkeypatch.setattr(md, "_WORKERS", workers)
@@ -415,7 +409,7 @@ def test_zero_init_curvature_on_whitened_features_is_a_ruler(monkeypatch, head, 
     raw = []
     fit = hn.fit_standardizer
     monkeypatch.setattr(hn, "fit_standardizer",
-                        lambda F, mode: raw.append(F) or fit(F, mode))
+                        lambda F: raw.append(F) or fit(F))
     cfg = bifurcation_config(head=head, l_mid=1,
                              task=tk.TaskSpec(artifact_amp=30.0, artifact_region="boundary",
                                               n_train=600, n_test=20, seed=0))
@@ -730,8 +724,11 @@ def test_verify_theorem_campaign_small():
     assert report.max_rel_gap < 1e-6
     assert report.min_wellposed >= -1e-9
     assert report.failures == []
-    with pytest.raises(ValueError):
-        hn.verify_theorem_campaign(0)
+    # a count that is not an integer >= 1 is refused, a bool among them,
+    # which would otherwise run one instance and report `n_instances: true`
+    for bad in (0, -2, True, 2.0):
+        with pytest.raises(ValueError, match="n_instances"):
+            hn.verify_theorem_campaign(bad)
 
 
 def test_verify_theorem_campaign_times_itself_with_a_monotonic_clock(monkeypatch):
@@ -819,8 +816,8 @@ def test_verify_theorem_campaign_fails_an_undefined_factorization(monkeypatch, s
 @pytest.mark.parametrize("head", hn.HEAD_MODES)
 def test_diagnostics_estimates_carry_factors_that_multiply_to_the_bound(tmp_path, head):
     opt = op.SamConfig(rho=0.0, learning_rate=1.0, batch_size=50, steps=30, seed=0)
-    cfg = bifurcation_config(head=head, l_mid=1, loss="bce", lr_relative=None,
-                             standardize="center", cadence=5, optimizer=opt)
+    cfg = bifurcation_config(head=head, l_mid=1, n_train=300, loss="bce",
+                             lr_relative=None, cadence=5, optimizer=opt)
     hn.run_train(cfg, out_dir=str(tmp_path))
     estimates = json.loads((tmp_path / "diagnostics.json").read_text())["estimates"]
     assert len(estimates) == 6

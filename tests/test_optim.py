@@ -329,8 +329,12 @@ def test_stability_probe_positive_below_the_stability_radius():
 
 def test_stability_probe_rejects_degenerate_inputs():
     prob = small_quadratic()
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="n_batches"):
         op.stability_probe(prob, np.zeros(prob.dim), 0.1, n_batches=1, batch_size=4)
+    # an empty batch would give a NaN mean
+    for bad in (0, -1, True, 4.0):
+        with pytest.raises(ValueError, match="batch_size"):
+            op.stability_probe(prob, np.zeros(prob.dim), 0.1, n_batches=4, batch_size=bad)
     single = op.LogisticProbeProblem(np.ones((4, 2)), np.ones(4))
     with pytest.raises(ValueError):
         op.stability_probe(single, np.zeros(3), 0.1, n_batches=4, batch_size=2)
