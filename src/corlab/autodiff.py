@@ -300,25 +300,28 @@ def softplus(x):
 
 
 def gelu(x):
-    # tanh approximation as x sigmoid(2u) = 0.5 x (1 + tanh u): exp costs far
-    # less than tanh, and two multiplies for the cube far less than libm pow
+    # tanh approximation as x sigmoid(z), z = 2u = x (c1 + c2 x^2), where
+    # 0.5 x (1 + tanh u) = x sigmoid(2u): exp costs far less than tanh, and
+    # one multiply for the square far less than libm pow
+    c1 = 2.0 * np.sqrt(2.0 / np.pi)
+    c2 = c1 * 0.044715
     if not _graph_mode(x):
-        # the graph's operations in its order, in place in one new array;
-        # only commutative operands swap, so every bit matches graph mode
+        # the graph's operations in its order, in place in one new array, in
+        # 8 passes.  sigmoid's -z is formed from the negated constants, and
+        # negation is exact; only commutative operands swap, so every bit
+        # matches graph mode
         x = val(x)
         t = np.asarray(x * x)      # 0-d inputs give a scalar; keep an array
+        t *= -c2
+        t -= c1
         t *= x
-        t *= 0.044715
-        t += x
-        t *= -2.0 * np.sqrt(2.0 / np.pi)
         with np.errstate(over="ignore"):     # below x ~ -21: sigmoid 0
             np.exp(t, out=t)
         t += 1.0
         np.divide(1.0, t, out=t)
         t *= x
         return t
-    u2 = mul(2.0 * np.sqrt(2.0 / np.pi), add(x, mul(0.044715, mul(mul(x, x), x))))
-    return mul(x, sigmoid(u2))
+    return mul(x, sigmoid(mul(x, add(c1, mul(c2, mul(x, x))))))
 
 
 def layer_norm(x, eps: float = 1e-5):
@@ -327,9 +330,51 @@ def layer_norm(x, eps: float = 1e-5):
     # fast as numpy's reduction over the short last axis
     dim = val(x).shape[-1]
     col = np.full((dim, 1), 1.0 / dim)
+    if not _graph_mode(x):
+        # the graph's operations in its order, normalising the one new
+        # centred array in place.  `div` is a product with power(., -1) in
+        # graph mode, so it is here too: every bit matches graph mode
+        x = val(x)
+        centered = x - x @ col
+        scale = (centered * centered) @ col
+        scale += eps
+        np.power(scale, 0.5, out=scale)
+        np.power(scale, -1.0, out=scale)
+        centered *= scale
+        return centered
     centered = sub(x, matmul(x, col))
     var = matmul(mul(centered, centered), col)
     return div(centered, power(add(var, eps), 0.5))
+
+
+def attention(q, k, v, heads: int):
+    """Multi-head softmax attention with no max shift: (..., rows, D) queries
+    over (..., T, D) keys and values, each split into `heads` heads of
+    D / heads channels, and the (..., rows, D) output with the heads merged
+    back.  Each head's weights exp(q k^T) are divided by their row sums, a
+    product with a ones column.  The caller keeps every score q k^T well
+    inside exp's range (|s| < 709)."""
+    shape = val(q).shape
+    dh = shape[-1] // heads
+    ones = np.ones((val(k).shape[-2], 1))
+
+    def split(z):                          # (..., n, D) -> (..., h, n, dh)
+        return swapaxes(reshape(z, val(z).shape[:-1] + (heads, dh)), -3, -2)
+
+    if not _graph_mode(q, k, v):
+        # the graph's operations in its order, exp and the normalisation in
+        # place on the weights (`div` is a product with power(., -1) in graph
+        # mode, so it is here too) and the value product written straight
+        # into the merged layout: every bit matches graph mode
+        e = np.matmul(split(q), np.swapaxes(split(k), -1, -2))
+        np.exp(e, out=e)
+        e *= np.power(e @ ones, -1.0)
+        out = np.empty(shape[:-1] + (heads, dh))
+        np.matmul(e, split(v), out=np.swapaxes(out, -3, -2))
+        return out.reshape(shape)
+    e = exp(matmul(split(q), swapaxes(split(k), -1, -2)))
+    out = matmul(div(e, matmul(e, ones)), split(v))
+    return reshape(swapaxes(out, -3, -2), shape)
 
 
 def bce_with_logits(logits, targets):

@@ -24,13 +24,17 @@ or pool is module state, so a forked child needs no hook to encode.
 row of the last layer is read, so that layer computes it alone.
 The block forward is written against the generic array API in
 `corlab.autodiff`, so the same code runs in fast numpy mode (batched over
-samples) and in graph mode for differentiability tests.
+samples) and in graph mode for differentiability tests, and gives the
+same bits in both: the layer norm, attention and GELU compositions run
+their graph's operations in place on arrays they own.
 
-Attention normalises exp(scores) without the usual max shift.  Its input
-is layer-normed, so every score is bounded by a constant of the seeded
-weights, max over layers and heads of D ||Wq_h||_2 ||Wk_h||_2 / sqrt(dh):
-25.2 for the default encoder.  Construction computes that bound and
-refuses weights whose bound reaches `_SCORE_LIMIT`.
+Attention scales the queries, not the scores, by 1/sqrt(dh), and
+`ad.attention` divides each head's weights exp(scores) by their row sums
+without the usual max shift.  Its input is layer-normed, so every score
+is bounded by a constant of the seeded weights, max over layers and heads
+of D ||Wq_h||_2 ||Wk_h||_2 / sqrt(dh): 25.2 for the default encoder.
+Construction computes that bound and refuses weights whose bound reaches
+`_SCORE_LIMIT`.
 
 Token layout is always [CLS | R_1..R_K | V_1..V_N].
 """
@@ -48,15 +52,15 @@ from . import fields
 from . import regions as rg
 
 # Samples per block of the sample-major forward.  No encoder temporary
-# spans more than one block: on one worker a forward holds 3.3 MB (plain)
-# or 4.6 MB (CoRIT) besides its outputs at 64 samples, half that at 32,
+# spans more than one block: on one worker a forward holds 2.8 MB (plain)
+# or 3.7 MB (CoRIT) besides its outputs at 64 samples, half that at 32,
 # whatever S is.  A block's products and ufuncs release the interpreter
 # lock but its Python steps hold it, so the fewer the blocks, the less W
-# workers wait for it: on a 2-core host (4 MB L2 per core) two workers
-# ran the regionless forward on 2,000 samples in 0.37 s at 32 samples,
-# barely faster than one worker (0.40 s), and in 0.25 s at 64, where one
-# worker is no faster than at 32; 128 was no faster than 64.  Samples
-# never mix, so neither the block size nor W changes a bit of any output.
+# workers wait for it: on a 2-core host two workers ran the regionless
+# forward on 2,000 samples in 0.24 s at 32 samples, against 0.33 s on one
+# worker, and in 0.19 s at 64, where one worker is no faster than at 32
+# (medians of 7); 128 was no faster than 64.  Samples never mix, so
+# neither the block size nor W changes a bit of any output.
 _BLOCK_SAMPLES = 64
 
 # Blocks the forward runs at once: the cores this process may run on, or
@@ -96,14 +100,6 @@ class EncoderConfig:
                            fields.channels("bias_channels", self.bias_channels, self.dim))
 
 
-def _attention_weights(scores):
-    """exp(scores) normalised over the keys (last axis), the row sums as a
-    product with a ones column.  No max shift: every score lies within
-    `FrozenEncoder._score_bound`, far inside exp's range."""
-    e = ad.exp(scores)
-    return ad.div(e, ad.matmul(e, np.ones((ad.val(e).shape[-1], 1))))
-
-
 class FrozenEncoder:
     """Seeded immutable transformer; parameters are plain float64 arrays."""
 
@@ -111,6 +107,12 @@ class FrozenEncoder:
         self.config = config
         self.params = self._init_params(config)
         self._score_bound()             # refuses weights attention cannot use
+        # fixed channel attenuation: deep layers progressively suppress the
+        # designated non-semantic channels (None: no attenuation)
+        self._keep = None
+        if config.semantic_bias and config.bias_channels:
+            self._keep = np.ones(config.dim)
+            self._keep[list(config.bias_channels)] = config.bias_attenuation
 
     @staticmethod
     def _init_params(cfg: EncoderConfig) -> dict[str, np.ndarray]:
@@ -152,23 +154,13 @@ class FrozenEncoder:
 
     def _attention(self, y, l: int, rows: int):
         """Multi-head attention over layer-normed (..., T, D) rows `y`: the
-        first `rows` rows query all T keys."""
-        cfg = self.config
-        h, dh = cfg.heads, cfg.dim // cfg.heads
-
-        def split_heads(z):                # (..., n, D) -> (..., h, n, dh)
-            z = ad.reshape(z, ad.val(z).shape[:-1] + (h, dh))
-            return ad.swapaxes(z, -3, -2)
-
-        queries = ad.slice_along(y, -2, 0, rows)
-        q = split_heads(ad.matmul(queries, self.params[f"l{l}.wq"]))
-        k = split_heads(ad.matmul(y, self.params[f"l{l}.wk"]))
-        v = split_heads(ad.matmul(y, self.params[f"l{l}.wv"]))
-        scores = ad.mul(ad.matmul(q, ad.swapaxes(k, -1, -2)), 1.0 / np.sqrt(dh))
-        attn = _attention_weights(scores)
-        out = ad.swapaxes(ad.matmul(attn, v), -3, -2)   # (..., n, h, dh)
-        out = ad.reshape(out, ad.val(queries).shape)
-        return ad.matmul(out, self.params[f"l{l}.wo"])
+        first `rows` rows query all T keys.  The 1/sqrt(dh) scale goes on the
+        (..., rows, D) queries, not on the (..., h, rows, T) scores."""
+        scale = 1.0 / np.sqrt(self.config.dim // self.config.heads)
+        q = ad.mul(ad.matmul(ad.slice_along(y, -2, 0, rows), self.params[f"l{l}.wq"]), scale)
+        k = ad.matmul(y, self.params[f"l{l}.wk"])
+        v = ad.matmul(y, self.params[f"l{l}.wv"])
+        return ad.matmul(ad.attention(q, k, v, self.config.heads), self.params[f"l{l}.wo"])
 
     def block(self, x, l: int):
         """Pre-norm transformer block on a (..., T, D) sequence."""
@@ -176,19 +168,15 @@ class FrozenEncoder:
 
     def _block(self, x, l: int, rows: int):
         """`block`'s output on the first `rows` rows of x (in numpy mode a view
-        when that is all of them); every row is layer-normed and a key."""
-        y = ad.layer_norm(x)
-        x = ad.slice_along(x, -2, 0, rows)
-        x = ad.add(x, self._attention(y, l, rows))
+        when that is all of them); every row is layer-normed and a key.  The
+        layer-normed rows and the attention's arrays are freed before the
+        MLP runs."""
+        x = ad.add(ad.slice_along(x, -2, 0, rows), self._attention(ad.layer_norm(x), l, rows))
         x = ad.add(x, ad.matmul(ad.gelu(ad.matmul(ad.layer_norm(x),
                                                   self.params[f"l{l}.w1"])),
                                 self.params[f"l{l}.w2"]))
-        if self.config.semantic_bias and self.config.bias_channels:
-            # fixed channel attenuation: deep layers progressively suppress
-            # the designated non-semantic channels
-            keep = np.ones(self.config.dim)
-            keep[list(self.config.bias_channels)] = self.config.bias_attenuation
-            x = ad.mul(x, keep)
+        if self._keep is not None:
+            x = ad.mul(x, self._keep)
         return x
 
     # -- encoders ----------------------------------------------------------
@@ -303,12 +291,21 @@ class FrozenEncoder:
         # glibc maps every allocation above its mmap threshold (128 KiB at
         # start) and faults its pages in afresh; freeing a larger mapped chunk
         # raises the threshold to its size and the trim threshold to twice it
-        # (mallopt(3)).  So map and free, never touching it, a buffer of a
-        # block's two MLP hidden arrays, above every block temporary: the
-        # blocks then reuse heap memory, whatever S is and whatever ran before.
-        # A repeated plain forward at S = 512 took 17,000-46,000 minor faults
-        # without it and under 100 with it.
-        np.empty((2, min(S, _BLOCK_SAMPLES), 1 + K + N, 4 * D))
+        # (mallopt(3)), and a worker's arena is trimmed, its pages faulted in
+        # again by the next forward, once a freed block leaves more than the
+        # trim threshold free at its top.  So map and free, never touching
+        # it, a buffer the size of one worker's working set at its peak, in
+        # the GELU: the MLP's two hidden arrays, the residual and each
+        # stream's tokens.  It lies above every block temporary, and the trim
+        # threshold clears what a block frees with a factor of two: the blocks
+        # then reuse heap memory, whatever S is and whatever ran before.  A
+        # repeated plain forward at S = 512 took 17,000-46,000 minor faults
+        # without a buffer and under 100 with one.  With a buffer of the two
+        # hidden arrays alone, whose trim threshold (5.2 MB for CoRIT) a CoRIT
+        # block's then 4.6 MB working set came within 12 % of, a later CoRIT
+        # forward took about 1,100 more faults in 11 of 100 fresh processes.
+        streams = 2 if K else 1
+        np.empty((min(S, _BLOCK_SAMPLES), 1 + K + N, (2 * 4 + 1 + streams) * D))
         blocks = [slice(i, min(i + _BLOCK_SAMPLES, S)) for i in range(0, S, _BLOCK_SAMPLES)]
         with ThreadPoolExecutor(max(1, min(_WORKERS, len(blocks))),
                                 thread_name_prefix="corlab-encoder") as pool:

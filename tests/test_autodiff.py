@@ -126,6 +126,24 @@ def test_numpy_gelu_is_bit_identical_to_graph_mode_and_keeps_its_input():
     assert np.array_equal(ad.gelu(0.5), ad.gelu(np.array([0.5]))[0])
 
 
+def test_numpy_layer_norm_is_bit_identical_to_graph_mode_and_keeps_its_input():
+    rng = np.random.default_rng(8)
+    big = rng.normal(size=(6, 9, 40))
+    big[0, 0] = 3.0                 # constant row: zero variance, eps alone
+    big[0, 1] *= 1e150              # squares near the top of float64's range
+    big[0, 2] *= 1e-200             # squares underflow to zero
+    big[0, 3] += 1e8                # a large common offset to centre away
+    before = big.copy()
+    for sel in ((...,), (slice(1, None, 2), ..., slice(3, 31, 3))):
+        for eps in (1e-5, 1e-300):
+            out = ad.layer_norm(big[sel], eps=eps)  # contiguous, then strided
+            with ad.Tape():
+                graph = ad.val(ad.layer_norm(ad.leaf(big[sel]), eps=eps))
+            assert np.array_equal(out, graph)
+            assert not np.shares_memory(out, big)
+            assert np.array_equal(big, before)
+
+
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_gelu_underflows_quietly_with_finite_gradients():
     # below x ~ -21 the exp inside GELU's sigmoid overflows; the value is

@@ -134,7 +134,11 @@ def test_block_graph_mode_matches_numpy_mode():
                     requires_grad=True)
         slow = enc.block(t, 0)
         head = enc._block(t, 0, 1)          # the CLS-only last-layer form
-    assert np.allclose(fast, ad.val(slow), atol=1e-12)
+    # layer norm, attention and GELU run the graph's operations in numpy
+    # mode, so the two modes agree bit for bit
+    assert np.array_equal(fast, ad.val(slow))
+    assert np.array_equal(enc._block(np.concatenate([enc.params["cls"][None], x]), 0, 1),
+                          ad.val(head))
     assert np.allclose(fast[:1], ad.val(head), atol=1e-12)
 
 
@@ -149,7 +153,9 @@ def _closed_form_score_bound(enc):
 def test_attention_weights_are_normalised_without_a_shift():
     # scores anywhere within the default encoder's bound, including rows
     # pinned at either end of it: every row sums to 1 and matches the
-    # max-shifted softmax, in numpy mode and in graph mode
+    # max-shifted softmax, in numpy mode and in graph mode.  Identity keys
+    # and values make each head's queries its scores and its output its
+    # normalised weights
     bound = md.FrozenEncoder(md.EncoderConfig())._score_bound()
     rng = np.random.default_rng(11)
     scores = rng.uniform(-bound, bound, size=(3, 4, 20, 20))
@@ -157,12 +163,71 @@ def test_attention_weights_are_normalised_without_a_shift():
     scores[0, 0, 1] = bound
     e = np.exp(scores - scores.max(axis=-1, keepdims=True))
     oracle = e / e.sum(axis=-1, keepdims=True)
-    fast = md._attention_weights(scores)
+    q = np.swapaxes(scores, 1, 2).reshape(3, 20, 80)        # heads side by side
+    keys = np.tile(np.eye(20), 4)
+
+    def weights(attn):
+        return np.swapaxes(attn.reshape(3, 20, 4, 20), 1, 2)
+
+    fast = weights(ad.attention(q, keys, keys, 4))
     with ad.Tape():
-        slow = ad.val(md._attention_weights(ad.leaf(scores, requires_grad=True)))
+        slow = weights(ad.val(ad.attention(ad.leaf(q, requires_grad=True), keys, keys, 4)))
     for attn in (fast, slow):
         assert np.max(np.abs(attn.sum(axis=-1) - 1.0)) <= 1e-15
         assert np.max(np.abs(attn - oracle) / oracle) <= 1e-14
+
+
+def _reference_block(enc, x, l, rows):
+    """An earlier form of the block's algebra in plain numpy, which gave the
+    same bits as the block before its passes were cut: the scores scaled by
+    1/sqrt(dh), the normalised weights a quotient by their row sums, the
+    layer norm a quotient by its root, GELU through the cube, and the
+    attenuation built afresh."""
+    cfg, p = enc.config, enc.params
+    h, dh = cfg.heads, cfg.dim // cfg.heads
+    col = np.full((cfg.dim, 1), 1.0 / cfg.dim)
+
+    def layer_norm(z):
+        c = z - z @ col
+        return c / np.power((c * c) @ col + 1e-5, 0.5)
+
+    def split(z):
+        return np.swapaxes(z.reshape(z.shape[:-1] + (h, dh)), -3, -2)
+
+    y = layer_norm(x)
+    q = split(y[..., :rows, :] @ p[f"l{l}.wq"])
+    k, v = split(y @ p[f"l{l}.wk"]), split(y @ p[f"l{l}.wv"])
+    e = np.exp((q @ np.swapaxes(k, -1, -2)) * (1.0 / np.sqrt(dh)))
+    attn = np.swapaxes((e / (e @ np.ones((x.shape[-2], 1)))) @ v, -3, -2)
+    x = x[..., :rows, :] + attn.reshape(attn.shape[:-2] + (cfg.dim,)) @ p[f"l{l}.wo"]
+    u = layer_norm(x) @ p[f"l{l}.w1"]
+    gelu = u * (1.0 / (1.0 + np.exp((u * u * u * 0.044715 + u)
+                                    * (-2.0 * np.sqrt(2.0 / np.pi)))))
+    x = x + gelu @ p[f"l{l}.w2"]
+    if cfg.semantic_bias and cfg.bias_channels:
+        x = x * np.where(np.isin(np.arange(cfg.dim), cfg.bias_channels),
+                         cfg.bias_attenuation, 1.0)
+    return x
+
+
+@pytest.mark.parametrize("semantic_bias", [False, True])
+def test_block_matches_the_reference_algebra(semantic_bias):
+    # the block's rewritten algebra moves its outputs at rounding level
+    # only, on the plain (T = 17) and the CoRIT (T = 20) token counts, on
+    # every row and on the CLS row alone
+    cfg = md.EncoderConfig(semantic_bias=semantic_bias, bias_channels=(24, 25, 30),
+                           bias_attenuation=0.5)
+    enc = md.FrozenEncoder(cfg)
+    rng = np.random.default_rng(12)
+    for T in (17, 20):
+        x = rng.normal(size=(5, T, cfg.dim))
+        for l in range(cfg.layers):
+            for rows in (T, 1):
+                ref = _reference_block(enc, x, l, rows)
+                out = enc._block(x, l, rows)
+                assert out.shape == ref.shape
+                assert np.max(np.abs(out - ref)) <= 1e-13 * np.max(np.abs(ref)), (T, l, rows)
+            x = enc.block(x, l)
 
 
 def test_score_bound_is_the_closed_form_and_guards_construction(monkeypatch):
