@@ -111,9 +111,9 @@ class RunConfig:
     alpha: float = 0.75
     l_mid: int = 4
     loss: str = "bce"
-    # whitening is the one feature transform.  The field stays, accepting only
-    # it, because the bench workloads and every stored summary.json config
-    # pass it; it can go with the next change to the bench
+    # whitening is the one feature transform.  The field stays for good,
+    # accepting only it: the acceptance tests, the bench workloads and every
+    # stored summary.json config pass it
     standardize: str = "whiten"
     lr_relative: float | None = None
 

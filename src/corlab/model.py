@@ -218,7 +218,7 @@ class FrozenEncoder:
     def _forward(self, visuals, offset, regions: list[tuple[int, ...]], alpha: float,
                  read: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
         """The one forward of both encoders on (S, N, D) visuals: the original
-        stream's [CLS | R] at the distinct layers `read` (in [0, L]), as
+        stream's [CLS | R] at the distinct layers `read` (in [1, L]), as
         (S, len(read), 1+K, D) `heads`, and (L, S, K, N) `masks`.
         Sample-major: each block of `_BLOCK_SAMPLES` samples builds its
         counterpart, its visuals plus its rows of `offset` (None: none), and
@@ -269,8 +269,6 @@ class FrozenEncoder:
                     if K:
                         x["counterpart"] = cp
                 x_o = x["original"]
-                if 0 in read:
-                    heads[b, read.index(0)] = x_o[:, :1 + K]
                 for l in range(self.config.layers):
                     # without regions only the last layer's CLS row is read
                     full = K or l < last

@@ -11,7 +11,7 @@ import numpy as np
 from . import fields
 
 POOL_EPSILON = 1e-6
-ANCHOR_REL_FLOOR = 1e-12   # degenerate anchor: centroid norm <= this x mean token norm
+ANCHOR_REL_FLOOR = 1e-12   # degenerate anchor: centroid norm <= this x mean |cgp| + |visual|
 REGION_LABELS = ("foreground", "boundary", "background")   # grid_partition order
 
 
@@ -68,9 +68,11 @@ def layer_region_state(cgp: np.ndarray, visuals: np.ndarray,
     With the (K, N) 0/1 membership matrix M, each region's anchor is the
     centroid of its in-region discrepancies, a unit direction and a norm;
     the direction is zero where the norm is at most `ANCHOR_REL_FLOOR` times
-    the region's mean discrepancy norm.  A token is masked in when it lies in
-    the region and its projection onto the direction strictly exceeds alpha
-    times the norm, so a degenerate anchor gives an empty mask: a no-op.
+    the region's mean of |cgp_i| + |visuals_i|, the scale of a discrepancy's
+    rounding noise, so a field that is zero in exact arithmetic is degenerate.
+    A token is masked in when it lies in the region and its projection onto
+    the direction strictly exceeds alpha times the norm, so a degenerate
+    anchor gives an empty mask: a no-op.
     """
     fields.real("alpha", alpha, 0, strict=False)
     M = np.zeros((len(regions), cgp.shape[-2]))
@@ -78,7 +80,8 @@ def layer_region_state(cgp: np.ndarray, visuals: np.ndarray,
         M[k, list(idx)] = 1.0
     c = (M @ cgp) / M.sum(axis=1)[:, None]
     norm = np.linalg.norm(c, axis=-1)
-    scale = np.einsum("kn,...n->...k", M, np.linalg.norm(cgp, axis=-1)) / M.sum(axis=1)
+    tokens = np.linalg.norm(cgp, axis=-1) + np.linalg.norm(visuals, axis=-1)
+    scale = np.einsum("kn,...n->...k", M, tokens) / M.sum(axis=1)
     d = c / np.where(norm > ANCHOR_REL_FLOOR * scale, norm, np.inf)[..., None]
     proj = np.einsum("...nd,...kd->...kn", cgp, d)
     masks = M * (proj > alpha * norm[..., None])

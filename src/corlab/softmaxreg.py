@@ -18,7 +18,7 @@ an instance's numbers do not change by a bit with the group it is in.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -103,12 +103,9 @@ class SoftmaxGroup:
 
     # -- closed-form quantities -------------------------------------------
 
-    def probs(self) -> np.ndarray:
-        return self._p.copy()
-
     def per_sample_grads(self) -> np.ndarray:
         """(N, P) gradients of each sample's NLL w.r.t. its instance's flattened W."""
-        resid = self.probs()
+        resid = self._p.copy()
         resid[np.arange(len(resid)), self.y] -= 1.0            # (N, C)
         return (resid[:, :, None] * self.X[:, None, :]).reshape(len(resid), -1)
 
@@ -161,7 +158,6 @@ class SoftmaxRegression:
     X: np.ndarray          # (M, F)
     y: np.ndarray          # (M,) int labels in [0, C)
     W: np.ndarray          # (C, F)
-    _group: SoftmaxGroup = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         W = np.asarray(self.W, dtype=np.float64)
@@ -169,12 +165,6 @@ class SoftmaxRegression:
             raise ValueError(f"W must be a 2-D (classes, features) array, got shape {W.shape}")
         self._group = g = SoftmaxGroup(self.X, self.y, W[None], np.shape(self.X)[:1])
         self.X, self.y, self.W = g.X, g.y, g.W[0]
-        self.M, self.F = self.X.shape
-        self.C = g.C
-
-    @property
-    def dim(self) -> int:
-        return self.C * self.F
 
     @classmethod
     def random(cls, rng: np.random.Generator, n_samples: int = 4,
@@ -182,13 +172,6 @@ class SoftmaxRegression:
         return cls(*draw_instance(rng, n_samples, n_features, n_classes))
 
     # -- closed-form quantities, as a group of one ---------------------------
-
-    def probs(self) -> np.ndarray:
-        return self._group.probs()
-
-    def loss(self) -> float:
-        p = self.probs()
-        return float(-np.mean(np.log(p[np.arange(self.M), self.y])))
 
     def per_sample_grads(self) -> np.ndarray:
         """(M, P) gradients of per-sample NLL w.r.t. flattened W."""

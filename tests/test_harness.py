@@ -715,6 +715,58 @@ def test_sweep_rho_rejects_bad_rho_values_before_encoding(monkeypatch):
             hn.sweep_rho(bifurcation_config(), [0.005, 0.02, 0.08], seeds=seeds)
 
 
+def boundary_config(amp, n_train, loss, batch_size, learning_rate, steps, seed=0, **kw):
+    """A whitened boundary-region artifact task at amplitude `amp`."""
+    return hn.RunConfig(
+        task=tk.TaskSpec(artifact_amp=amp, artifact_region="boundary", n_train=n_train,
+                         n_test=200, seed=seed),
+        loss=loss, standardize="whiten",
+        optimizer=op.SamConfig(rho=0.0, learning_rate=learning_rate, batch_size=batch_size,
+                               steps=steps, seed=seed), **kw)
+
+
+@pytest.mark.parametrize("amp, n_train", [(3.0, 400), (24.0, 400), (24.0, 2000),
+                                          (96.0, 2000), (2000.0, 400)])
+def test_surrogate_boundary_is_the_step_zero_edge_of_stability(amp, n_train):
+    # full-batch SAM on the quadratic surrogate maps the gradient along a
+    # curvature lam to (1 - eta lam) g - eta rho lam^2 g / |g|, whose 2-cycle
+    # flips the ranking once rho reaches |w*| (2 - eta lam) / (eta lam): the
+    # SAM edge of stability at step 0.  Along the whitened features
+    # lam_f = lam_max (n - 1) / n, as np.cov divides by n - 1, and
+    # w* = dmu_w n / (n - 1).  Whitening bounds |dmu_w| by 2, so no task's
+    # boundary reaches 2 n / (n - 1) (2 - eta lam_f) / (eta lam_f)
+    cfg = boundary_config(amp, n_train, "quadratic", n_train, 1.0, 400, lr_relative=1.95)
+    feats = hn.build_features(cfg)
+    F, y = feats.train, feats.train_labels
+    dmu = np.linalg.norm(F[y == 1].mean(axis=0) - F[y == 0].mean(axis=0))
+    eta_lam = cfg.lr_relative * (n_train - 1) / n_train
+    edge = n_train / (n_train - 1) * (2 - eta_lam) / eta_lam
+    bisected = hn.sweep_rho(cfg, (0.005, 0.02, 0.08), seeds=(0,)).empirical_cor
+    assert abs(bisected - dmu * edge) <= hn.BISECTION_RESOLUTION
+    assert dmu < 2 and bisected < 2 * edge
+
+
+@pytest.mark.parametrize("batch_size, learning_rate, steps", [(400, 7.8, 400), (20, 0.5, 2000)])
+@pytest.mark.parametrize("seed", [0, 1])
+def test_linear_bce_probe_does_not_collapse_at_any_radius(batch_size, learning_rate, steps,
+                                                          seed):
+    # a linear BCE probe's SAM step is a logistic step whose per-sample
+    # weights |sigma - y| lie in (0, 1), whatever rho is.  Full batch at
+    # eta lam_max = 1.95 and batch 20 at lr 0.5 keep their window AUC from
+    # the rho-0 bound to 1e3; a full-batch run converges, so its trajectory
+    # minimum is about 1e-16 and the radius is the step-0 bound |dmu_w|.
+    # Over seeds 0-4 the window AUC fell at most 0.023 below rho = 0
+    cfg = boundary_config(12.0, 400, "bce", batch_size, learning_rate, steps, seed)
+    feats = hn.build_features(cfg)
+    base = hn.run_train(cfg, feats=feats)
+    full_batch = batch_size == cfg.task.n_train
+    bound = base.estimates[0].cor_bound if full_batch else base.cor_report.rho_critical
+    for rho in (bound, 100 * bound, 1e3):
+        run = hn.run_train(replace(cfg, optimizer=replace(cfg.optimizer, rho=rho)), feats=feats)
+        assert not run.failed and not run.collapsed
+        assert run.train_auc_window >= base.train_auc_window - 0.03, rho
+
+
 # -- campaigns --------------------------------------------------------------------------
 
 def test_verify_theorem_campaign_small():
@@ -758,7 +810,7 @@ def test_campaign_instances_grouped_by_shape_equal_the_same_instances_alone():
         inst = sr.SoftmaxRegression.random(
             rng, n_samples=int(rng.integers(4, 40)), n_classes=int(rng.integers(2, 6)),
             n_features=int(rng.integers(2, 11)))
-        shapes.append((i // hn.CAMPAIGN_CHUNK, inst.M, inst.C, inst.F))
+        shapes.append((i // hn.CAMPAIGN_CHUNK, len(inst.X)) + inst.W.shape)
         H = inst.dense_hessian()
         gbar, trace_cov = sr.SoftmaxGroup.stack([(inst.X, inst.y, inst.W)]).grad_moments()
         assert est.step == i

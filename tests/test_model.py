@@ -29,15 +29,16 @@ def sample_tokens(seed=0, n=2):
 
 
 def every_layer(enc, x, offset=None, regions=(), alpha=0.0):
-    """The forward reading all L + 1 layers: (S, L+1, 1+K, D) heads, and the
+    """The forward reading every layer 1..L: (S, L, 1+K, D) heads, and the
     masks.  `offset` None runs no counterpart, as `encode_plain` does."""
-    return enc._forward(x, offset, list(regions), alpha, tuple(range(enc.config.layers + 1)))
+    return enc._forward(x, offset, list(regions), alpha, tuple(range(1, enc.config.layers + 1)))
 
 
 def layer_major_corit(enc, x, cp, regions, alpha):
     """The layer-major paired forward that encodes a whole (S, N, D)
     counterpart array `cp` as its second stream, reading every layer: the
-    reference a per-block counterpart must reproduce bit for bit."""
+    reference a per-block counterpart must reproduce bit for bit; heads
+    hold layers 1..L."""
     S, N, D = x.shape
     K = len(regions)
 
@@ -46,7 +47,7 @@ def layer_major_corit(enc, x, cp, regions, alpha):
                                np.zeros((S, K, D)), v], axis=1)
 
     xo, xc = tokens(x), tokens(cp)
-    heads, masks = [xo[:, :1 + K].copy()], []
+    heads, masks = [], []
     for l in range(enc.config.layers):
         xo, xc = enc.block(xo, l), enc.block(xc, l)
         m, pooled = rg.layer_region_state(rg.compute_cgp(xo[:, 1 + K:], xc[:, 1 + K:]),
@@ -85,13 +86,12 @@ def test_encode_plain_shapes_and_unbatched_input():
     x = sample_tokens(n=3)
     assert enc.encode_plain(x).shape == (3, CFG.dim)
     heads, _ = every_layer(enc, x)
-    assert heads.shape == (3, CFG.layers + 1, 1, CFG.dim)
+    assert heads.shape == (3, CFG.layers, 1, CFG.dim)
     seq = np.concatenate([np.broadcast_to(enc.params["cls"], (3, 1, CFG.dim)), x], axis=1)
     last = CFG.layers - 1
-    for l in range(last + 1):
+    for l in range(last):
+        seq = enc.block(seq, l)
         assert np.array_equal(heads[:, l], seq[:, :1])
-        if l < last:
-            seq = enc.block(seq, l)
     # the last layer computes the CLS row alone; numpy's one-row products
     # take another BLAS path than the rows of the full ones, so the full
     # block's CLS row differs from it at rounding level only
@@ -264,10 +264,9 @@ def test_paired_streams_with_identical_inputs_are_inert():
     assert np.all(masks == 0.0)
     seq = np.concatenate([np.broadcast_to(enc.params["cls"], (2, 1, CFG.dim)),
                           np.zeros((2, 3, CFG.dim)), x], axis=1)
-    for l in range(CFG.layers + 1):
+    for l in range(CFG.layers):
+        seq = enc.block(seq, l)
         assert np.array_equal(heads[:, l], seq[:, :4])
-        if l < CFG.layers:
-            seq = enc.block(seq, l)
 
 
 def test_paired_streams_diverge_under_a_real_counterpart():
@@ -393,18 +392,18 @@ def test_encoders_are_exact_under_any_block_size(monkeypatch, block):
         monkeypatch.setattr(md, "_WORKERS", workers)
         return [enc._forward(x, off, k, 0.25, read) for off, k in streams]
 
-    whole = encode(x.shape[0], 1, tuple(range(L + 1)))
+    whole = encode(x.shape[0], 1, tuple(range(1, L + 1)))     # layer l at index l - 1
     assert whole[1][1].any()
     for workers in (1, 2, 3):
-        for read in ((L,), (1, L), (0,), (0, 2), (2,), tuple(range(L + 1))):
+        for read in ((L,), (1, L), (1,), (1, 2), (2,), tuple(range(1, L + 1))):
             for (heads, masks), (all_heads, all_masks) in zip(encode(block, workers, read),
                                                                whole):
-                assert np.array_equal(heads, all_heads[:, list(read)])
+                assert np.array_equal(heads, all_heads[:, [l - 1 for l in read]])
                 assert np.array_equal(masks, all_masks)
-        assert np.array_equal(enc.encode_plain(x), whole[0][0][:, L, 0])
+        assert np.array_equal(enc.encode_plain(x), whole[0][0][:, L - 1, 0])
         for l_mid in range(1, L):
             feats, masks = enc.encode_corit(x, offset, regions, alpha=0.25, l_mid=l_mid)
-            assert np.array_equal(feats, whole[1][0][:, [l_mid, L]].reshape(len(x), -1))
+            assert np.array_equal(feats, whole[1][0][:, [l_mid - 1, L - 1]].reshape(len(x), -1))
             assert np.array_equal(masks, whole[1][1])
 
 
@@ -428,7 +427,7 @@ def test_a_counterpart_offset_matches_encoding_the_whole_counterpart_array(per_s
     assert np.array_equal(heads, want_heads)
     assert np.array_equal(masks, want_masks)
     feats, masks = enc.encode_corit(x, offset, regions, alpha=0.25, l_mid=2)
-    assert np.array_equal(feats, want_heads[:, [2, CFG.layers]].reshape(len(x), -1))
+    assert np.array_equal(feats, want_heads[:, [1, CFG.layers - 1]].reshape(len(x), -1))
     assert np.array_equal(masks, want_masks)
 
 
@@ -642,7 +641,7 @@ def test_encode_corit_reads_the_mid_and_final_layers():
     feats, _ = enc.encode_corit(x, offset, rg.grid_partition(16), alpha=0.5, l_mid=2)
     K, D = 3, CFG.dim
     assert feats.shape == (4, 2 * (1 + K) * D)
-    mid = heads[:, 2].reshape(4, -1)
+    mid = heads[:, 1].reshape(4, -1)
     fin = heads[:, -1].reshape(4, -1)
     assert np.array_equal(feats, np.concatenate([mid, fin], axis=1))
 

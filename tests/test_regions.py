@@ -16,13 +16,16 @@ from corlab import regions as rg
 def reference_region_state(cgp, visuals, regions, alpha):
     """The per-region loop: gather a region's discrepancies, take the unit
     direction and norm of their centroid, threshold the in-region
-    projections, pool the masked visuals, and stack over regions."""
+    projections, pool the masked visuals, and stack over regions.  A
+    centroid is degenerate when its norm is at most `ANCHOR_REL_FLOOR` times
+    the region's mean of |cgp_i| + |visuals_i|."""
     masks, pooled = [], []
     for idx in regions:
         idx = sorted(idx)
         c = cgp[..., idx, :].mean(axis=-2)
         norm = np.linalg.norm(c, axis=-1)
-        scale = np.linalg.norm(cgp[..., idx, :], axis=-1).mean(axis=-1)
+        scale = (np.linalg.norm(cgp[..., idx, :], axis=-1)
+                 + np.linalg.norm(visuals[..., idx, :], axis=-1)).mean(axis=-1)
         d = c / np.where(norm > rg.ANCHOR_REL_FLOOR * scale, norm, np.inf)[..., None]
         proj = np.einsum("...nd,...d->...n", cgp[..., idx, :], d)
         m = np.zeros(cgp.shape[:-1])
@@ -146,6 +149,26 @@ def test_refine_mask_degenerate_anchor_is_empty():
         assert np.array_equal(pooled[0], np.zeros(32))
 
 
+def test_a_field_of_rounding_noise_builds_no_mask():
+    # every layer norm removes a constant per-token shift, so a counterpart
+    # offset of 1 on all channels of tokens 5 and 6 leaves the streams
+    # differing by exactly that offset at every layer and by rounding noise
+    # elsewhere.  The boundary and background regions have no discrepancy
+    # and get no mask, and scaling the visuals by 1 + 1e-15 moves no mask
+    # and the features at rounding level only
+    enc = md.FrozenEncoder(md.EncoderConfig())
+    x = np.random.default_rng(6).normal(size=(64, 16, 32))
+    offset = np.zeros(x.shape[1:])
+    offset[5:7] = 1.0
+    regions = rg.grid_partition(16)
+    feats, masks = enc.encode_corit(x, offset, regions, 0.25, 4)
+    nudged_feats, nudged = enc.encode_corit(x * (1 + 1e-15), offset, regions, 0.25, 4)
+    assert masks[:, :, 0].any()
+    assert not masks[:, :, 1:].any()
+    assert np.array_equal(nudged, masks)
+    assert np.max(np.abs(nudged_feats - feats)) <= 1e-12 * np.max(np.abs(feats))
+
+
 def test_pool_masked_average_and_empty_mask():
     visuals = np.array([[2.0, 0.0], [4.0, 2.0], [100.0, 100.0]])
     mask = np.array([1.0, 1.0, 0.0])
@@ -231,7 +254,9 @@ def test_layer_region_state_equals_the_per_region_loop(D, N, K, lead, field, alp
 def test_masks_read_only_the_direction_of_the_cgp():
     # the anchor's projections and its threshold both scale with the field,
     # so scaling the CGP by a power of two, which is exact in floating
-    # point, leaves every mask and pooled token bit for bit as it was
+    # point, leaves every mask and pooled token bit for bit as it was (the
+    # degenerate-anchor floor, which also reads the visuals, lies far below
+    # every nonzero centroid here)
     rng = np.random.default_rng(8)
     S, N, D = 6, 16, 8
     cgp = rng.normal(size=(S, N, D))
