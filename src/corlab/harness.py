@@ -187,7 +187,7 @@ def fit_standardizer(F: np.ndarray) -> Standardizer:
         raise ValueError(f"standardize 'whiten' needs full-rank train features, but "
                          f"the {width} features of n_train {n} samples are rank-"
                          f"deficient; use n_train > {width}")
-    return Standardizer(mu, evecs @ np.diag(evals ** -0.5) @ evecs.T)
+    return Standardizer(mu, (evecs * evals ** -0.5) @ evecs.T)
 
 
 @dataclass

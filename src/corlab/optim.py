@@ -47,7 +47,9 @@ def probe_logits(w: np.ndarray, features: np.ndarray) -> np.ndarray:
     """Linear-probe logits; the one owner of the [weights..., bias] layout.
     `w` is one (P,) probe or a (P, C) stack of them, whose (n, C) logits
     take one GEMM."""
-    return features @ w[:-1] + w[-1]
+    z = features @ w[:-1]
+    z += w[-1]
+    return z
 
 
 class LogisticProbeProblem:
@@ -69,11 +71,23 @@ class LogisticProbeProblem:
     def init_params(self) -> np.ndarray:
         return np.zeros(self.dim)
 
-    def loss_and_grad(self, w: np.ndarray, indices=None) -> tuple[float, np.ndarray]:
+    def _batch(self, w: np.ndarray, indices) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """A batch's augmented rows (all rows if `indices` is None), logits
+        and labels; the rows are gathered once and the logits read their
+        feature view."""
         idx = slice(None) if indices is None else np.asarray(indices)
-        z, y = probe_logits(w, self.features[idx]), self.labels[idx]
+        aug = self._aug[idx]
+        return aug, probe_logits(w, aug[:, :-1]), self.labels[idx]
+
+    def loss_and_grad(self, w: np.ndarray, indices=None) -> tuple[float, np.ndarray]:
+        aug, z, y = self._batch(w, indices)
         loss = np.mean(np.logaddexp(0.0, z) - y * z)
-        return float(loss), self._aug[idx].T @ (_sigmoid(z) - y) / y.size
+        return float(loss), aug.T @ (_sigmoid(z) - y) / y.size
+
+    def grad(self, w: np.ndarray, indices=None) -> np.ndarray:
+        """`loss_and_grad`'s gradient, bit for bit, without the loss."""
+        aug, z, y = self._batch(w, indices)
+        return aug.T @ (_sigmoid(z) - y) / y.size
 
     def grad_moments(self, W: np.ndarray, logits: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Full-sample mean gradients (P, C) and traces of the per-sample
@@ -126,8 +140,13 @@ class QuadraticProblem:
             Aa_mean, quad_mean = self._Aa[idx].mean(axis=0), self._quad[idx].mean()
         Aw = self.A @ w
         loss = 0.5 * (w @ Aw - 2.0 * (w @ Aa_mean) + quad_mean)
-        grad = Aw - Aa_mean
-        return float(loss), grad
+        return float(loss), Aw - Aa_mean
+
+    def grad(self, w, indices=None):
+        """`loss_and_grad`'s gradient, bit for bit, without the loss."""
+        Aa_mean = (self._Aa_mean if indices is None
+                   else self._Aa[np.asarray(indices)].mean(axis=0))
+        return self.A @ w - Aa_mean
 
     def grad_moments(self, W, logits):
         """Full-sample mean gradients (P, C) of a (P, C) stack of weights,
@@ -147,18 +166,26 @@ class QuadraticProblem:
 # steps and runs
 # ---------------------------------------------------------------------------
 
+def _finite(x: np.ndarray, xx=None) -> bool:
+    """Whether every entry of the vector `x` is finite.  A finite `x @ x`
+    (`xx`, if the caller has it) proves that every entry is, so the entries
+    are read only when the dot overflows or is NaN."""
+    return math.isfinite(x @ x if xx is None else xx) or bool(np.isfinite(x).all())
+
+
 # a step checks its loss and updated weights and fails on a non-finite
 # one, so numpy's overflow and invalid warnings inside it are only noise.
 # math.sqrt(g @ g) is the dot and square root np.linalg.norm takes on a
-# vector; its wrapper and np.all's cost a full-batch quadratic step more
-# than the step's two gradient passes
+# vector, and `_finite` reads a vector's entries only when its dot is not
+# finite; norm's wrapper and an elementwise test would each cost a
+# full-batch quadratic step about as much as one of its gradient passes
 @np.errstate(over="ignore", invalid="ignore")
 def sgd_step(problem, w: np.ndarray, batch_idx, lr: float) -> tuple[np.ndarray, StepRecord]:
     """A non-finite loss or updated weight fails the step and keeps `w`."""
     loss, g = problem.loss_and_grad(w, batch_idx)
     rec = StepRecord(step=-1, loss=loss, grad_norm=math.sqrt(g @ g))
     w_new = w - lr * g
-    rec.failed = not (math.isfinite(loss) and np.isfinite(w_new).all())
+    rec.failed = not (math.isfinite(loss) and _finite(w_new))
     return (w if rec.failed else w_new), rec
 
 
@@ -166,22 +193,24 @@ def sgd_step(problem, w: np.ndarray, batch_idx, lr: float) -> tuple[np.ndarray, 
 def sam_step(problem, w: np.ndarray, batch_idx, lr: float,
              rho: float) -> tuple[np.ndarray, StepRecord]:
     """Two-pass SAM: normalized ascent to w + eps, descent with the
-    perturbed gradient of the same batch.  Zero batch gradient means zero
-    perturbation, so the step degenerates to SGD.  At rho = 0 the ascent
-    lands on w itself, so the first pass's gradient is the descent
-    gradient and the step takes one pass.  A non-finite first pass or
-    updated weight fails the step and keeps `w`."""
+    perturbed gradient of the same batch, which is all the second pass
+    computes.  Zero batch gradient means zero perturbation, so the step
+    degenerates to SGD.  At rho = 0 the ascent lands on w itself, so the
+    first pass's gradient is the descent gradient and the step takes one
+    pass.  A non-finite first pass or updated weight fails the step and
+    keeps `w`."""
     loss, g = problem.loss_and_grad(w, batch_idx)
-    gn = math.sqrt(g @ g)
+    gg = g @ g
+    gn = math.sqrt(gg)
     rec = StepRecord(step=-1, loss=loss, grad_norm=gn)
-    if not (math.isfinite(loss) and np.isfinite(g).all()):
+    if not (math.isfinite(loss) and _finite(g, gg)):
         rec.failed = True
         return w, rec
     if rho > 0:                   # the descent gradient at the ascent point
         eps = (rho / gn) * g if gn > 0 else np.zeros_like(g)
-        _, g = problem.loss_and_grad(w + eps, batch_idx)
+        g = problem.grad(w + eps, batch_idx)
     w_new = w - lr * g
-    rec.failed = not np.isfinite(w_new).all()
+    rec.failed = not _finite(w_new)
     return (w if rec.failed else w_new), rec
 
 
@@ -244,15 +273,15 @@ def stability_probe(problem, w: np.ndarray, rho: float, n_batches: int,
         labels = np.asarray(problem.labels)
         if np.unique(labels).size < 2:
             raise ValueError("degenerate dataset: single class")
-    _, pop_g = problem.loss_and_grad(w)
+    pop_g = problem.grad(w)
     rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(11,)))
     vals = np.empty(n_batches)
     for i in range(n_batches):
         idx = rng.choice(problem.n_samples, size=min(batch_size, problem.n_samples),
                          replace=False)
-        _, g = problem.loss_and_grad(w, idx)
+        g = problem.grad(w, idx)
         gn = np.linalg.norm(g)
         eps = (rho / gn) * g if gn > 0 else np.zeros_like(g)
-        _, g_tilde = problem.loss_and_grad(w + eps, idx)
+        g_tilde = problem.grad(w + eps, idx)
         vals[i] = pop_g @ g_tilde
     return float(vals.mean()), float(vals.std(ddof=1) / np.sqrt(n_batches))

@@ -48,7 +48,8 @@ def test_probe_training_records_no_autodiff_tape():
     with patched(tracer.hooks()):
         _, failed_step = op.run(prob, cfg)
     assert failed_step is None
-    assert tracer.calls[("setup", "optim.logistic_loss_and_grad")] == 2 * cfg.steps
+    # one loss-and-gradient pass per step; the ascent pass is `grad`
+    assert tracer.calls[("setup", "optim.logistic_loss_and_grad")] == cfg.steps
     assert ("setup", "autodiff.loss_and_gradient") not in tracer.calls
     assert tracer.counts.get(("setup", "autodiff.tape_nodes"), 0) == 0
 

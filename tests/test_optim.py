@@ -101,6 +101,17 @@ def test_grad_moments_match_per_sample_grads():
                 assert tr_cov[j] == pytest.approx(dg.trace_cov(Gj), rel=1e-12)
 
 
+def test_grad_is_loss_and_grad_gradient_bit_for_bit():
+    # the gradient-only pass the SAM ascent takes must be the very vector
+    # the loss-and-gradient pass returns, full batch and mini-batch alike
+    rng = np.random.default_rng(5)
+    for prob in (small_quadratic(n=40, dim=6), small_logistic(n=40, dim=6)):
+        for _ in range(3):
+            w = rng.normal(size=prob.dim)
+            for idx in (None, np.array([3, 0, 17, 39, 8]), np.array([12])):
+                assert np.array_equal(prob.grad(w, idx), prob.loss_and_grad(w, idx)[1])
+
+
 def bce_graph(views, data):
     F, y = data
     z = ad.add(ad.matmul(F, ad.reshape(views["w"], (F.shape[1], 1))), views["b"])
@@ -162,14 +173,17 @@ def test_sam_step_zero_gradient_degenerates_to_sgd():
 
 
 def counted(prob):
-    """`prob` with its `loss_and_grad` wrapped to count calls."""
-    calls, inner = [], prob.loss_and_grad
+    """`prob` with both gradient entry points, `loss_and_grad` and `grad`,
+    wrapped to count passes."""
+    calls = []
 
-    def loss_and_grad(w, indices=None):
-        calls.append(w)
-        return inner(w, indices)
+    def wrap(inner):
+        def entry(w, indices=None):
+            calls.append(w)
+            return inner(w, indices)
+        return entry
 
-    prob.loss_and_grad = loss_and_grad
+    prob.loss_and_grad, prob.grad = wrap(prob.loss_and_grad), wrap(prob.grad)
     return prob, calls
 
 
@@ -178,7 +192,7 @@ def test_sam_step_at_rho_zero_takes_one_pass():
         w = np.random.default_rng(6).normal(size=prob.dim)
         batch = np.array([0, 2, 5])
         w1, rec = op.sam_step(prob, w, batch, 0.1, 0.0)
-        assert len(calls) == 1
+        assert len(calls) == 1      # counted through either entry point
         assert np.array_equal(w1, op.sgd_step(prob, w, batch, 0.1)[0])
         assert not rec.failed
         calls.clear()
@@ -268,6 +282,53 @@ def test_step_functions_are_bit_identical_to_the_reference_steps(monkeypatch):
     # only the last problem diverges, with SAM and with SGD, mid-run
     assert failed[:6] == [None] * 6
     assert all(0 < t < 300 for t in failed[6:])
+
+
+class FixedPasses:
+    """A problem whose every gradient pass returns loss 0 and gradient `g`."""
+
+    def __init__(self, g):
+        self.g = np.asarray(g, dtype=np.float64)
+        self.n_samples, self.dim = 1, self.g.size
+
+    def loss_and_grad(self, w, indices=None):
+        return 0.0, self.g.copy()
+
+    def grad(self, w, indices=None):
+        return self.g.copy()
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_finiteness_shortcut_matches_the_elementwise_check():
+    # the steps test finiteness through g @ g and w_new @ w_new and read the
+    # entries only when a dot is not finite: a dot that overflows on finite
+    # entries must not fail the step, and a NaN or inf entry must
+    huge = [1e200, -3e200, 2e200]           # finite, but g @ g overflows
+    with np.errstate(over="ignore"):        # the row norms of 1e200 features
+        logistic = op.LogisticProbeProblem(np.array([[1e200, -2e200], [3e200, 1e200]]),
+                                           np.array([0.0, 1.0]))
+    zero = np.zeros(3)
+    cases = [  # problem, weights, learning rate, whether the step fails
+        (FixedPasses(huge), zero, 0.5, False),
+        (logistic, zero, 0.5, False),
+        (FixedPasses([0.5, -1.0, 2.0]), zero, 1e160, False),  # w_new @ w_new overflows
+        (FixedPasses([0.5, np.nan, 2.0]), zero, 0.1, True),
+        (FixedPasses([0.5, -np.inf, 2.0]), zero, 0.1, True),
+        (FixedPasses(huge), zero, 1e200, True),                # w_new overflows to inf
+        (FixedPasses([0.5, -1.0, 2.0]), np.array([0.0, np.nan, 1.0]), 0.1, True),
+    ]
+    for prob, w, lr, fails in cases:
+        for rho in (0.0, 0.1):
+            pairs = [(op.sam_step(prob, w, None, lr, rho),
+                      reference_sam_step(prob, w, None, lr, rho))]
+            if rho == 0.0:
+                pairs.append((op.sgd_step(prob, w, None, lr),
+                              reference_sgd_step(prob, w, None, lr)))
+            for (w_got, rec_got), (w_want, rec_want) in pairs:
+                assert rec_got.failed is fails
+                assert np.array_equal(w_got, w_want, equal_nan=True)
+                assert repr(astuple(rec_got)) == repr(astuple(rec_want))
+                assert (w_got is w) is fails
 
 
 # -- failure handling ---------------------------------------------------------------
