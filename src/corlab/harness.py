@@ -44,8 +44,8 @@ _OBSERVE_STEPS = 64
 def _aucs(Z, labels) -> list[float]:
     """Mann-Whitney AUC of each column of the (n, C) scores `Z`, a tie
     counting one half.  Scores may be infinite but not NaN; labels must be
-    0 or 1.  The labels are split and each class gathered and sorted once
-    for the whole block."""
+    0 or 1.  One row-wise sort of label-tagged order keys serves every
+    column that has no near tie."""
     Z = np.asarray(Z, dtype=np.float64)
     y = np.asarray(labels)
     if Z.ndim != 2 or y.shape != Z.shape[:1]:
@@ -56,24 +56,32 @@ def _aucs(Z, labels) -> list[float]:
         raise ValueError("labels must be 0 or 1")
     if n1 == 0 or n0 == 0:
         raise ValueError("both classes must be present")
-    neg, pos = np.sort(Z[is_neg].T, axis=1), np.sort(Z[is_pos].T, axis=1)
-    if np.isnan(neg[:, -1]).any() or np.isnan(pos[:, -1]).any():   # NaN sorts last
+    if np.isnan(Z).any():
         raise ValueError("scores must not be NaN")
-    # a positive beats the negatives below it and ties those equal to it;
-    # sorted needles keep each search near the last one.  A positive ties a
-    # negative only if the first negative at or above it (clipped to the
-    # last) equals it, so a column without a tie skips the right-side
-    # search, about a third of its count; training logits almost never tie.
-    # Twice the count is an exact integer either way
-    out = []
-    for neg_j, pos_j in zip(neg, pos):
-        below = np.searchsorted(neg_j, pos_j, side="left")
-        if (neg_j.take(below, mode="clip") == pos_j).any():
-            twice = below.sum() + np.searchsorted(neg_j, pos_j, side="right").sum()
-        else:
-            twice = 2 * below.sum()
-        out.append(float(twice / 2.0 / (n1 * n0)))
-    return out
+    # signed int64 keys in the scores' order (-0.0 made +0.0 first, so
+    # equal scores have equal keys), the lowest bit replaced by the label.
+    # In a row where no two keys share their upper 63 bits the sorted order
+    # is the scores' exact order without ties, and the positive at sorted
+    # position i beats the i - (positives before it) negatives below it
+    k = np.add(Z.T, 0.0, order="C").view(np.int64)
+    buf = k >> 63
+    buf &= 0x7FFFFFFFFFFFFFFF
+    k ^= buf
+    k &= -2
+    k |= is_pos
+    k.sort(axis=1)
+    np.right_shift(k, 1, out=buf)
+    near = np.flatnonzero((buf[:, 1:] == buf[:, :-1]).any(axis=1))
+    k &= 1
+    twice = 2 * (k @ np.arange(y.size) - n1 * (n1 - 1) // 2)
+    # a near tie is an exact tie or two adjacent floats: such a column is
+    # counted on its own, a positive beating the negatives below it and
+    # tying those equal to it.  Twice the count is an exact integer either way
+    for j in near:
+        neg, pos = np.sort(Z[is_neg, j]), Z[is_pos, j]
+        twice[j] = (np.searchsorted(neg, pos, side="left").sum()
+                    + np.searchsorted(neg, pos, side="right").sum())
+    return (twice / 2.0 / (n1 * n0)).tolist()
 
 
 def compute_auc(scores, labels) -> float:
@@ -371,8 +379,9 @@ def run_train(config: RunConfig, feats: FeatureSet | None = None,
                 if np.isfinite(g @ g) and np.isfinite(tr_cov[j]) and np.isfinite(H).all():
                     estimates.extend(dg.spectral_estimates(g[None], tr_cov[j:j + 1],
                                                            H[None], [t]))
+            first = max(0, t + 1 - window)
             steps_out.append(StepMetrics(t, rec.loss,
-                                         float(np.mean(aucs[max(0, t + 1 - window):t + 1])),
+                                         float(aucs[first:t + 1].sum() / (t + 1 - first)),
                                          rec.grad_norm,
                                          dg.signal_to_noise(float(g @ g), float(tr_cov[j]))))
 

@@ -81,7 +81,7 @@ class LogisticProbeProblem:
 
     def loss_and_grad(self, w: np.ndarray, indices=None) -> tuple[float, np.ndarray]:
         aug, z, y = self._batch(w, indices)
-        loss = np.mean(np.logaddexp(0.0, z) - y * z)
+        loss = (np.logaddexp(0.0, z) - y * z).sum() / y.size
         return float(loss), aug.T @ (_sigmoid(z) - y) / y.size
 
     def grad(self, w: np.ndarray, indices=None) -> np.ndarray:

@@ -46,7 +46,7 @@ def test_auc_hand_oracles():
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)
-@given(st.integers(2, 4000), st.sampled_from(["ties", "heavy", "normal"]),
+@given(st.integers(2, 4000), st.sampled_from(["ties", "heavy", "near", "normal"]),
        st.integers(0, 2**32 - 1))
 def test_auc_matches_pairwise_count_on_random_data(n, kind, seed):
     # both sides are exact in float64: half-integer rank sums and half-integer
@@ -57,9 +57,23 @@ def test_auc_matches_pairwise_count_on_random_data(n, kind, seed):
     elif kind == "heavy":           # signed zeros, infinities and rounded draws
         heavy = rng.choice([-0.0, 0.0, 1.0, -2.5, np.inf, -np.inf], size=n)
         scores = np.where(rng.random(n) < 0.5, heavy, np.round(rng.normal(size=n), 1))
+    elif kind == "near":
+        # pairs of one negative and one positive, each moved up to two float
+        # steps either way from a shared base: exact ties and adjacent floats
+        # around the signed zeros, the smallest denormals and the infinities
+        bases = [-0.0, 0.0, 5e-324, -5e-324, 1.0, -2.5, np.inf, -np.inf]
+        scores = np.repeat(rng.choice(bases, size=(n + 1) // 2), 2)[:n]
+        for _ in range(2):
+            move = rng.integers(-1, 2, size=n)
+            with np.errstate(over="ignore", under="ignore"):   # the largest float steps to inf
+                scores = np.where(move == 0, scores,
+                                  np.nextafter(scores, np.where(move > 0, np.inf, -np.inf)))
+        labels = np.repeat(rng.integers(0, 2, size=(n + 1) // 2), 2)[:n]
+        labels[1::2] ^= 1
     else:
         scores = rng.normal(size=n)
-    labels = rng.integers(0, 2, size=n)
+    if kind != "near":
+        labels = rng.integers(0, 2, size=n)
     assume(labels.min() != labels.max())
     pos = scores[labels == 1][:, None]
     neg = scores[labels == 0][None, :]
@@ -92,21 +106,29 @@ def pairwise_aucs(Z, labels):
 
 
 def test_block_aucs_match_compute_auc_and_the_pairwise_count():
-    # the block count skips its second search on a column where no positive
-    # equals a negative, so the columns cover both branches: no ties, many
-    # ties, one tie at either end of the sorted negatives, all scores equal,
-    # and infinite scores
+    # the block sorts keys for all columns and counts a column with a near
+    # tie (an exact tie or two adjacent floats) on its own, so the columns
+    # cover both paths: no ties, many ties, one tie at either end of the
+    # sorted negatives, all scores equal, infinite scores, adjacent floats
+    # of opposite labels with no exact tie, and one tie of -0.0 with +0.0
     rng = np.random.default_rng(3)
     n = 301
     labels = rng.integers(0, 2, size=n)
     pos, neg = np.flatnonzero(labels == 1), np.flatnonzero(labels == 0)
-    Z = rng.normal(size=(n, 6))
+    Z = rng.normal(size=(n, 8))
     Z[:, 1] = rng.integers(0, 4, size=n)
     Z[pos[7], 2] = Z[neg, 2].max()
     Z[pos[8], 3] = Z[neg, 3].min()
     Z[:, 4] = 0.7
     Z[rng.random(n) < 0.3, 5] = np.inf
     Z[rng.random(n) < 0.3, 5] = -np.inf
+    # a float whose order key is even and the next float up share all but
+    # the lowest bit of their keys; the positive is the lower one, then the
+    # upper one
+    for lo, hi, x in ((pos[3], neg[5], 1.5), (neg[6], pos[4], np.nextafter(-0.25, -1))):
+        Z[lo, 6], Z[hi, 6] = x, np.nextafter(x, np.inf)
+    assert len(np.unique(Z[:, 6])) == n
+    Z[pos[9], 7], Z[neg[9], 7] = -0.0, 0.0
     got = hn._aucs(Z, labels)
     assert got == [hn.compute_auc(z, labels) for z in Z.T] == pairwise_aucs(Z, labels)
     assert got[4] == 0.5
