@@ -35,6 +35,16 @@ LOSS_MODES = ("bce", "quadratic")
 # 257-parameter CoRIT head the block holds 132 KB of weights and 1 MB for
 # each (n, 64) array (logits, residuals), whatever the step budget.
 _OBSERVE_STEPS = 64
+# Samples per chunk of a split's feature build.  A chunk's tokens are all
+# of a split's tokens held at once: 8 MiB of the default 16 x 32 float64
+# tokens at 2,048.  Each chunk is one encoder forward, which pays for its
+# pool and warm-up buffer: on a 2-core host two workers ran the plain
+# forward on 4,000 samples in 313 ms whole, 319 ms in 2,048-sample chunks,
+# 339 ms in 1,024 and 350 ms in 512 (medians of 12).  On one worker,
+# `build_features` of a 4,000-sample plain split peaked at 13.0 MB under
+# tracemalloc, against 21.0 MB as one chunk.  Samples never mix in the
+# encoder, so the chunk size changes no bit of any output.
+_SPLIT_CHUNK = 2048
 
 
 # ---------------------------------------------------------------------------
@@ -207,24 +217,43 @@ class FeatureSet:
 
 
 def build_features(config: RunConfig) -> FeatureSet:
-    """Encode both splits under the configured head and whiten them.  The
-    standardizer is fitted on the train split before the test split is
-    generated, so a refused fit costs no test-split work."""
+    """Encode both splits under the configured head and whiten them.
+
+    A split is generated and encoded `_SPLIT_CHUNK` samples at a time, one
+    chunk after another, each chunk's tokens freed before the next is
+    generated, so no token array spans more than a chunk.  The chunks'
+    features are written into one split-size array; a split of one chunk
+    keeps the encoder's output as it is.  Samples never mix in the encoder,
+    so the chunk size changes no bit.  The standardizer is fitted on the
+    train split before the test split is generated, so a refused fit costs
+    no test-split work."""
     enc = md.FrozenEncoder(config.encoder)
+    if config.head == "corit":
+        offset = config.counterpart.offset(config.task.n_tokens, config.task.dim)
+        regions = rg.grid_partition(config.task.n_tokens)
+
+    def encode(tokens: np.ndarray) -> np.ndarray:
+        # the encoder writes only the layers the head reads, and each of its
+        # blocks builds its own counterpart from the offset
+        if config.head == "plain-probe":
+            return enc.encode_plain(tokens)
+        return enc.encode_corit(tokens, offset, regions, config.alpha, config.l_mid)[0]
 
     def split_features(split: str) -> tuple[np.ndarray, np.ndarray]:
-        # a split's features and labels: the encoder writes only the layers
-        # the head reads, each block builds its own counterpart from the
-        # offset, and the split's tokens are freed before the next split is
-        # generated
-        ds = tk.generate(config.task, split)
-        if config.head == "plain-probe":
-            F = enc.encode_plain(ds.tokens)
-        else:
-            F, _ = enc.encode_corit(ds.tokens, config.counterpart.offset(*ds.tokens.shape[1:]),
-                                    rg.grid_partition(config.task.n_tokens), config.alpha,
-                                    config.l_mid)
-        return F, ds.labels.astype(np.float64)
+        n = config.task.n_train if split == "train" else config.task.n_test
+        F, y = None, np.empty(n)
+        for start in range(0, n, _SPLIT_CHUNK):
+            stop = min(start + _SPLIT_CHUNK, n)
+            ds = tk.generate(config.task, split, start, stop)
+            y[start:stop] = ds.labels
+            F_chunk = encode(ds.tokens)
+            if stop - start == n:
+                return F_chunk, y
+            if F is None:
+                F = np.empty((n, F_chunk.shape[1]))
+            F[start:stop] = F_chunk
+            del ds, F_chunk     # before the next chunk is generated
+        return F, y
 
     F_tr, y_tr = split_features("train")
     std = fit_standardizer(F_tr)

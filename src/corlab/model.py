@@ -18,8 +18,11 @@ blocks): each forward opens a pool of W threads and joins the blocks
 through `Executor.map`, whose results, errors included, come in block
 order.  numpy and BLAS release the interpreter lock inside the blocks'
 products and ufuncs, and besides the outputs the encoder holds W blocks'
-working sets, not a full-size stream, counterpart or CGP field.  No thread
-or pool is module state, so a forked child needs no hook to encode.
+working sets, not a full-size stream, counterpart or CGP field.  Its
+caller, `harness.build_features`, generates and encodes a split a bounded
+chunk of samples at a time, so in the feature pipeline the visuals are no
+larger either, and only the features and labels grow with the split.  No
+thread or pool is module state, so a forked child needs no hook to encode.
 `block(x, l)` is the full-sequence block; with no regions only the CLS
 row of the last layer is read, so that layer computes it alone.
 The block forward is written against the generic array API in

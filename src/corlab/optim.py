@@ -121,10 +121,10 @@ class QuadraticProblem:
 
     def __init__(self, A: np.ndarray, offsets: np.ndarray):
         self.A = np.asarray(A, dtype=np.float64)
-        self.offsets = np.asarray(offsets, dtype=np.float64)  # (M, P)
-        self.n_samples, self.dim = self.offsets.shape
-        self._Aa = self.offsets @ self.A.T                    # (M, P)
-        self._quad = np.einsum("mi,mi->m", self.offsets, self._Aa)
+        offsets = np.asarray(offsets, dtype=np.float64)       # (M, P), not kept
+        self.n_samples, self.dim = offsets.shape
+        self._Aa = offsets @ self.A.T                         # (M, P)
+        self._quad = np.einsum("mi,mi->m", offsets, self._Aa)
         self._Aa_mean = self._Aa.mean(axis=0)
         self._quad_mean = self._quad.mean()
         self._spread = float(((self._Aa - self._Aa_mean) ** 2).sum(axis=1).mean())

@@ -102,20 +102,18 @@ _MASK32, _MASK128 = (1 << 32) - 1, (1 << 128) - 1
 _PCG_MULT = (2549297995355413924 << 64) + 4865540595714422341
 
 
-def _spawn_seed_words(seed: int, split_id: int, n: int) -> np.ndarray:
-    """(4, n) uint64 words of `SeedSequence(seed, spawn_key=(split_id, i))
-    .generate_state(4, np.uint64)` for i in range(n), in one pass: the hash
-    constants do not depend on the data, so each step is one uint32 array
-    operation over the n indices."""
-    # one uint32 word per index keeps the entropy fixed-width; a split of
-    # 2**32 samples would be 16 TiB of the default 16 x 32 float64 tokens
-    if n >= 1 << 32:
-        raise ValueError(f"split size {n} does not fit one uint32 index word")
+def _spawn_seed_words(seed: int, split_id: int, start: int, stop: int) -> np.ndarray:
+    """(4, stop - start) uint64 words of `SeedSequence(seed, spawn_key=
+    (split_id, i)).generate_state(4, np.uint64)` for i in range(start, stop),
+    in one pass: the hash constants do not depend on the data, so each step
+    is one uint32 array operation over the indices.  `generate` keeps every
+    index below 2**32."""
+    n = stop - start
     seed = int(seed)
     run = [(seed >> s) & _MASK32 for s in range(0, max(seed.bit_length(), 1), 32)]
     run += [0] * (4 - len(run))   # zero-padded to the pool, as with any spawn key
     entropy = [np.full(n, w, np.uint32) for w in (*run, split_id)]
-    entropy.append(np.arange(n, dtype=np.uint32))
+    entropy.append(np.arange(start, stop, dtype=np.uint32))
     hc = _INIT_A
 
     def hashmix(value):
@@ -147,30 +145,39 @@ def _spawn_seed_words(seed: int, split_id: int, n: int) -> np.ndarray:
     return np.stack([state[2 * j] | state[2 * j + 1] << np.uint64(32) for j in range(4)])
 
 
-def generate(spec: TaskSpec, split: str) -> Dataset:
-    """Deterministic balanced dataset: samples alternate real, fake, so
-    |#real - #fake| <= 1.  Sample i's noise is
-    `default_rng(SeedSequence(seed, spawn_key=(split_id, i))).normal(scale=
-    noise_sigma)` with split_id 0 for train and 1 for test, drawn from one
-    PCG64 re-seeded per sample.  Fake samples carry the semantic and artifact
-    patterns, added in that order and only at a nonzero amplitude; real
-    samples carry only noise."""
+def generate(spec: TaskSpec, split: str, start: int = 0, stop: int | None = None) -> Dataset:
+    """Samples [start, stop) of a deterministic balanced split (stop None:
+    the split's size), bit for bit the same rows of the whole split: samples
+    alternate real, fake by their index in the split, so |#real - #fake|
+    <= 1 over the split.  Sample i's noise is `default_rng(SeedSequence(
+    seed, spawn_key=(split_id, i))).normal(scale=noise_sigma)` with split_id
+    0 for train and 1 for test, drawn from one PCG64 re-seeded per sample.
+    Fake samples carry the semantic and artifact patterns, added in that
+    order and only at a nonzero amplitude; real samples carry only noise."""
     if split not in ("train", "test"):
         raise ValueError("split must be 'train' or 'test'")
     n = spec.n_train if split == "train" else spec.n_test
+    # one uint32 word per index keeps the entropy fixed-width; a split of
+    # 2**32 samples would be 16 TiB of the default 16 x 32 float64 tokens
+    if n >= 1 << 32:
+        raise ValueError(f"split size {n} does not fit one uint32 index word")
+    stop = n if stop is None else stop
+    if not 0 <= start < stop <= n:
+        raise ValueError(f"sample range [{start}, {stop}) must be a nonempty part "
+                         f"of the {n}-sample {split} split")
     split_id = {"train": 0, "test": 1}[split]
-    words = _spawn_seed_words(spec.seed, split_id, n)
-    expected = np.random.SeedSequence(spec.seed, spawn_key=(split_id, 0))
+    words = _spawn_seed_words(spec.seed, split_id, start, stop)
+    expected = np.random.SeedSequence(spec.seed, spawn_key=(split_id, start))
     if not np.array_equal(words[:, 0], expected.generate_state(4, np.uint64)):
         raise RuntimeError("numpy's SeedSequence no longer matches the derived "
                            "seed words; generated tasks would change")
-    tokens = np.empty((n, spec.n_tokens, spec.dim))
+    tokens = np.empty((stop - start, spec.n_tokens, spec.dim))
     bg = np.random.PCG64(0)   # re-seeded for every sample below
     gen = np.random.Generator(bg)
     pcg = {"state": 0, "inc": 0}
     state = {"bit_generator": "PCG64", "state": pcg, "has_uint32": 0, "uinteger": 0}
-    for i in range(n):
-        s_hi, s_lo, q_hi, q_lo = words[:, i].tolist()
+    for i, sample in enumerate(words.T.tolist()):
+        s_hi, s_lo, q_hi, q_lo = sample
         # pcg64_set_seed: inc = seq << 1 | 1, then two LCG steps around + seed
         inc = ((q_hi << 64 | q_lo) << 1 | 1) & _MASK128
         pcg["state"] = ((inc + (s_hi << 64 | s_lo)) * _PCG_MULT + inc) & _MASK128
@@ -180,11 +187,12 @@ def generate(spec: TaskSpec, split: str) -> Dataset:
     # normal(scale=sigma) is 0.0 + sigma * z: the + 0.0 turns -0.0 into +0.0
     tokens *= spec.noise_sigma
     tokens += 0.0
+    fake = tokens[(start + 1) % 2::2]   # the odd global indices
     if spec.semantic_amp != 0:
-        tokens[1::2] += spec.semantic_amp * spec.semantic_pattern()
+        fake += spec.semantic_amp * spec.semantic_pattern()
     if spec.artifact_amp != 0:
-        tokens[1::2] += spec.artifact_amp * spec.artifact_pattern()
-    return Dataset(tokens, (np.arange(n) % 2).astype(np.uint8))
+        fake += spec.artifact_amp * spec.artifact_pattern()
+    return Dataset(tokens, (np.arange(start, stop) % 2).astype(np.uint8))
 
 
 @dataclass(frozen=True)

@@ -325,7 +325,8 @@ def test_rank_deficient_whitening_exits_2(tmp_path, capsys, monkeypatch):
     splits = []
     generate = tk.generate
     monkeypatch.setattr(tk, "generate",
-                        lambda spec, split: splits.append(split) or generate(spec, split))
+                        lambda spec, split, *rng: splits.append(split)
+                        or generate(spec, split, *rng))
     assert cli.main(["train", "--config", str(path), "--quiet"]) == 2
     err = capsys.readouterr().err
     assert "standardize" in err and "256 features" in err and "n_train 120" in err

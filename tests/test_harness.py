@@ -4,6 +4,7 @@ collapse sweeps, and the verification campaign."""
 
 import ast
 import json
+import tracemalloc
 import warnings
 from collections import Counter
 from dataclasses import asdict, astuple, replace
@@ -371,16 +372,21 @@ def test_corit_head_features_have_fused_width():
 @pytest.mark.parametrize("head", hn.HEAD_MODES)
 def test_standardizer_input_holds_no_memory_beyond_its_own(monkeypatch, head):
     # a view into the split's (L+1, S, 1+K, D) heads would keep them alive
-    # through the test split's encoding and the standardizer fit
+    # through the test split's encoding and the standardizer fit; a split
+    # of one chunk passes the encoder's output, one of 64-sample chunks the
+    # array they are copied into
     seen, fit = [], hn.fit_standardizer
     monkeypatch.setattr(hn, "fit_standardizer",
                         lambda F: seen.append(F) or fit(F))
-    hn.build_features(bifurcation_config(head=head, l_mid=1, n_train=300))
-    (F,) = seen
-    root = F
-    while root.base is not None:
-        root = root.base
-    assert root.nbytes == F.nbytes
+    for chunk in (hn._SPLIT_CHUNK, 64):
+        monkeypatch.setattr(hn, "_SPLIT_CHUNK", chunk)
+        hn.build_features(bifurcation_config(head=head, l_mid=1, n_train=300))
+    for F in seen:
+        root = F
+        while root.base is not None:
+            root = root.base
+        assert root.nbytes == F.nbytes
+    assert len(seen) == 2
 
 
 @pytest.mark.parametrize("head", ["plain-probe", "corit"])
@@ -395,6 +401,45 @@ def test_build_features_are_exact_under_any_worker_count(monkeypatch, head):
     for feats in built[1:]:
         for got, want in zip(astuple(feats), astuple(built[0])):
             assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("head", hn.HEAD_MODES)
+def test_build_features_are_exact_at_any_chunk_size(monkeypatch, head):
+    # a split is generated and encoded a chunk at a time; 7 splits both
+    # splits into many chunks with a short last one, 64 into chunks of one
+    # encoder block, and the default leaves each split one chunk
+    cfg = bifurcation_config(head=head, l_mid=1, n_train=300)
+    assert cfg.task.n_train <= hn._SPLIT_CHUNK
+    want = astuple(hn.build_features(cfg))
+    for chunk in (7, 64):
+        monkeypatch.setattr(hn, "_SPLIT_CHUNK", chunk)
+        got = astuple(hn.build_features(cfg))
+        for a, b in zip(got, want):
+            assert a.dtype == b.dtype and a.shape == b.shape
+            assert a.tobytes() == b.tobytes()
+
+
+def test_build_features_peak_memory_does_not_grow_with_the_split(monkeypatch):
+    # no token array spans more than one chunk, so on one worker a split of
+    # eight chunks peaks above one of two chunks by its extra feature and
+    # label bytes alone; a whole split's tokens would add 4 KiB a sample
+    monkeypatch.setattr(md, "_WORKERS", 1)
+    chunk = 64
+    monkeypatch.setattr(hn, "_SPLIT_CHUNK", chunk)
+
+    def peak(n_train: int) -> int:
+        cfg = bifurcation_config(n_train=n_train)
+        tracemalloc.start()
+        try:
+            hn.build_features(cfg)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    peak(2 * chunk)     # first calls in a process allocate once for good
+    grown = peak(8 * chunk) - peak(2 * chunk)
+    extra = (8 - 2) * chunk * (32 + 1) * 8     # (n, 32) features, (n,) labels
+    assert grown <= extra + 16 * 1024, (grown, extra)
 
 
 # -- quadratic surrogate --------------------------------------------------------------

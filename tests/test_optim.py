@@ -11,12 +11,18 @@ from corlab import diagnostics as dg
 from corlab import optim as op
 
 
-def small_quadratic(seed=0, n=12, dim=3):
+def small_quadratic_and_offsets(seed=0, n=12, dim=3):
+    """A small quadratic problem and its (n, dim) offsets, which the problem
+    does not keep."""
     rng = np.random.default_rng(seed)
     B = rng.normal(size=(dim, dim))
     A = B @ B.T + np.eye(dim)
     offsets = rng.normal(size=(n, dim))
-    return op.QuadraticProblem(A, offsets)
+    return op.QuadraticProblem(A, offsets), offsets
+
+
+def small_quadratic(seed=0, n=12, dim=3):
+    return small_quadratic_and_offsets(seed, n, dim)[0]
 
 
 def small_logistic(seed=0, n=16, dim=4):
@@ -57,12 +63,12 @@ def test_sam_config_rejects_bad_values():
 # -- quadratic problem oracle ---------------------------------------------------
 
 def test_quadratic_loss_and_grad_match_direct_formula():
-    prob = small_quadratic()
+    prob, offsets = small_quadratic_and_offsets()
     rng = np.random.default_rng(1)
     w = rng.normal(size=prob.dim)
     for idx in (np.array([0, 3, 7]), None):     # None: the full batch
         loss, grad = prob.loss_and_grad(w, idx)
-        diffs = w - prob.offsets[slice(None) if idx is None else idx]
+        diffs = w - offsets[slice(None) if idx is None else idx]
         direct_loss = 0.5 * np.mean(np.einsum("mi,ij,mj->m", diffs, prob.A, diffs))
         direct_grad = (prob.A @ diffs.T).T.mean(axis=0)
         assert np.isclose(loss, direct_loss)
@@ -70,11 +76,11 @@ def test_quadratic_loss_and_grad_match_direct_formula():
 
 
 def test_quadratic_per_sample_grads_and_hessian():
-    prob = small_quadratic()
+    prob, offsets = small_quadratic_and_offsets()
     rng = np.random.default_rng(2)
     w = rng.normal(size=prob.dim)
     G = prob.per_sample_grads(w)
-    direct = (prob.A @ (w - prob.offsets).T).T
+    direct = (prob.A @ (w - offsets).T).T
     assert np.allclose(G, direct)
     assert G.mean(axis=0) == pytest.approx(prob.loss_and_grad(w)[1])
     assert np.array_equal(prob.dense_hessian(w), prob.A)

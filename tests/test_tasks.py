@@ -154,11 +154,42 @@ def test_generate_turns_a_negative_zero_draw_positive_as_normal_does(monkeypatch
     assert not np.signbit(tokens).any()
 
 
+@pytest.mark.parametrize("split", ["train", "test"])
+def test_every_range_is_the_slice_of_the_whole_split(split):
+    # bytes, so -0.0 against +0.0 counts; odd and even starts, single
+    # samples, and chunks of 4 and 7 whose last chunk is short
+    spec = tk.TaskSpec(semantic_amp=1.5, artifact_amp=2.5, noise_sigma=0.3,
+                       n_train=23, n_test=18, seed=5)
+    whole = tk.generate(spec, split)
+    n = len(whole)
+    ranges = [(0, n), (1, n), (2, 9), (3, 4), (n - 1, n), (n - 2, None)]
+    ranges += [(a, min(a + c, n)) for c in (4, 7) for a in range(0, n, c)]
+    for start, stop in ranges:
+        ds = tk.generate(spec, split, start, stop)
+        assert ds.tokens.tobytes() == whole.tokens[start:stop].tobytes()
+        assert ds.labels.dtype == np.uint8
+        # real and fake alternate by the sample's index in the whole split
+        assert np.array_equal(ds.labels, np.arange(start, stop or n) % 2)
+
+
+def test_generate_refuses_an_empty_or_outside_range(monkeypatch):
+    # refused before the range's seed words, the first array, are derived
+    spec = tk.TaskSpec(n_train=10, n_test=4)
+    monkeypatch.setattr(tk, "_spawn_seed_words",
+                        lambda *a: pytest.fail("seed words derived"))
+    for split, start, stop in (("train", -1, 3), ("train", 0, 11), ("test", 0, 5),
+                               ("train", 4, 4), ("train", 5, 3), ("test", 4, None),
+                               ("train", 10, None)):
+        with pytest.raises(ValueError, match="sample range"):
+            tk.generate(spec, split, start, stop)
+
+
 def test_generate_refuses_a_split_wider_than_one_index_word():
     # refused before anything the size of the split is allocated
     spec = tk.TaskSpec(n_test=2**32)
-    with pytest.raises(ValueError, match=f"split size {2**32}"):
-        tk.generate(spec, "test")
+    for rng in ((), (0, 4), (2**32 - 4, 2**32)):
+        with pytest.raises(ValueError, match=f"split size {2**32}"):
+            tk.generate(spec, "test", *rng)
 
 
 def test_generate_fails_loudly_if_numpy_seeding_changes(monkeypatch):
@@ -169,6 +200,20 @@ def test_generate_fails_loudly_if_numpy_seeding_changes(monkeypatch):
     monkeypatch.setattr(np.random, "SeedSequence", Shifted)
     with pytest.raises(RuntimeError, match="SeedSequence"):
         tk.generate(tk.TaskSpec(), "train")
+
+
+def test_generate_checks_numpy_seeding_at_the_ranges_first_sample(monkeypatch):
+    # a SeedSequence that moves sample 5's words alone is caught by a range
+    # that starts at 5 and missed by one that does not hold it
+    class ShiftedAtFive(np.random.SeedSequence):
+        def generate_state(self, n_words, dtype=np.uint32):
+            return super().generate_state(n_words, dtype) + (self.spawn_key[-1] == 5)
+
+    monkeypatch.setattr(np.random, "SeedSequence", ShiftedAtFive)
+    spec = tk.TaskSpec(n_train=12)
+    with pytest.raises(RuntimeError, match="SeedSequence"):
+        tk.generate(spec, "train", 5, 9)
+    tk.generate(spec, "train", 0, 5)
 
 
 def test_non_square_token_count_fails_with_the_one_regions_message():
