@@ -176,8 +176,7 @@ def generate(spec: TaskSpec, split: str, start: int = 0, stop: int | None = None
     gen = np.random.Generator(bg)
     pcg = {"state": 0, "inc": 0}
     state = {"bit_generator": "PCG64", "state": pcg, "has_uint32": 0, "uinteger": 0}
-    for i, sample in enumerate(words.T.tolist()):
-        s_hi, s_lo, q_hi, q_lo = sample
+    for i, (s_hi, s_lo, q_hi, q_lo) in enumerate(words.T.tolist()):
         # pcg64_set_seed: inc = seq << 1 | 1, then two LCG steps around + seed
         inc = ((q_hi << 64 | q_lo) << 1 | 1) & _MASK128
         pcg["state"] = ((inc + (s_hi << 64 | s_lo)) * _PCG_MULT + inc) & _MASK128
