@@ -284,9 +284,9 @@ def _make_problem(config: RunConfig, feats: FeatureSet):
 def _effective_lr(config: RunConfig, problem) -> float:
     if config.lr_relative is None:
         return config.optimizer.learning_rate
-    lam = float(np.linalg.eigvalsh(problem.dense_hessian(problem.init_params())).max())
-    if lam <= 0:
-        raise ValueError("non-positive top curvature; cannot scale step size")
+    lam = problem.curvature(problem.init_params())[0]
+    if not lam > 0:
+        raise ValueError(f"top curvature {lam} is not positive; cannot scale step size")
     return config.lr_relative / lam
 
 
@@ -339,6 +339,11 @@ class TrainResult:
         }
 
 
+def _final_aucs(problem, feats: FeatureSet, w: np.ndarray) -> tuple[float, float]:
+    return (compute_auc(problem.logits(w, feats.train), feats.train_labels),
+            compute_auc(problem.logits(w, feats.test), feats.test_labels))
+
+
 def _collapse_window(steps: int) -> int:
     """Steps in the collapse window: the trailing tenth of the budget."""
     return max(1, steps // 10)
@@ -349,13 +354,14 @@ def _run_observed(problem, ocfg: op.SamConfig, feats: FeatureSet, first: int,
     """`op.run` with its steps from `first` on evaluated a block at a time:
     every `_OBSERVE_STEPS` steps and after the run, `evaluate(recs, W, Z,
     aucs)` gets the block's step records, (P, C) pre-step weights, (n, C)
-    full-train logits from one GEMM and their AUCs from one `_aucs`."""
+    full-train logits from one `problem.logits` and their AUCs from one
+    `_aucs`."""
     recs, ws = [], []
 
     def flush():
         if recs:
             W = np.stack(ws, axis=1)
-            Z = op.probe_logits(W, feats.train)
+            Z = problem.logits(W, feats.train)
             evaluate(recs, W, Z, _aucs(Z, feats.train_labels))
             recs.clear()
             ws.clear()
@@ -383,10 +389,10 @@ def run_train(config: RunConfig, feats: FeatureSet | None = None,
     The per-step AUC window is the running mean of the full-train-set AUC
     over the trailing tenth of the step budget; the final window value is
     the collapse statistic.  A block of observed steps shares one
-    full-train logits GEMM (`_run_observed`) for its AUCs and gradient
-    moments; the spectral snapshot every `cadence` steps reads the same
-    moments, so a snapshot's GSNR is its step's.  A non-finite update marks
-    the run failed and keeps the last valid weights.
+    full-train `problem.logits` (`_run_observed`) for its AUCs and gradient
+    moments; the snapshot every `cadence` steps reads the same moments, so
+    its GSNR is its step's, and the step's `problem.curvature`.  A
+    non-finite update marks the run failed and keeps the last valid weights.
     """
     feats = build_features(config) if feats is None else feats
     problem = _make_problem(config, feats)
@@ -399,20 +405,17 @@ def run_train(config: RunConfig, feats: FeatureSet | None = None,
     def evaluate(recs, W, Z, block_aucs):
         G, tr_cov = problem.grad_moments(W, Z)
         for j, rec in enumerate(recs):
-            t, g = rec.step, G[:, j]
+            t, gg, trc = rec.step, float(G[:, j] @ G[:, j]), float(tr_cov[j])
             aucs[t] = block_aucs[j]
             if t % config.cadence == 0:
-                # a failing step's moments can overflow; its snapshot would
-                # read inf GSNR and COR and poison the phases and the minimum
-                H = problem.dense_hessian(W[:, j])
-                if np.isfinite(g @ g) and np.isfinite(tr_cov[j]) and np.isfinite(H).all():
-                    estimates.extend(dg.spectral_estimates(g[None], tr_cov[j:j + 1],
-                                                           H[None], [t]))
+                # a failing step's overflowed snapshot would poison the phases and minimum
+                lam, tr_h = problem.curvature(W[:, j])
+                if np.isfinite([gg, trc, lam]).all():
+                    estimates.append(dg.SpectralEstimate(lam, tr_h, trc, gg, t))
             first = max(0, t + 1 - window)
             steps_out.append(StepMetrics(t, rec.loss,
                                          float(aucs[first:t + 1].sum() / (t + 1 - first)),
-                                         rec.grad_norm,
-                                         dg.signal_to_noise(float(g @ g), float(tr_cov[j]))))
+                                         rec.grad_norm, dg.signal_to_noise(gg, trc)))
 
     # step 0 is always observed, so `estimates` and `steps_out` are never empty
     w, failed_step = _run_observed(problem, ocfg, feats, 0, evaluate)
@@ -423,10 +426,8 @@ def run_train(config: RunConfig, feats: FeatureSet | None = None,
     trace = replace(trace, phase_boundaries=tuple(map(step, trace.phase_boundaries)),
                     bottleneck_step=step(trace.bottleneck_step))
 
-    train_auc = compute_auc(op.probe_logits(w, feats.train), feats.train_labels)
-    test_auc = compute_auc(op.probe_logits(w, feats.test), feats.test_labels)
     result = TrainResult(config, w, steps_out, estimates, cor_report, trace,
-                         train_auc, test_auc, steps_out[-1].train_auc_window,
+                         *_final_aucs(problem, feats, w), steps_out[-1].train_auc_window,
                          failed_step is not None, failed_step)
     if out_dir is not None:
         emit_run(result, out_dir)
@@ -492,8 +493,7 @@ def _collapse_stat(problem, feats: FeatureSet,
     # a failed run votes collapsed; its AUCs, like `run_train`'s, are those
     # of its last valid weights
     return (0.5 if failed_step is not None else float(np.mean(vals)),
-            compute_auc(op.probe_logits(w, feats.train), feats.train_labels),
-            compute_auc(op.probe_logits(w, feats.test), feats.test_labels))
+            *_final_aucs(problem, feats, w))
 
 
 def sweep_rho(config: RunConfig, rho_list, seeds=(0, 1, 2)) -> SweepResult:

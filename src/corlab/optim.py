@@ -52,7 +52,23 @@ def probe_logits(w: np.ndarray, features: np.ndarray) -> np.ndarray:
     return z
 
 
-class LogisticProbeProblem:
+class _Problem:
+    """What `harness` reaches a problem through besides its gradients; a
+    non-finite dense Hessian's `curvature` (lambda_max, trace) is NaN twice."""
+
+    def init_params(self) -> np.ndarray:
+        return np.zeros(self.dim)
+
+    logits = staticmethod(probe_logits)      # logits(W, X) of features X
+
+    def curvature(self, w: np.ndarray) -> tuple[float, float]:
+        H = self.dense_hessian(w)
+        if not np.isfinite(H).all():
+            return math.nan, math.nan
+        return float(np.linalg.eigvalsh(H).max()), float(np.trace(H))
+
+
+class LogisticProbeProblem(_Problem):
     """Binary cross-entropy of a linear head over fixed features.
 
     Loss, gradient, gradient moments, per-sample gradients and the dense
@@ -67,9 +83,6 @@ class LogisticProbeProblem:
         self.dim = self.features.shape[1] + 1  # weight + bias
         self._aug = np.concatenate([self.features, np.ones((self.n_samples, 1))], axis=1)
         self._row_sq = np.einsum("ij,ij->i", self._aug, self._aug)   # |aug_i|^2
-
-    def init_params(self) -> np.ndarray:
-        return np.zeros(self.dim)
 
     def _batch(self, w: np.ndarray, indices) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """A batch's augmented rows (all rows if `indices` is None), logits
@@ -109,7 +122,7 @@ class LogisticProbeProblem:
         return (self._aug * s[:, None]).T @ self._aug / self.n_samples
 
 
-class QuadraticProblem:
+class QuadraticProblem(_Problem):
     """Per-sample losses 0.5 (w - a_i)^T A (w - a_i) with known spectrum.
 
     Mean loss and gradient over a batch reduce to the batch-mean offset and
@@ -128,9 +141,6 @@ class QuadraticProblem:
         self._Aa_mean = self._Aa.mean(axis=0)
         self._quad_mean = self._quad.mean()
         self._spread = float(((self._Aa - self._Aa_mean) ** 2).sum(axis=1).mean())
-
-    def init_params(self) -> np.ndarray:
-        return np.zeros(self.dim)
 
     def loss_and_grad(self, w, indices=None):
         if indices is None:       # the full batch reads the means computed once

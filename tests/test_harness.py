@@ -1,6 +1,6 @@
 """Orchestration-layer checks: AUC metrics, config round trips, the feature
-pipeline, the quadratic probe surrogate, training runs with report emission,
-collapse sweeps, and the verification campaign."""
+pipeline, the quadratic probe surrogate, the problem seam, training runs
+with report emission, collapse sweeps, and the verification campaign."""
 
 import ast
 import json
@@ -312,10 +312,60 @@ def test_only_owners_import(module, owners):
 
 def test_only_optim_knows_the_probe_layout():
     # `op.probe_logits` owns the [weights..., bias] order; any other module
-    # that slices it out would break on a probe with another layout
-    slicers = {path.stem for path in Path(hn.__file__).parent.glob("*.py")
-               if "w[:-1]" in path.read_text()}
-    assert slicers == {"optim"}
+    # that slices it out would break on a probe with another layout.  The
+    # harness reaches logits and curvature only through the problem, so it
+    # names neither the probe's logits nor a dense eigensolver
+    sources = {path.stem: path.read_text() for path in Path(hn.__file__).parent.glob("*.py")}
+    assert {stem for stem, text in sources.items() if "w[:-1]" in text} == {"optim"}
+    assert "probe_logits" not in sources["harness"] and "eigvalsh" not in sources["harness"]
+
+
+# public names that nothing outside the tests reaches, each with its reason
+UNREACHED_ALLOWED = {
+    "autodiff.hvp": "the exact Hessian-vector product that the HVP tests compare "
+                    "against; the two-layer head on the roadmap is its production caller",
+}
+
+
+def test_every_public_name_is_reached_outside_the_tests():
+    """Every public top-level function and class of `src/corlab`, and every
+    public method, is referenced from outside `tests/`: from `src` itself,
+    from `bench/` or from `tests/test_acceptance.py`.  A reference is a name,
+    an attribute, an imported name or a string constant (the bench's hooks
+    name their targets as strings); references inside the definition itself,
+    such as a recursive call, do not count.  Matching is by name, so a method
+    shares its reach with every other method, function or attribute of the
+    same name."""
+    def names(tree):
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                yield node.id
+            elif isinstance(node, ast.Attribute):
+                yield node.attr
+            elif isinstance(node, ast.alias):
+                yield node.name.rsplit(".", 1)[-1]
+            elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+                yield node.value
+
+    src = sorted(Path(hn.__file__).parent.glob("*.py"))
+    root = Path(hn.__file__).parents[2]
+    refs = Counter()
+    for path in [*src, *sorted((root / "bench").glob("*.py")),
+                 root / "tests" / "test_acceptance.py"]:
+        refs.update(names(ast.parse(path.read_text())))
+    public, unreached = set(), set()
+    for path in src:
+        for node in ast.parse(path.read_text()).body:
+            members = node.body if isinstance(node, ast.ClassDef) else []
+            for d in (node, *members):
+                if (isinstance(d, (ast.FunctionDef, ast.ClassDef))
+                        and not d.name.startswith("_")):
+                    name = ".".join([path.stem, node.name] + [d.name] * (d is not node))
+                    public.add(name)
+                    if refs[d.name] == Counter(names(d))[d.name]:
+                        unreached.add(name)
+    assert {"optim._Problem.curvature", "optim.probe_logits"} <= public and len(public) > 100
+    assert unreached == set(UNREACHED_ALLOWED)
 
 
 # -- feature pipeline ---------------------------------------------------------------
@@ -499,6 +549,94 @@ def test_effective_lr_scales_by_top_curvature():
     assert lr * lam == pytest.approx(1.0)
     plain = bifurcation_config(lr_relative=None)
     assert hn._effective_lr(plain, problem) == plain.optimizer.learning_rate
+
+
+# -- the problem seam: harness reaches the model only through the problem ------------
+
+class NegatedLogits(op.LogisticProbeProblem):
+    """The probe with its logits negated; it trains the probe's weights."""
+
+    def logits(self, W, X):
+        return -op.probe_logits(W, X)
+
+
+class FixedCurvature(op.LogisticProbeProblem):
+    def curvature(self, w):
+        return 2.5, 7.0
+
+
+class QuadraticDouble(op.QuadraticProblem):
+    """An identity-curvature quadratic that reports the curvature it is given."""
+
+    def __init__(self, fs, pair):
+        super().__init__(np.eye(fs.train.shape[1] + 1),
+                         np.c_[fs.train, 2.0 * fs.train_labels - 1.0])
+        self.pair = pair
+
+    def curvature(self, w):
+        return self.pair
+
+
+def small_bce_config(**kw):
+    return bifurcation_config(loss="bce", lr_relative=None, **kw,
+                              optimizer=op.SamConfig(rho=0.05, learning_rate=1e-2,
+                                                     batch_size=20, steps=30))
+
+
+def test_run_train_reads_logits_only_through_the_problem(monkeypatch):
+    # every AUC of the run and of the sweep's collapse probe is the AUC of
+    # the double's logits, not of the linear probe the double wraps
+    cfg = small_bce_config()
+    feats = hn.build_features(cfg)
+    monkeypatch.setattr(hn, "_make_problem",
+                        lambda config, fs: NegatedLogits(fs.train, fs.train_labels))
+    res = hn.run_train(cfg, feats=feats)
+    ws = []
+    w, _ = op.run(op.LogisticProbeProblem(feats.train, feats.train_labels), cfg.optimizer,
+                  lambda t, w, rec: ws.append(w))
+    assert np.array_equal(res.weights, w)
+    aucs = [hn.compute_auc(-op.probe_logits(w, feats.train), feats.train_labels)
+            for w in ws]
+    window = hn._collapse_window(cfg.optimizer.steps)
+    assert [m.train_auc_window for m in res.steps] == [
+        float(np.mean(aucs[max(0, t + 1 - window):t + 1])) for t in range(len(ws))]
+    assert res.train_auc == hn.compute_auc(-op.probe_logits(res.weights, feats.train),
+                                           feats.train_labels) < 0.5
+    assert res.test_auc == hn.compute_auc(-op.probe_logits(res.weights, feats.test),
+                                          feats.test_labels)
+    assert hn._collapse_stat(hn._make_problem(cfg, feats), feats, cfg.optimizer) == (
+        res.train_auc_window, res.train_auc, res.test_auc)
+
+
+def test_snapshots_read_curvature_only_through_the_problem(monkeypatch):
+    cfg = small_bce_config(cadence=7)
+    monkeypatch.setattr(hn, "_make_problem",
+                        lambda config, fs: FixedCurvature(fs.train, fs.train_labels))
+    res = hn.run_train(cfg)
+    assert [e.step for e in res.estimates] == [0, 7, 14, 21, 28]
+    assert {(e.lambda_max, e.trace_h) for e in res.estimates} == {(2.5, 7.0)}
+
+
+def test_effective_lr_reads_curvature_only_through_the_problem(monkeypatch):
+    # the double's Hessian is the identity, so only its curvature can give 4
+    cfg = bifurcation_config(lr_relative=1.5)
+    monkeypatch.setattr(hn, "_make_problem", lambda config, fs: QuadraticDouble(fs, (4.0, 9.0)))
+    lrs, run = [], op.run
+
+    def spy(problem, ocfg, observe=None):
+        lrs.append(ocfg.learning_rate)
+        return run(problem, ocfg, observe)
+
+    monkeypatch.setattr(op, "run", spy)
+    feats = hn.build_features(cfg)
+    problem = hn._make_problem(cfg, feats)
+    assert hn._effective_lr(cfg, problem) == 1.5 / 4.0
+    hn.run_train(cfg, feats=feats)
+    assert lrs == [1.5 / 4.0]
+    # a curvature that is NaN, as for a Hessian that is not finite, fails loudly
+    for lam in (float("nan"), 0.0, -1.0):
+        with pytest.raises(ValueError, match="not positive"):
+            hn._effective_lr(cfg, QuadraticDouble(feats, (lam, 9.0)))
 
 
 # -- training runs --------------------------------------------------------------------

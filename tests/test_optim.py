@@ -86,6 +86,19 @@ def test_quadratic_per_sample_grads_and_hessian():
     assert np.array_equal(prob.dense_hessian(w), prob.A)
 
 
+def test_curvature_is_the_dense_hessians_top_eigenvalue_and_trace():
+    # the pair the harness's snapshots and step sizes read; a Hessian that
+    # is not finite gives NaN twice, not an eigensolver error
+    rng = np.random.default_rng(6)
+    for prob in (small_quadratic(), small_logistic()):
+        w = rng.normal(size=prob.dim)
+        H = prob.dense_hessian(w)
+        assert prob.curvature(w) == (np.linalg.eigvalsh(H).max(), np.trace(H))
+        H[0, -1] = np.nan
+        prob.dense_hessian = lambda w: H
+        assert np.isnan(prob.curvature(w)).all()
+
+
 def test_grad_moments_match_per_sample_grads():
     # the stacked contract: a (P, C) stack of weights gives (P, C) mean
     # gradients and (C,) covariance traces, each column that of its probe
