@@ -35,16 +35,9 @@ LOSS_MODES = ("bce", "quadratic")
 # 257-parameter CoRIT head the block holds 132 KB of weights and 1 MB for
 # each (n, 64) array (logits, residuals), whatever the step budget.
 _OBSERVE_STEPS = 64
-# Samples per chunk of a split's feature build.  A chunk's tokens are all
-# of a split's tokens held at once: 8 MiB of the default 16 x 32 float64
-# tokens at 2,048.  Each chunk is one encoder forward, which pays for its
-# pool and warm-up buffer: on a 2-core host two workers ran the plain
-# forward on 4,000 samples in 313 ms whole, 319 ms in 2,048-sample chunks,
-# 339 ms in 1,024 and 350 ms in 512 (medians of 12).  On one worker,
-# `build_features` of a 4,000-sample plain split peaked at 13.0 MB under
-# tracemalloc, against 21.0 MB as one chunk.  Samples never mix in the
-# encoder, so the chunk size changes no bit of any output.
-_SPLIT_CHUNK = 2048
+# Rows per block of a whitening apply (a 512 KB temporary on the CoRIT head):
+# a multiple of BLAS's row unrolling, so a row meets one product's kernel.
+_WHITEN_ROWS = 256
 
 
 # ---------------------------------------------------------------------------
@@ -188,15 +181,29 @@ class Standardizer:
     transform: np.ndarray
 
     def apply(self, F: np.ndarray) -> np.ndarray:
-        return (F - self.mean) @ self.transform
+        """(F - mean) @ transform, written into one output `_WHITEN_ROWS`
+        rows at a time.  A one-row block would take BLAS's matrix-vector
+        path, which rounds otherwise than the one product's rows, so a last
+        row goes with the block before it."""
+        out = np.empty(F.shape)
+        edges = [*range(0, max(len(F) - 1, 1), _WHITEN_ROWS), len(F)]
+        for a, b in zip(edges, edges[1:]):
+            np.matmul(F[a:b] - self.mean, self.transform, out=out[a:b])
+        return out
 
 
 def fit_standardizer(F: np.ndarray) -> Standardizer:
-    """Ridged whitening of the (n, width) features `F`; refuses features
-    that are rank-deficient, which n <= width always are."""
+    """Ridged whitening of the (n, width) features `F`, left unwritten, with
+    `np.cov`'s covariance from one centred copy; refuses features that are
+    rank-deficient, which n <= width always are."""
     mu = F.mean(axis=0)
     n, width = F.shape
-    C = np.cov(F - mu, rowvar=False) + WHITEN_RIDGE * np.eye(width)
+    X = (F - mu).T
+    X -= X.mean(axis=1)[:, None]
+    C = np.dot(X, X.T)
+    del X                       # before the eigendecomposition
+    C *= 1 / (n - 1)
+    C += WHITEN_RIDGE * np.eye(width)
     evals, evecs = np.linalg.eigh(C)
     # numpy's matrix_rank cutoff: the ridge would scale a null direction
     # by ~1/sqrt(WHITEN_RIDGE) instead of whitening it
@@ -219,46 +226,28 @@ class FeatureSet:
 def build_features(config: RunConfig) -> FeatureSet:
     """Encode both splits under the configured head and whiten them.
 
-    A split is generated and encoded `_SPLIT_CHUNK` samples at a time, one
-    chunk after another, each chunk's tokens freed before the next is
-    generated, so no token array spans more than a chunk.  The chunks'
-    features are written into one split-size array; a split of one chunk
-    keeps the encoder's output as it is.  Samples never mix in the encoder,
-    so the chunk size changes no bit.  The standardizer is fitted on the
-    train split before the test split is generated, so a refused fit costs
-    no test-split work."""
+    Each split goes to the encoder as one `tasks.SplitView`, so each encoder
+    block generates its own samples and no split's tokens exist at once.
+    The standardizer is fitted on the train split, which is whitened and its
+    raw features freed before the test split is generated, so a refused fit
+    costs no test-split work."""
     enc = md.FrozenEncoder(config.encoder)
-    if config.head == "corit":
-        offset = config.counterpart.offset(config.task.n_tokens, config.task.dim)
-        regions = rg.grid_partition(config.task.n_tokens)
-
-    def encode(tokens: np.ndarray) -> np.ndarray:
-        # the encoder writes only the layers the head reads, and each of its
-        # blocks builds its own counterpart from the offset
-        if config.head == "plain-probe":
-            return enc.encode_plain(tokens)
-        return enc.encode_corit(tokens, offset, regions, config.alpha, config.l_mid)[0]
 
     def split_features(split: str) -> tuple[np.ndarray, np.ndarray]:
-        n = config.task.n_train if split == "train" else config.task.n_test
-        F, y = None, np.empty(n)
-        for start in range(0, n, _SPLIT_CHUNK):
-            stop = min(start + _SPLIT_CHUNK, n)
-            ds = tk.generate(config.task, split, start, stop)
-            y[start:stop] = ds.labels
-            F_chunk = encode(ds.tokens)
-            if stop - start == n:
-                return F_chunk, y
-            if F is None:
-                F = np.empty((n, F_chunk.shape[1]))
-            F[start:stop] = F_chunk
-            del ds, F_chunk     # before the next chunk is generated
-        return F, y
+        view = tk.SplitView(config.task, split)
+        if config.head == "plain-probe":
+            F = enc.encode_plain(view)
+        else:
+            F = enc.encode_corit(view, config.counterpart.offset(*view.shape[1:]),
+                                 rg.grid_partition(config.task.n_tokens), config.alpha,
+                                 config.l_mid)[0]
+        return F, view.labels.astype(np.float64)
 
     F_tr, y_tr = split_features("train")
     std = fit_standardizer(F_tr)
+    F_tr = std.apply(F_tr)
     F_te, y_te = split_features("test")
-    return FeatureSet(std.apply(F_tr), std.apply(F_te), y_tr, y_te)
+    return FeatureSet(F_tr, std.apply(F_te), y_tr, y_te)
 
 
 def quadratic_surrogate(features: np.ndarray, labels: np.ndarray) -> op.QuadraticProblem:

@@ -8,20 +8,14 @@ head reads: `encode_plain` the final CLS, `encode_corit` the [CLS | R]
 tokens of layers l_mid and L, fused (Hierarchical Representation
 Integration).  They share one forward, which writes only the layers it is
 told to read, and `encode_plain` is CoRIT's with no regions.
-The forward is sample-major: each block of `_BLOCK_SAMPLES` samples
-builds its own counterpart (the visuals plus an offset), runs through
-every layer (both streams' blocks, the region pass, the injection) and
-writes its rows of the outputs, reading no other block's rows.  The
-blocks are independent work, so W blocks are in flight at once, one per
-core this process may run on (`_WORKERS`, capped at the number of
-blocks): each forward opens a pool of W threads and joins the blocks
-through `Executor.map`, whose results, errors included, come in block
-order.  numpy and BLAS release the interpreter lock inside the blocks'
-products and ufuncs, and besides the outputs the encoder holds W blocks'
-working sets, not a full-size stream, counterpart or CGP field.  Its
-caller, `harness.build_features`, generates and encodes a split a bounded
-chunk of samples at a time, so in the feature pipeline the visuals are no
-larger either, and only the features and labels grow with the split.  No
+The forward is sample-major: each block of `_BLOCK_SAMPLES` samples reads
+its own rows of the visuals (a `tasks.SplitView` generates them as they
+are read) and runs through every layer, both streams and the region pass,
+reading no other block's rows.  W blocks run at once, one per core this
+process may run on (`_WORKERS`), on a pool of W threads opened per
+forward, so besides the outputs the encoder holds W blocks' working sets,
+not a full-size stream, counterpart, CGP field or split of tokens: in the
+feature pipeline only the features and labels grow with the split.  No
 thread or pool is module state, so a forked child needs no hook to encode.
 `block(x, l)` is the full-sequence block; with no regions only the CLS
 row of the last layer is read, so that layer computes it alone.
@@ -54,16 +48,13 @@ from . import autodiff as ad
 from . import fields
 from . import regions as rg
 
-# Samples per block of the sample-major forward.  No encoder temporary
-# spans more than one block: on one worker a forward holds 2.8 MB (plain)
-# or 3.7 MB (CoRIT) besides its outputs at 64 samples, half that at 32,
-# whatever S is.  A block's products and ufuncs release the interpreter
-# lock but its Python steps hold it, so the fewer the blocks, the less W
-# workers wait for it: on a 2-core host two workers ran the regionless
-# forward on 2,000 samples in 0.24 s at 32 samples, against 0.33 s on one
-# worker, and in 0.19 s at 64, where one worker is no faster than at 32
-# (medians of 7); 128 was no faster than 64.  Samples never mix, so
-# neither the block size nor W changes a bit of any output.
+# Samples per block of the sample-major forward, and per `generate` call
+# when the visuals are a `tasks.SplitView`.  No encoder temporary spans
+# more than one block (on one worker 2.8 MB plain, 3.7 MB CoRIT), and a
+# block's Python steps hold the interpreter lock, so the fewer the blocks,
+# the less W workers wait for it: on 2 cores two workers ran the plain
+# forward 1.3 times as fast at 64 as at 32, and no faster at 128 (README).
+# Samples never mix, so neither the block size nor W changes a bit.
 _BLOCK_SAMPLES = 64
 
 # Blocks the forward runs at once: the cores this process may run on, or
@@ -184,13 +175,13 @@ class FrozenEncoder:
 
     # -- encoders ----------------------------------------------------------
 
-    def encode_plain(self, visuals: np.ndarray) -> np.ndarray:
+    def encode_plain(self, visuals) -> np.ndarray:
         """(S, D) final CLS tokens, the linear-probing baseline: the paired
         forward on (S, N, D) visuals with no regions, reading layer L alone."""
         heads = self._forward(visuals, None, [], 0.0, (self.config.layers,))[0]
         return heads.reshape(len(heads), -1)
 
-    def encode_corit(self, visuals: np.ndarray, offset, regions: list[tuple[int, ...]],
+    def encode_corit(self, visuals, offset, regions: list[tuple[int, ...]],
                      alpha: float, l_mid: int) -> tuple[np.ndarray, np.ndarray]:
         """Paired-stream forward with per-layer region-token injection.
 
@@ -220,14 +211,15 @@ class FrozenEncoder:
 
     def _forward(self, visuals, offset, regions: list[tuple[int, ...]], alpha: float,
                  read: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
-        """The one forward of both encoders on (S, N, D) visuals: the original
-        stream's [CLS | R] at the distinct layers `read` (in [1, L]), as
-        (S, len(read), 1+K, D) `heads`, and (L, S, K, N) `masks`.
-        Sample-major: each block of `_BLOCK_SAMPLES` samples builds its
-        counterpart, its visuals plus its rows of `offset` (None: none), and
-        checks it finite, then runs every layer in place on its streams (the
+        """The one forward of both encoders on (S, N, D) visuals, an array or
+        a `tasks.SplitView`: the original stream's [CLS | R] at the distinct
+        layers `read` (in [1, L]), as (S, len(read), 1+K, D) `heads`, and
+        (L, S, K, N) `masks`.  Each block of `_BLOCK_SAMPLES` samples checks
+        its rows, `np.asarray(visuals[b], float64)`, for shape and finite,
+        and its counterpart, those rows plus its rows of `offset` (None:
+        none), for finite, then runs every layer in place on its streams (the
         counterpart only if there are regions to inject) and writes its rows
-        of the outputs.  With no regions the last layer computes CLS alone.
+        of the outputs; with no regions the last layer computes CLS alone.
 
         A pool of W = `_WORKERS` threads (at most one per block), opened
         for this forward alone, runs the blocks through `Executor.map`, which
@@ -238,14 +230,10 @@ class FrozenEncoder:
         runs under its own `np.errstate` (a context, not a decorator: numpy
         1.x keeps a shared instance's saved state on itself), so no caller's
         setting moves which error that is."""
-        visuals = np.asarray(visuals, dtype=np.float64)
         shape = (self.config.visual_tokens, self.config.dim)
         if visuals.ndim != 3 or visuals.shape[1:] != shape:
             raise ValueError(f"expected (S, {shape[0]}, {shape[1]}) visual tokens, "
                              f"got {visuals.shape}")
-        # one pass, before any block starts
-        if not np.all(np.isfinite(visuals)):
-            raise ad.NonFiniteError("non-finite original input")
         if offset is not None:
             try:
                 offset = np.broadcast_to(np.asarray(offset, dtype=np.float64), visuals.shape)
@@ -262,8 +250,14 @@ class FrozenEncoder:
             # non-finite values are checked, never trapped or warned of
             with np.errstate(all="ignore"):
                 n = b.stop - b.start
+                v = np.asarray(visuals[b], dtype=np.float64)
+                if v.shape != (n, N, D):
+                    raise ValueError(f"visuals[{b.start}:{b.stop}] has shape {v.shape}")
+                if not np.all(np.isfinite(v)):
+                    raise ad.NonFiniteError("non-finite original input")
                 cls = np.broadcast_to(self.params["cls"], (n, 1, D))
-                x = {"original": np.concatenate([cls, np.zeros((n, K, D)), visuals[b]], axis=1)}
+                x = {"original": np.concatenate([cls, np.zeros((n, K, D)), v], axis=1)}
+                del v                       # a generated block frees its tokens here
                 if offset is not None:
                     cp = x["original"].copy()
                     cp[:, 1 + K:] += offset[b]
@@ -289,22 +283,15 @@ class FrozenEncoder:
                     if l + 1 in read:
                         heads[b, read.index(l + 1)] = x_o[:, :1 + K]
 
-        # glibc maps every allocation above its mmap threshold (128 KiB at
+        # glibc maps each allocation above its mmap threshold (128 KiB at
         # start) and faults its pages in afresh; freeing a larger mapped chunk
-        # raises the threshold to its size and the trim threshold to twice it
-        # (mallopt(3)), and a worker's arena is trimmed, its pages faulted in
-        # again by the next forward, once a freed block leaves more than the
-        # trim threshold free at its top.  So map and free, never touching
-        # it, a buffer the size of one worker's working set at its peak, in
-        # the GELU: the MLP's two hidden arrays, the residual and each
-        # stream's tokens.  It lies above every block temporary, and the trim
-        # threshold clears what a block frees with a factor of two: the blocks
-        # then reuse heap memory, whatever S is and whatever ran before.  A
-        # repeated plain forward at S = 512 took 17,000-46,000 minor faults
-        # without a buffer and under 100 with one.  With a buffer of the two
-        # hidden arrays alone, whose trim threshold (5.2 MB for CoRIT) a CoRIT
-        # block's then 4.6 MB working set came within 12 % of, a later CoRIT
-        # forward took about 1,100 more faults in 11 of 100 fresh processes.
+        # raises the threshold to its size and the trim threshold to twice it,
+        # and a worker's arena is trimmed, to be faulted in again, once a freed
+        # block leaves more than that free at its top (mallopt(3)).  So map and
+        # free, untouched, a buffer of one worker's peak working set, in the
+        # GELU: the MLP's two hidden arrays, the residual and each stream's
+        # tokens.  It lies above every block temporary, generated tokens
+        # included, and its trim threshold clears a block's frees twice over.
         streams = 2 if K else 1
         np.empty((min(S, _BLOCK_SAMPLES), 1 + K + N, (2 * 4 + 1 + streams) * D))
         blocks = [slice(i, min(i + _BLOCK_SAMPLES, S)) for i in range(0, S, _BLOCK_SAMPLES)]

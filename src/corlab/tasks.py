@@ -145,6 +145,11 @@ def _spawn_seed_words(seed: int, split_id: int, start: int, stop: int) -> np.nda
     return np.stack([state[2 * j] | state[2 * j + 1] << np.uint64(32) for j in range(4)])
 
 
+def _labels(start: int, stop: int) -> np.ndarray:
+    """uint8 labels of samples [start, stop) of a split: index mod 2."""
+    return (np.arange(start, stop) % 2).astype(np.uint8)
+
+
 def generate(spec: TaskSpec, split: str, start: int = 0, stop: int | None = None) -> Dataset:
     """Samples [start, stop) of a deterministic balanced split (stop None:
     the split's size), bit for bit the same rows of the whole split: samples
@@ -191,7 +196,26 @@ def generate(spec: TaskSpec, split: str, start: int = 0, stop: int | None = None
         fake += spec.semantic_amp * spec.semantic_pattern()
     if spec.artifact_amp != 0:
         fake += spec.artifact_amp * spec.artifact_pattern()
-    return Dataset(tokens, (np.arange(start, stop) % 2).astype(np.uint8))
+    return Dataset(tokens, _labels(start, stop))
+
+
+class SplitView:
+    """A split's (S, N, D) tokens, generated as they are read: `view[a:b]`
+    is `generate(spec, split, a, b).tokens`, with `generate` looked up on
+    this module at each read.  `labels` are the split's, `generate`'s."""
+
+    ndim = 3
+
+    def __init__(self, spec: TaskSpec, split: str):
+        n = spec.n_train if split == "train" else spec.n_test
+        self.spec, self.split = spec, split
+        self.shape, self.labels = (n, spec.n_tokens, spec.dim), _labels(0, n)
+
+    def __len__(self) -> int:
+        return self.shape[0]
+
+    def __getitem__(self, rows: slice) -> np.ndarray:
+        return generate(self.spec, self.split, rows.start, rows.stop).tokens
 
 
 @dataclass(frozen=True)

@@ -330,8 +330,9 @@ def test_rank_deficient_whitening_exits_2(tmp_path, capsys, monkeypatch):
     assert cli.main(["train", "--config", str(path), "--quiet"]) == 2
     err = capsys.readouterr().err
     assert "standardize" in err and "256 features" in err and "n_train 120" in err
-    # the fit refuses before the test split is generated and encoded
-    assert splits == ["train"]
+    # the fit refuses before the test split is generated and encoded; each
+    # encoder block generates its own train samples
+    assert splits and set(splits) == {"train"}
 
 
 def test_artifact_on_every_channel_trains(tmp_path):

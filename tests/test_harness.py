@@ -6,6 +6,7 @@ import ast
 import json
 import tracemalloc
 import warnings
+import weakref
 from collections import Counter
 from dataclasses import asdict, astuple, replace
 from pathlib import Path
@@ -381,9 +382,21 @@ def test_whitening_produces_identity_covariance(d, per_dim, lo, hi, seed):
     rot = np.linalg.qr(rng.normal(size=(d, d)))[0]
     scales = np.exp(rng.uniform(np.log(min(lo, hi)), np.log(max(lo, hi)), size=d))
     F = rng.normal(size=(n, d)) @ np.diag(scales) @ rot + rng.normal(scale=10.0, size=d)
-    W = hn.fit_standardizer(F).apply(F)
+    raw = F.copy()
+    std = hn.fit_standardizer(F)
+    W = std.apply(F)
     assert np.allclose(W.mean(axis=0), 0.0, atol=1e-9)
     assert np.allclose(np.cov(W, rowvar=False), np.eye(d), atol=1e-3)
+    # the fit's covariance is np.cov's, bit for bit; the apply goes a row
+    # block at a time, bit for bit the one product, at n and at 2 blocks
+    # plus one row; neither fit nor apply writes F
+    evals, evecs = np.linalg.eigh(np.cov(F - F.mean(axis=0), rowvar=False)
+                                  + hn.WHITEN_RIDGE * np.eye(d))
+    assert std.transform.tobytes() == ((evecs * evals ** -0.5) @ evecs.T).tobytes()
+    G = np.resize(F, (2 * hn._WHITEN_ROWS + 1, d))
+    for X in (F, G):
+        assert std.apply(X).tobytes() == ((X - std.mean) @ std.transform).tobytes()
+    assert F.tobytes() == raw.tobytes()
 
 
 @pytest.mark.parametrize("n, d", [(10, 10), (5, 12), (200, 256)])
@@ -422,21 +435,27 @@ def test_corit_head_features_have_fused_width():
 @pytest.mark.parametrize("head", hn.HEAD_MODES)
 def test_standardizer_input_holds_no_memory_beyond_its_own(monkeypatch, head):
     # a view into the split's (L+1, S, 1+K, D) heads would keep them alive
-    # through the test split's encoding and the standardizer fit; a split
-    # of one chunk passes the encoder's output, one of 64-sample chunks the
-    # array they are copied into
-    seen, fit = [], hn.fit_standardizer
-    monkeypatch.setattr(hn, "fit_standardizer",
-                        lambda F: seen.append(F) or fit(F))
-    for chunk in (hn._SPLIT_CHUNK, 64):
-        monkeypatch.setattr(hn, "_SPLIT_CHUNK", chunk)
-        hn.build_features(bifurcation_config(head=head, l_mid=1, n_train=300))
-    for F in seen:
+    # through the test split's encoding and the standardizer fit; and the raw
+    # train features are freed before the test split is generated
+    roots, test_reads, fit, generate = [], [], hn.fit_standardizer, tk.generate
+
+    def fit_spy(F):
         root = F
         while root.base is not None:
             root = root.base
-        assert root.nbytes == F.nbytes
-    assert len(seen) == 2
+        roots.append((root.nbytes == F.nbytes, weakref.ref(root)))
+        return fit(F)
+
+    def generate_spy(spec, split, *rng):
+        if split == "test":
+            test_reads.append(roots[0][1]() is None)
+        return generate(spec, split, *rng)
+
+    monkeypatch.setattr(hn, "fit_standardizer", fit_spy)
+    monkeypatch.setattr(tk, "generate", generate_spy)
+    hn.build_features(bifurcation_config(head=head, l_mid=1, n_train=300))
+    assert [own for own, _ in roots] == [True]
+    assert test_reads and all(test_reads)
 
 
 @pytest.mark.parametrize("head", ["plain-probe", "corit"])
@@ -453,29 +472,12 @@ def test_build_features_are_exact_under_any_worker_count(monkeypatch, head):
             assert np.array_equal(got, want)
 
 
-@pytest.mark.parametrize("head", hn.HEAD_MODES)
-def test_build_features_are_exact_at_any_chunk_size(monkeypatch, head):
-    # a split is generated and encoded a chunk at a time; 7 splits both
-    # splits into many chunks with a short last one, 64 into chunks of one
-    # encoder block, and the default leaves each split one chunk
-    cfg = bifurcation_config(head=head, l_mid=1, n_train=300)
-    assert cfg.task.n_train <= hn._SPLIT_CHUNK
-    want = astuple(hn.build_features(cfg))
-    for chunk in (7, 64):
-        monkeypatch.setattr(hn, "_SPLIT_CHUNK", chunk)
-        got = astuple(hn.build_features(cfg))
-        for a, b in zip(got, want):
-            assert a.dtype == b.dtype and a.shape == b.shape
-            assert a.tobytes() == b.tobytes()
-
-
 def test_build_features_peak_memory_does_not_grow_with_the_split(monkeypatch):
-    # no token array spans more than one chunk, so on one worker a split of
-    # eight chunks peaks above one of two chunks by its extra feature and
+    # each encoder block generates its own samples, so on one worker a split
+    # of eight blocks peaks above one of two blocks by its extra feature and
     # label bytes alone; a whole split's tokens would add 4 KiB a sample
     monkeypatch.setattr(md, "_WORKERS", 1)
-    chunk = 64
-    monkeypatch.setattr(hn, "_SPLIT_CHUNK", chunk)
+    block = md._BLOCK_SAMPLES
 
     def peak(n_train: int) -> int:
         cfg = bifurcation_config(n_train=n_train)
@@ -486,9 +488,9 @@ def test_build_features_peak_memory_does_not_grow_with_the_split(monkeypatch):
         finally:
             tracemalloc.stop()
 
-    peak(2 * chunk)     # first calls in a process allocate once for good
-    grown = peak(8 * chunk) - peak(2 * chunk)
-    extra = (8 - 2) * chunk * (32 + 1) * 8     # (n, 32) features, (n,) labels
+    peak(2 * block)     # first calls in a process allocate once for good
+    grown = peak(8 * block) - peak(2 * block)
+    extra = (8 - 2) * block * (32 + 1) * 8     # (n, 32) features, (n,) labels
     assert grown <= extra + 16 * 1024, (grown, extra)
 
 

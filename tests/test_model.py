@@ -4,6 +4,7 @@ paired-stream forward, and the layers each head reads."""
 import multiprocessing
 import os
 import platform
+import re
 import subprocess
 import sys
 import threading
@@ -378,33 +379,69 @@ def test_encoders_are_exact_under_any_block_size(monkeypatch, block):
     # over all S = 90 samples.  90 leaves a ragged last block at 7, 32 and
     # the default size, and one block is fewer than 2 or 3 workers.  A
     # readout of any layer subset, the two heads' included, is the same
-    # layers of the all-layer forward, bit for bit
+    # layers of the all-layer forward, bit for bit.  A split view, whose
+    # blocks generate their own samples, matches its materialised array
     enc = md.FrozenEncoder(CFG)
-    x = sample_tokens(seed=5, n=90)
-    offset = np.zeros(x.shape[1:])
+    spec = tk.TaskSpec(dim=CFG.dim, artifact_channels=(12, 13), artifact_amp=3.0,
+                       n_train=90, seed=5)
+    offset = np.zeros((CFG.visual_tokens, CFG.dim))
     offset[2:6] = -1.0
     regions = rg.grid_partition(16)
     L = CFG.layers
     streams = ((None, []), (offset, regions))     # plain, CoRIT
 
-    def encode(size, workers, read):
+    def encode(x, size, workers, read):
         monkeypatch.setattr(md, "_BLOCK_SAMPLES", size)
         monkeypatch.setattr(md, "_WORKERS", workers)
         return [enc._forward(x, off, k, 0.25, read) for off, k in streams]
 
-    whole = encode(x.shape[0], 1, tuple(range(1, L + 1)))     # layer l at index l - 1
-    assert whole[1][1].any()
+    every = tuple(range(1, L + 1))
+    x = sample_tokens(seed=5, n=90)
+    cases = ((x, x, ((L,), (1, L), (1,), (1, 2), (2,), every)),
+             (tk.generate(spec, "train").tokens, tk.SplitView(spec, "train"), (every,)))
+    for x, visuals, reads in cases:
+        whole = encode(x, x.shape[0], 1, every)     # layer l at index l - 1
+        assert whole[1][1].any()
+        for workers in (1, 2, 3):
+            for read in reads:
+                for (heads, masks), (all_heads, all_masks) in zip(
+                        encode(visuals, block, workers, read), whole):
+                    assert np.array_equal(heads, all_heads[:, [l - 1 for l in read]])
+                    assert np.array_equal(masks, all_masks)
+            assert np.array_equal(enc.encode_plain(visuals), whole[0][0][:, L - 1, 0])
+            for l_mid in range(1, L):
+                feats, masks = enc.encode_corit(visuals, offset, regions, alpha=0.25,
+                                                l_mid=l_mid)
+                assert np.array_equal(feats, whole[1][0][:, [l_mid - 1, L - 1]].reshape(90, -1))
+                assert np.array_equal(masks, whole[1][1])
+
+    # a NaN in block 1 of the view and a short block 2: whatever the worker
+    # count, the lowest failing block's error is the one raised
+    if 2 * block >= 90:
+        return
+    generate, nan_block = tk.generate, [1]
+
+    def planted(spec, split, start, stop):
+        ds = generate(spec, split, start, stop)
+        if start == nan_block[0] * block:
+            ds.tokens[-1, 3, 1] = np.nan
+        if start == 2 * block:
+            ds.tokens = ds.tokens[:, 1:]
+        return ds
+
+    monkeypatch.setattr(tk, "generate", planted)
+    monkeypatch.setattr(md, "_BLOCK_SAMPLES", block)
     for workers in (1, 2, 3):
-        for read in ((L,), (1, L), (1,), (1, 2), (2,), tuple(range(1, L + 1))):
-            for (heads, masks), (all_heads, all_masks) in zip(encode(block, workers, read),
-                                                               whole):
-                assert np.array_equal(heads, all_heads[:, [l - 1 for l in read]])
-                assert np.array_equal(masks, all_masks)
-        assert np.array_equal(enc.encode_plain(x), whole[0][0][:, L - 1, 0])
-        for l_mid in range(1, L):
-            feats, masks = enc.encode_corit(x, offset, regions, alpha=0.25, l_mid=l_mid)
-            assert np.array_equal(feats, whole[1][0][:, [l_mid - 1, L - 1]].reshape(len(x), -1))
-            assert np.array_equal(masks, whole[1][1])
+        monkeypatch.setattr(md, "_WORKERS", workers)
+        stop = min(3 * block, 90)
+        short = re.escape(f"visuals[{2 * block}:{stop}] has shape ({stop - 2 * block}, 15, 16)")
+        for error, match in ((ad.NonFiniteError, "^non-finite original input$"),
+                             (ValueError, f"^{short}$")):
+            with pytest.raises(error, match=match):
+                enc.encode_corit(tk.SplitView(spec, "train"), offset, regions, alpha=0.25,
+                                 l_mid=1)
+            nan_block[0] = 3            # the short block 2 is now the lowest
+        nan_block[0] = 1
 
 
 @pytest.mark.parametrize("per_sample", [False, True])
@@ -654,15 +691,16 @@ def test_encode_plain_reads_the_final_cls():
 
 
 def test_corit_build_features_holds_no_counterpart_stream_and_no_unread_layer(monkeypatch):
-    # at a CoRIT build's peak the split-sized arrays are its tokens, its
-    # features (two layers' [CLS | R]) and its masks; the rest is the
-    # encoder's weights and one block's working set, as at any S.  A full
-    # (S, N, D) counterpart, or any unread layer's heads, would add far more
-    # than the tolerance
+    # at a CoRIT build's peak the split-sized arrays are its features (two
+    # layers' [CLS | R]) and its masks; the rest is the encoder's weights and
+    # one block's working set, as at any S, since each block generates its
+    # own samples.  The split's (S, N, D) tokens, a full counterpart, or any
+    # unread layer's heads would add far more than the tolerance
     monkeypatch.setattr(md, "_WORKERS", 1)
     cfg = hn.RunConfig(task=tk.TaskSpec(n_train=1024, n_test=2), head="corit",
                        encoder=md.EncoderConfig(layers=4), l_mid=2)
     S, N, D, K, L = 1024, cfg.task.n_tokens, cfg.task.dim, 3, cfg.encoder.layers
+    hn.build_features(cfg)      # first calls in a process allocate once for good
     tracemalloc.start()
     try:
         hn.build_features(cfg)
@@ -671,7 +709,7 @@ def test_corit_build_features_holds_no_counterpart_stream_and_no_unread_layer(mo
         tracemalloc.stop()
     enc = md.FrozenEncoder(cfg.encoder)
     weights = sum(p.nbytes for p in enc.params.values())
-    held = peak - weights - 8 * S * N * D - 8 * S * 2 * (1 + K) * D - L * S * K * N
+    held = peak - weights - 8 * S * 2 * (1 + K) * D - L * S * K * N
     one_block = _held_bytes(enc, 256)["corit"]
     assert 64 * 1024 < 8 * S * (1 + K) * D < 8 * S * N * D       # one layer, a counterpart
     assert held <= one_block + 64 * 1024, (held, one_block)
