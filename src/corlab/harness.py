@@ -23,10 +23,10 @@ SCHEMA_VERSION = 1
 COLLAPSE_AUC_THRESHOLD = 0.55
 BISECTION_RESOLUTION = 1e-3     # rho width at which sweep bisection stops
 FACTORIZATION_REL_TOL = 1e-6    # campaign pass threshold on both relative gaps
-# campaign instances drawn and evaluated together.  It bounds what grouping
-# adds to peak RSS: in a bare process a 2,000-instance campaign peaked at
-# 38.2 MB with this chunk, 47.1 MB as one chunk, 36.9 MB one at a time.
-CAMPAIGN_CHUNK = 128
+# campaign instances of one (C, F) shape evaluated in one pass.  Each of the
+# 36 shapes holds at most CAMPAIGN_GROUP - 1 drawn instances waiting, so the
+# cap trades per-pass numpy overhead against peak RSS (README, `corlab.harness`).
+CAMPAIGN_GROUP = 16
 WHITEN_RIDGE = 1e-6             # added to the feature covariance before whitening
 HEAD_MODES = ("plain-probe", "corit")
 LOSS_MODES = ("bce", "quadratic")
@@ -562,28 +562,38 @@ def _campaign_estimates(n_instances: int, seed: int):
     """Each campaign instance's exact estimate (step = its index) and direct
     residual trace, in draw order.
 
-    Instances are drawn as `SoftmaxRegression.random` draws them,
-    `CAMPAIGN_CHUNK` at a time; each chunk is evaluated one (C, F) shape
-    group at a time, which changes no instance's numbers.
+    Instances are drawn as `SoftmaxRegression.random` draws them and wait in
+    a group of their (C, F) shape, which is evaluated once it holds
+    `CAMPAIGN_GROUP` instances; every partial group is evaluated after the
+    last draw.  An instance is yielded once it and every earlier instance
+    are evaluated.  Grouping changes no instance's numbers.
     """
     from . import softmaxreg as sr
 
     rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(3,)))
-    for start in range(0, n_instances, CAMPAIGN_CHUNK):
-        stop = min(start + CAMPAIGN_CHUNK, n_instances)
-        shapes: dict[tuple[int, int], list] = {}
-        for i in range(start, stop):
-            M, C, F = int(rng.integers(4, 40)), int(rng.integers(2, 6)), int(rng.integers(2, 11))
-            shapes.setdefault((C, F), []).append((i, sr.draw_instance(rng, M, F, C)))
-        rows = {}
-        for members in shapes.values():
-            steps, instances = zip(*members)
-            group = sr.SoftmaxGroup.stack(instances)
-            mean_grads, trace_covs = group.grad_moments()
-            rows.update(zip(steps, zip(
-                dg.spectral_estimates(mean_grads, trace_covs, group.hessians(), steps),
-                group.trace_xi_direct().tolist())))
-        yield from (rows[i] for i in range(start, stop))
+    pending: dict[tuple[int, int], list] = {}
+    done, first = {}, 0
+
+    def evaluate(members):
+        steps, instances = zip(*members)
+        group = sr.SoftmaxGroup.stack(instances)
+        mean_grads, trace_covs = group.grad_moments()
+        done.update(zip(steps, zip(
+            dg.spectral_estimates(mean_grads, trace_covs, group.hessians(), steps),
+            group.trace_xi_direct().tolist())))
+
+    for i in range(n_instances):
+        M, C, F = int(rng.integers(4, 40)), int(rng.integers(2, 6)), int(rng.integers(2, 11))
+        members = pending.setdefault((C, F), [])
+        members.append((i, sr.draw_instance(rng, M, F, C)))
+        if len(members) == CAMPAIGN_GROUP:
+            evaluate(pending.pop((C, F)))
+            while first in done:
+                yield done.pop(first)
+                first += 1
+    for members in pending.values():
+        evaluate(members)
+    yield from (done.pop(i) for i in range(first, n_instances))
 
 
 def verify_theorem_campaign(n_instances: int = 100, seed: int = 0) -> CampaignReport:

@@ -133,7 +133,8 @@ class SoftmaxGroup:
         for k, (s, m) in enumerate(zip(self.starts.tolist(), self.counts.tolist())):
             np.matmul(A[s:s + m].T, B[s:s + m], out=K[k])
         H = K.reshape(-1, C, C, F, F).transpose(0, 1, 3, 2, 4).reshape(-1, C * F, C * F)
-        return H / self.counts[:, None, None]
+        H /= self.counts[:, None, None]
+        return H
 
     def trace_xi_direct(self) -> np.ndarray:
         """(n,) traces of the misspecification residual from its direct definition.

@@ -999,37 +999,81 @@ def test_verify_theorem_campaign_times_itself_with_a_monotonic_clock(monkeypatch
 
 @pytest.mark.parametrize("seed", [0, 1])
 def test_verify_theorem_campaign_is_the_same_at_any_chunk_size(monkeypatch, seed):
+    # at a cap of 300 each shape's instances form one group
     reports = []
-    for chunk in (1, 7, hn.CAMPAIGN_CHUNK):
-        monkeypatch.setattr(hn, "CAMPAIGN_CHUNK", chunk)
+    for cap in (1, 7, hn.CAMPAIGN_GROUP, 300):
+        monkeypatch.setattr(hn, "CAMPAIGN_GROUP", cap)
         report = asdict(hn.verify_theorem_campaign(300, seed=seed))
         report.pop("elapsed_s")
         reports.append(report)
-    assert reports[0] == reports[1] == reports[2]
+    assert all(report == reports[0] for report in reports[1:])
 
 
-def test_campaign_instances_grouped_by_shape_equal_the_same_instances_alone():
-    # the campaign's draws, evaluated one (C, F) group per chunk, against
-    # each instance drawn by SoftmaxRegression.random and evaluated alone
+def test_campaign_instances_grouped_by_shape_equal_the_same_instances_alone(monkeypatch):
+    # the campaign's draws, evaluated in (C, F) groups of up to the cap,
+    # against each instance drawn by SoftmaxRegression.random and
+    # evaluated alone
+    stack, groups = sr.SoftmaxGroup.stack, []
+
+    def recorded(instances):
+        groups.append((len(instances), {W.shape for _, _, W in instances}))
+        return stack(instances)
+
+    monkeypatch.setattr(sr.SoftmaxGroup, "stack", staticmethod(recorded))
     rng = np.random.default_rng(np.random.SeedSequence(0, spawn_key=(3,)))
     shapes = []
     for i, (est, xi_direct) in enumerate(hn._campaign_estimates(200, 0)):
         inst = sr.SoftmaxRegression.random(
             rng, n_samples=int(rng.integers(4, 40)), n_classes=int(rng.integers(2, 6)),
             n_features=int(rng.integers(2, 11)))
-        shapes.append((i // hn.CAMPAIGN_CHUNK, len(inst.X)) + inst.W.shape)
+        shapes.append((len(inst.X),) + inst.W.shape)
         H = inst.dense_hessian()
-        gbar, trace_cov = sr.SoftmaxGroup.stack([(inst.X, inst.y, inst.W)]).grad_moments()
+        gbar, trace_cov = stack([(inst.X, inst.y, inst.W)]).grad_moments()
         assert est.step == i
         assert est.lambda_max == float(np.linalg.eigvalsh(H).max())
         assert est.trace_h == float(np.trace(H))
         assert est.trace_cov == float(trace_cov[0])
         assert est.grad_norm_sq == float(gbar[0] @ gbar[0])
         assert xi_direct == inst.trace_xi_direct()
-    group_sizes = Counter((chunk, C, F) for chunk, _, C, F in shapes).values()
+    assert all(len(group_shapes) == 1 for _, group_shapes in groups)
+    group_sizes = [n for n, _ in groups]
+    assert sum(group_sizes) == 200 and max(group_sizes) <= hn.CAMPAIGN_GROUP
     assert min(group_sizes) == 1 and max(group_sizes) > 4
-    assert any(M == 4 for _, M, _, _ in shapes)
-    assert any(C * F == 50 for _, _, C, F in shapes)
+    assert any(M == 4 for M, _, _ in shapes)
+    assert any(C * F == 50 for _, C, F in shapes)
+
+
+@pytest.mark.parametrize("cap", [3, hn.CAMPAIGN_GROUP])
+def test_campaign_reports_out_of_order_groups_in_draw_order(monkeypatch, cap):
+    # a wrong Hessian planted in the (5, 10) groups only fails exactly those
+    # instances, listed in draw order although a full group is evaluated
+    # before earlier instances of other shapes.  Counted before each draw
+    # and after each group, at most 36 (cap - 1) drawn instances wait
+    monkeypatch.setattr(hn, "CAMPAIGN_GROUP", cap)
+    draw, hessians = sr.draw_instance, sr.SoftmaxGroup.hessians
+    drawn, waiting = [], []
+    evaluated = 0
+
+    def counted(rng, n_samples, n_features, n_classes):
+        waiting.append(len(drawn) - evaluated)
+        drawn.append((n_classes, n_features))
+        return draw(rng, n_samples, n_features, n_classes)
+
+    def planted(self):
+        nonlocal evaluated
+        evaluated += len(self.counts)
+        waiting.append(len(drawn) - evaluated)
+        H = hessians(self)
+        return 3.0 * H + 0.1 * np.eye(H.shape[-1]) if (self.C, self.F) == (5, 10) else H
+
+    monkeypatch.setattr(sr, "draw_instance", counted)
+    monkeypatch.setattr(sr.SoftmaxGroup, "hessians", planted)
+    report = hn.verify_theorem_campaign(2000, seed=0)
+    planted_steps = [i for i, shape in enumerate(drawn) if shape == (5, 10)]
+    assert [f["instance"] for f in report.failures] == planted_steps
+    assert report.n_passed == 2000 - len(planted_steps) and len(planted_steps) > 2 * cap
+    assert evaluated == len(drawn) == 2000
+    assert cap - 1 < max(waiting) <= 36 * (cap - 1) and waiting[-1] == 0
 
 
 def test_verify_theorem_campaign_fails_a_wrong_hessian(monkeypatch):
