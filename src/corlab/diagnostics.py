@@ -4,6 +4,7 @@ detection.  Pure computation: no file I/O."""
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, asdict
 
 import numpy as np
@@ -55,21 +56,22 @@ class SpectralEstimate:
         lambda_max <= 0 sets no stability limit, so its bound is inf."""
         if self.lambda_max <= 0:
             return float("inf")
-        return float(np.sqrt(self.grad_norm_sq)) / self.lambda_max
+        g2 = self.grad_norm_sq      # math.sqrt raises below 0; numpy's nan is kept
+        return (math.sqrt(g2) if g2 >= 0 else math.nan) / self.lambda_max
 
     # cor_bound = geometric * misspecification * statistical; off its
     # domain a factor is nan
     @property
     def geometric(self) -> float:
         """kappa_s / sqrt(TrH), for lambda_max > 0 and TrH > 0."""
-        return float(self.kappa_s / np.sqrt(self.trace_h)) if self.trace_h > 0 else float("nan")
+        return self.kappa_s / math.sqrt(self.trace_h) if self.trace_h > 0 else math.nan
 
     @property
     def misspecification(self) -> float:
         """sqrt(1 + TrXi/TrH), for TrH > 0; a radicand within `WELLPOSED_TOL`
         below 0 counts as 0."""
         radicand = 1.0 + self.trace_xi / self.trace_h if self.trace_h > 0 else float("nan")
-        return float(np.sqrt(max(radicand, 0.0))) if radicand >= -WELLPOSED_TOL else float("nan")
+        return math.sqrt(max(radicand, 0.0)) if radicand >= -WELLPOSED_TOL else math.nan
 
     @property
     def statistical(self) -> float:
@@ -77,7 +79,7 @@ class SpectralEstimate:
         s = self.gsnr
         if s == GSNR_INF:
             return 1.0
-        return float(np.sqrt(s / (1.0 + s))) if s >= 0 else float("nan")
+        return math.sqrt(s / (1.0 + s)) if s >= 0 else math.nan
 
     def to_dict(self) -> dict:
         d = asdict(self)
@@ -226,7 +228,7 @@ def verify_decomposition(spec: SpectralEstimate) -> float:
         raise ValueError(f"well-posedness violated: 1 + TrXi/TrH = {radicand:.3e}")
     rhs = spec.geometric * spec.misspecification * spec.statistical
     lhs = spec.cor_bound
-    return float("inf") if np.isnan(rhs) else abs(lhs - rhs) / max(lhs, DECOMPOSITION_REL_FLOOR)
+    return float("inf") if math.isnan(rhs) else abs(lhs - rhs) / max(lhs, DECOMPOSITION_REL_FLOOR)
 
 
 def cor_trajectory(estimates) -> CorReport:

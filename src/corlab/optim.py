@@ -68,58 +68,71 @@ class _Problem:
         return float(np.linalg.eigvalsh(H).max()), float(np.trace(H))
 
 
+def _mean_grad(X: np.ndarray, R: np.ndarray) -> np.ndarray:
+    """Mean of R_i [x_i, 1] over rows i, for (n,) residuals R or (n, C) stacks."""
+    return np.concatenate((X.T @ R, R.sum(axis=0)[None])) / len(R)
+
+
 class LogisticProbeProblem(_Problem):
     """Binary cross-entropy of a linear head over fixed features.
 
     Loss, gradient, gradient moments, per-sample gradients and the dense
-    Hessian are closed forms over the augmented features [F, 1]; tests
-    check them against the autodiff engine.
+    Hessian are closed forms over the augmented rows [x_i, 1]; tests check
+    them against the autodiff engine.
     """
+
+    _HESSIAN_ROWS = 256         # 528 KB of scaled rows per Hessian block at P = 257
 
     def __init__(self, features: np.ndarray, labels: np.ndarray):
         self.features = np.asarray(features, dtype=np.float64)
         self.labels = np.asarray(labels, dtype=np.float64)
         self.n_samples = self.features.shape[0]
         self.dim = self.features.shape[1] + 1  # weight + bias
-        self._aug = np.concatenate([self.features, np.ones((self.n_samples, 1))], axis=1)
-        self._row_sq = np.einsum("ij,ij->i", self._aug, self._aug)   # |aug_i|^2
+        self._row_sq = np.einsum("ij,ij->i", self.features, self.features) + 1.0  # |[x_i, 1]|^2
 
     def _batch(self, w: np.ndarray, indices) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """A batch's augmented rows (all rows if `indices` is None), logits
-        and labels; the rows are gathered once and the logits read their
-        feature view."""
+        """A batch's logits, labels and mean gradient; all rows, uncopied, if no `indices`."""
         idx = slice(None) if indices is None else np.asarray(indices)
-        aug = self._aug[idx]
-        return aug, probe_logits(w, aug[:, :-1]), self.labels[idx]
+        X, y = self.features[idx], self.labels[idx]
+        z = probe_logits(w, X)
+        return z, y, _mean_grad(X, _sigmoid(z) - y)
+
+    def _scaled_rows(self, r: np.ndarray, first: int = 0) -> np.ndarray:
+        """r_i [x_i, 1] for the feature rows from `first` on, one per entry of `r`."""
+        out = np.repeat(r[:, None], self.dim, axis=1)
+        out[:, :-1] *= self.features[first:first + len(r)]
+        return out
 
     def loss_and_grad(self, w: np.ndarray, indices=None) -> tuple[float, np.ndarray]:
-        aug, z, y = self._batch(w, indices)
+        z, y, g = self._batch(w, indices)
         loss = (np.logaddexp(0.0, z) - y * z).sum() / y.size
-        return float(loss), aug.T @ (_sigmoid(z) - y) / y.size
+        return float(loss), g
 
     def grad(self, w: np.ndarray, indices=None) -> np.ndarray:
         """`loss_and_grad`'s gradient, bit for bit, without the loss."""
-        aug, z, y = self._batch(w, indices)
-        return aug.T @ (_sigmoid(z) - y) / y.size
+        return self._batch(w, indices)[2]
 
     def grad_moments(self, W: np.ndarray, logits: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Full-sample mean gradients (P, C) and traces of the per-sample
         gradient covariance (C,) of a (P, C) stack of probes; per-sample
-        gradient i of probe j is R_ij * aug_i with R = sigma(Z) - y, so the
+        gradient i of probe j is R_ij [x_i, 1] with R = sigma(Z) - y, so the
         trace is the mean squared norm less the squared mean.  `logits` are
         the (n, C) full-sample Z of `W`, which the caller has already
         computed for the AUC."""
         R = _sigmoid(logits) - self.labels[:, None]
-        G = self._aug.T @ R / self.n_samples
+        G = _mean_grad(self.features, R)
         return G, (R * R).T @ self._row_sq / self.n_samples - np.einsum("pc,pc->c", G, G)
 
     def per_sample_grads(self, w: np.ndarray) -> np.ndarray:
-        return (_sigmoid(probe_logits(w, self.features)) - self.labels)[:, None] * self._aug
+        return self._scaled_rows(_sigmoid(probe_logits(w, self.features)) - self.labels)
 
     def dense_hessian(self, w: np.ndarray) -> np.ndarray:
+        """Mean of s_i [x_i, 1] [x_i, 1]^T, s = sigma'(z), summed as symmetric rank-k
+        updates Y^T Y of `_HESSIAN_ROWS` rows scaled by sqrt(s): no (n, P) copy."""
         p = _sigmoid(probe_logits(w, self.features))
-        s = p * (1.0 - p)
-        return (self._aug * s[:, None]).T @ self._aug / self.n_samples
+        q, B = np.sqrt(p * (1.0 - p)), self._HESSIAN_ROWS
+        blocks = (self._scaled_rows(q[a:a + B], a) for a in range(0, self.n_samples, B))
+        return sum(Y.T @ Y for Y in blocks) / self.n_samples
 
 
 class QuadraticProblem(_Problem):

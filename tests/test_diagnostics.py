@@ -1,6 +1,7 @@
 """Measurement-layer checks: signal-to-noise and trace estimators, the
 stability-bound factorization, trajectory minima, and phase segmentation."""
 
+import itertools
 import json
 import warnings
 
@@ -190,6 +191,47 @@ def test_undefined_factorization_has_an_infinite_gap(lam, trace_h):
         assert np.isnan(est.geometric)
         assert dg.verify_decomposition(est) == float("inf")
         json.dumps(est.to_dict())
+
+
+def numpy_factors(est):
+    """The bound, the three factors and the decomposition gap written with
+    numpy's square root and NaN test, the reference for the Python-float
+    forms; None where the decomposition raises."""
+    with np.errstate(invalid="ignore"):
+        lam, trace_h = est.lambda_max, est.trace_h
+        bound = np.inf if lam <= 0 else float(np.sqrt(est.grad_norm_sq)) / lam
+        geometric = float(est.kappa_s / np.sqrt(trace_h)) if trace_h > 0 else np.nan
+        radicand = 1.0 + est.trace_xi / trace_h if trace_h > 0 else np.nan
+        misspec = (float(np.sqrt(max(radicand, 0.0))) if radicand >= -dg.WELLPOSED_TOL
+                   else np.nan)
+        s = est.gsnr
+        statistical = 1.0 if s == dg.GSNR_INF else (
+            float(np.sqrt(s / (1.0 + s))) if s >= 0 else np.nan)
+        rhs = geometric * misspec * statistical
+        if (1.0 + est.trace_xi / trace_h if trace_h > 0 else 0.0) < -dg.WELLPOSED_TOL:
+            gap = None
+        else:
+            gap = np.inf if np.isnan(rhs) else abs(bound - rhs) / max(
+                bound, dg.DECOMPOSITION_REL_FLOOR)
+    return bound, geometric, misspec, statistical, gap
+
+
+def test_factors_of_non_finite_and_negative_inputs_match_numpys():
+    # the factors take Python's square root and NaN test: every NaN, infinite,
+    # negative or zero input gives what numpy's did, and nothing raises
+    # outside the well-posedness guard
+    special = (np.nan, np.inf, -np.inf, 0.0, -1.0, 1e-300, 2.0, 1e300)
+    for lam, trace_h, trace_cov, g2 in itertools.product(special, repeat=4):
+        est = dg.SpectralEstimate(lam, trace_h, trace_cov, g2)
+        try:
+            gap = dg.verify_decomposition(est)
+        except ValueError:
+            gap = None
+        got = (est.cor_bound, est.geometric, est.misspecification, est.statistical, gap)
+        want = numpy_factors(est)
+        assert all(type(v) is float for v in got[:4])
+        assert [None if v is None else repr(v) for v in got] == [
+            None if v is None else repr(float(v)) for v in want], (lam, trace_h, trace_cov, g2)
 
 
 positive = st.floats(1e-6, 1e6)

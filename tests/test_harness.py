@@ -714,6 +714,31 @@ def test_run_train_gsnr_matches_per_sample_matrix():
         assert res.train_auc_window == means[-1]
 
 
+def test_bce_run_peak_memory_grows_less_than_one_feature_copy_with_width():
+    # the probe reads its features in place: neither the run nor a curvature
+    # snapshot holds an (n, P) array, so from 32 to 256 features a run's
+    # peak grows by less than one (n, 256) float64 array
+    cfg = small_bce_config(cadence=20)
+    n = 2000
+    rng = np.random.default_rng(0)
+
+    def peak(width: int) -> int:
+        feats = hn.FeatureSet(rng.normal(size=(n, width)), rng.normal(size=(50, width)),
+                              np.arange(n) % 2.0, np.arange(50) % 2.0)
+        tracemalloc.start()
+        try:
+            res = hn.run_train(cfg, feats=feats)
+            top = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert [e.step for e in res.estimates] == [0, 20]      # two snapshots
+        return top
+
+    peak(32)            # first calls in a process allocate once for good
+    grown = peak(256) - peak(32)
+    assert grown < n * 256 * 8, grown
+
+
 def test_snapshot_gsnr_equals_steps_csv_gsnr(tmp_path):
     # one source for each step's GSNR: the snapshot reads the observer's
     # gradient moments, so both reports hold the same float at every

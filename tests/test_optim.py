@@ -131,6 +131,48 @@ def test_grad_is_loss_and_grad_gradient_bit_for_bit():
                 assert np.array_equal(prob.grad(w, idx), prob.loss_and_grad(w, idx)[1])
 
 
+@pytest.mark.parametrize("width", [3, 32, 256])
+def test_logistic_closed_forms_match_formulas_over_explicit_augmented_rows(width):
+    # the problem never builds [F, 1]; the reference builds it and writes
+    # each closed form over it.  Row counts cover a Hessian of one partial
+    # block, a one-row last block and a longer partial last block
+    B = op.LogisticProbeProblem._HESSIAN_ROWS
+    sig = lambda z: 1.0 / (1.0 + np.exp(-z))
+
+    def close(got, want):
+        assert got.shape == want.shape
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+    rng = np.random.default_rng(width)
+    for n in (5, B + 1, 2 * B + 37):
+        F = rng.normal(size=(n, width))
+        y = rng.integers(0, 2, size=n).astype(np.float64)
+        prob = op.LogisticProbeProblem(F, y)
+        aug = np.c_[F, np.ones(n)]
+        w = rng.normal(size=width + 1) / np.sqrt(width)
+        for idx in (None, rng.choice(n, size=min(n, 20), replace=False), np.array([n - 1])):
+            rows = slice(None) if idx is None else idx
+            A, t = aug[rows], y[rows]
+            z = A @ w
+            loss, g = prob.loss_and_grad(w, idx)
+            assert loss == pytest.approx(np.mean(np.log1p(np.exp(z)) - t * z), rel=1e-12)
+            close(g, A.T @ (sig(z) - t) / len(t))
+            assert np.array_equal(prob.grad(w, idx), g)
+        p = sig(aug @ w)
+        close(prob.per_sample_grads(w), (p - y)[:, None] * aug)
+        s = p * (1.0 - p)
+        H = prob.dense_hessian(w)
+        close(H, (aug * s[:, None]).T @ aug / n)
+        assert np.array_equal(H, H.T)
+        W = np.c_[w, rng.normal(size=width + 1) / np.sqrt(width)]
+        R = sig(aug @ W) - y[:, None]
+        G, tr_cov = prob.grad_moments(W, op.probe_logits(W, F))
+        close(G, aug.T @ R / n)
+        per_sample = R.T[:, :, None] * aug                  # (C, n, P)
+        close(tr_cov, ((per_sample - per_sample.mean(axis=1, keepdims=True)) ** 2)
+              .sum(axis=2).mean(axis=1))
+
+
 def bce_graph(views, data):
     F, y = data
     z = ad.add(ad.matmul(F, ad.reshape(views["w"], (F.shape[1], 1))), views["b"])
