@@ -112,8 +112,10 @@ def _unbroadcast(ct: "Tensor", shape: tuple) -> "Tensor":
 
 
 # ---------------------------------------------------------------------------
-# primitives (generic: build graph nodes for Tensors, plain numpy otherwise;
-# neg, broadcast_to and pad_slice are graph-only adjoints)
+# primitives (graph nodes, array operands as constant leaves of the active
+# Tape; add, mul, sigmoid, matmul, swapaxes, reshape and slice_along map
+# arrays alone to plain numpy; the adjoints neg, broadcast_to and pad_slice
+# take Tensors only)
 # ---------------------------------------------------------------------------
 
 def add(a, b):
@@ -129,8 +131,6 @@ def add(a, b):
 
 
 def sub(a, b):
-    if not _graph_mode(a, b):
-        return np.subtract(val(a), val(b))
     return add(a, neg(_as_tensor(b)))
 
 
@@ -154,28 +154,23 @@ def mul(a, b):
 
 def power(a, p: float):
     """Elementwise a**p with constant exponent."""
-    if not _graph_mode(a):
-        return np.power(val(a), p)
+    a = _as_tensor(a)
     out = np.power(a.data, p)
     return _node(out, (a,), (lambda ct: mul(ct, mul(p, power(a, p - 1.0))),), f"power[{p}]")
 
 
 def div(a, b):
-    if not _graph_mode(a, b):
-        return np.divide(val(a), val(b))
-    return mul(a, power(_as_tensor(b), -1.0))
+    return mul(a, power(b, -1.0))
 
 
 def exp(a):
-    if not _graph_mode(a):
-        return np.exp(val(a))
+    a = _as_tensor(a)
     out = _node(np.exp(a.data), (a,), (lambda ct: mul(ct, out),), "exp")
     return out
 
 
 def log(a):
-    if not _graph_mode(a):
-        return np.log(val(a))
+    a = _as_tensor(a)
     return _node(np.log(a.data), (a,), (lambda ct: div(ct, a),), "log")
 
 
@@ -217,8 +212,7 @@ def reshape(a, shape):
 
 
 def sum_(a, axis=None, keepdims: bool = False):
-    if not _graph_mode(a):
-        return np.sum(val(a), axis=axis, keepdims=keepdims)
+    a = _as_tensor(a)
     in_shape = a.shape
 
     def vjp(ct):
@@ -246,8 +240,6 @@ def broadcast_to(a, shape):
 
 
 def mean(a, axis=None, keepdims: bool = False):
-    if not _graph_mode(a):
-        return np.mean(val(a), axis=axis, keepdims=keepdims)
     n = val(a).size if axis is None else np.prod(
         [val(a).shape[ax] for ax in (axis if isinstance(axis, tuple) else (axis,))]
     )
@@ -280,9 +272,6 @@ def pad_slice(a, axis: int, start: int, shape):
 
 
 def concat(parts, axis: int = 0):
-    parts = list(parts)
-    if not _graph_mode(*parts):
-        return np.concatenate([val(p) for p in parts], axis=axis)
     parts = [_as_tensor(p) for p in parts]
     offsets = np.cumsum([0] + [p.shape[axis] for p in parts]).tolist()
     vjp = tuple(lambda ct, lo=lo, hi=hi: slice_along(ct, axis, lo, hi)
@@ -291,7 +280,7 @@ def concat(parts, axis: int = 0):
 
 
 # ---------------------------------------------------------------------------
-# compositions (shared by graph and numpy modes)
+# compositions (gelu, layer_norm and attention also run in numpy mode)
 # ---------------------------------------------------------------------------
 
 def softplus(x):
@@ -416,7 +405,7 @@ class ParamVector:
 
 
 # ---------------------------------------------------------------------------
-# forward / backward / hvp / grad_check
+# forward / backward / grad_check
 # ---------------------------------------------------------------------------
 
 def forward(graph, params: ParamVector, x):
@@ -456,21 +445,6 @@ def backward(tape: Tape) -> np.ndarray:
     if g is None:
         return np.zeros_like(tape.root_param.data)
     return g.data.copy()
-
-
-def hvp(graph, params: ParamVector, x, v: np.ndarray) -> np.ndarray:
-    """Exact Hessian-vector product via double backward."""
-    v = np.asarray(v, dtype=np.float64)
-    if np.linalg.norm(v) == 0.0:
-        raise ValueError("hvp requires a nonzero probe vector")
-    out, tape = forward(graph, params, x)
-    (g,) = grad_nodes(out, tape, [tape.root_param])
-    if g is None:
-        return np.zeros_like(v)
-    with tape:
-        s = sum_(mul(g, v))
-    (hv,) = grad_nodes(s, tape, [tape.root_param])
-    return np.zeros_like(v) if hv is None else hv.data.copy()
 
 
 def gradient(graph, params: ParamVector, x) -> np.ndarray:

@@ -558,44 +558,6 @@ class CampaignReport:
         return self.n_passed == self.n_instances
 
 
-def _campaign_estimates(n_instances: int, seed: int):
-    """Each campaign instance's exact estimate (step = its index) and direct
-    residual trace, in draw order.
-
-    Instances are drawn as `SoftmaxRegression.random` draws them and wait in
-    a group of their (C, F) shape, which is evaluated once it holds
-    `CAMPAIGN_GROUP` instances; every partial group is evaluated after the
-    last draw.  An instance is yielded once it and every earlier instance
-    are evaluated.  Grouping changes no instance's numbers.
-    """
-    from . import softmaxreg as sr
-
-    rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(3,)))
-    pending: dict[tuple[int, int], list] = {}
-    done, first = {}, 0
-
-    def evaluate(members):
-        steps, instances = zip(*members)
-        group = sr.SoftmaxGroup.stack(instances)
-        mean_grads, trace_covs = group.grad_moments()
-        done.update(zip(steps, zip(
-            dg.spectral_estimates(mean_grads, trace_covs, group.hessians(), steps),
-            group.trace_xi_direct().tolist())))
-
-    for i in range(n_instances):
-        M, C, F = int(rng.integers(4, 40)), int(rng.integers(2, 6)), int(rng.integers(2, 11))
-        members = pending.setdefault((C, F), [])
-        members.append((i, sr.draw_instance(rng, M, F, C)))
-        if len(members) == CAMPAIGN_GROUP:
-            evaluate(pending.pop((C, F)))
-            while first in done:
-                yield done.pop(first)
-                first += 1
-    for members in pending.values():
-        evaluate(members)
-    yield from (done.pop(i) for i in range(first, n_instances))
-
-
 def verify_theorem_campaign(n_instances: int = 100, seed: int = 0) -> CampaignReport:
     """Exact-mode factorization check on random softmax-regression instances.
 
@@ -605,25 +567,50 @@ def verify_theorem_campaign(n_instances: int = 100, seed: int = 0) -> CampaignRe
     from its direct definition matches trace_cov + |g|^2 - tr H and is well
     posed (1 + TrXi/TrH >= 0); taken from that difference, both the
     factorization and the well-posedness ratio hold for any Hessian.
+
+    Instances are drawn as `SoftmaxRegression.random` draws them and wait in
+    a group of their (C, F) shape, which is evaluated and folded into the
+    report once it holds `CAMPAIGN_GROUP` instances; every partial group is
+    evaluated after the last draw.  Grouping changes no instance's numbers,
+    and `failures` is sorted into draw order at the end.
     """
+    from . import softmaxreg as sr
+
     fields.integer("n_instances", n_instances, 1)
     t0 = time.perf_counter()
-    passed = 0
-    max_gap = 0.0
-    min_wp = float("inf")
-    failures = []
-    for i, (est, xi_direct) in enumerate(_campaign_estimates(n_instances, seed)):
-        wp = 1.0 + xi_direct / est.trace_h if est.trace_h > 0 else float("inf")
-        min_wp = min(min_wp, wp)
-        rel_gap = dg.verify_decomposition(est)
-        max_gap = max(max_gap, rel_gap)
-        xi_gap = abs(xi_direct - est.trace_xi) / max(abs(est.trace_xi), est.trace_h)
-        if (rel_gap < FACTORIZATION_REL_TOL and xi_gap < FACTORIZATION_REL_TOL
-                and wp >= -dg.WELLPOSED_TOL):
-            passed += 1
-        else:
-            failures.append({"instance": i, "estimate": est.to_dict(), "rel_gap": rel_gap,
-                             "trace_xi_direct": xi_direct, "xi_rel_gap": xi_gap})
+    rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(3,)))
+    pending: dict[tuple[int, int], list] = {}
+    passed, max_gap, min_wp, failures = 0, 0.0, float("inf"), []
+
+    def evaluate(members):
+        nonlocal passed, max_gap, min_wp
+        steps, instances = zip(*members)
+        group = sr.SoftmaxGroup.stack(instances)
+        mean_grads, trace_covs = group.grad_moments()
+        estimates = dg.spectral_estimates(mean_grads, trace_covs, group.hessians(), steps)
+        for est, xi_direct in zip(estimates, group.trace_xi_direct().tolist()):
+            wp = 1.0 + xi_direct / est.trace_h if est.trace_h > 0 else float("inf")
+            min_wp = min(min_wp, wp)
+            rel_gap = dg.verify_decomposition(est)
+            max_gap = max(max_gap, rel_gap)
+            xi_gap = abs(xi_direct - est.trace_xi) / max(abs(est.trace_xi), est.trace_h)
+            if (rel_gap < FACTORIZATION_REL_TOL and xi_gap < FACTORIZATION_REL_TOL
+                    and wp >= -dg.WELLPOSED_TOL):
+                passed += 1
+            else:
+                failures.append({"instance": est.step, "estimate": est.to_dict(),
+                                 "rel_gap": rel_gap, "trace_xi_direct": xi_direct,
+                                 "xi_rel_gap": xi_gap})
+
+    for i in range(n_instances):
+        M, C, F = int(rng.integers(4, 40)), int(rng.integers(2, 6)), int(rng.integers(2, 11))
+        members = pending.setdefault((C, F), [])
+        members.append((i, sr.draw_instance(rng, M, F, C)))
+        if len(members) == CAMPAIGN_GROUP:
+            evaluate(pending.pop((C, F)))
+    for members in pending.values():
+        evaluate(members)
+    failures.sort(key=lambda f: f["instance"])
     return CampaignReport(n_instances, passed, max_gap, min_wp, failures,
                           time.perf_counter() - t0)
 

@@ -198,6 +198,8 @@ class FrozenEncoder:
         runs, and the final CLS is `encode_plain`'s.
         """
         cfg = self.config
+        if offset is None:
+            raise ValueError("offset must be an array that broadcasts to the visuals, got None")
         for k, idx in enumerate(regions):
             if not idx or not all(0 <= i < cfg.visual_tokens for i in idx):
                 raise ValueError(f"region {k} must be a nonempty index set in "

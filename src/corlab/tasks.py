@@ -211,9 +211,6 @@ class SplitView:
         self.spec, self.split = spec, split
         self.shape, self.labels = (n, spec.n_tokens, spec.dim), _labels(0, n)
 
-    def __len__(self) -> int:
-        return self.shape[0]
-
     def __getitem__(self, rows: slice) -> np.ndarray:
         return generate(self.spec, self.split, rows.start, rows.stop).tokens
 

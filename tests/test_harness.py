@@ -321,13 +321,6 @@ def test_only_optim_knows_the_probe_layout():
     assert "probe_logits" not in sources["harness"] and "eigvalsh" not in sources["harness"]
 
 
-# public names that nothing outside the tests reaches, each with its reason
-UNREACHED_ALLOWED = {
-    "autodiff.hvp": "the exact Hessian-vector product that the HVP tests compare "
-                    "against; the two-layer head on the roadmap is its production caller",
-}
-
-
 def test_every_public_name_is_reached_outside_the_tests():
     """Every public top-level function and class of `src/corlab`, and every
     public method, is referenced from outside `tests/`: from `src` itself,
@@ -336,7 +329,8 @@ def test_every_public_name_is_reached_outside_the_tests():
     name their targets as strings); references inside the definition itself,
     such as a recursive call, do not count.  Matching is by name, so a method
     shares its reach with every other method, function or attribute of the
-    same name."""
+    same name.  No public name is exempt: a reference that only the tests
+    need, such as the engine's Hessian-vector product, lives under `tests/`."""
     def names(tree):
         for node in ast.walk(tree):
             if isinstance(node, ast.Name):
@@ -366,7 +360,7 @@ def test_every_public_name_is_reached_outside_the_tests():
                     if refs[d.name] == Counter(names(d))[d.name]:
                         unreached.add(name)
     assert {"optim._Problem.curvature", "optim.probe_logits"} <= public and len(public) > 100
-    assert unreached == set(UNREACHED_ALLOWED)
+    assert unreached == set()
 
 
 # -- feature pipeline ---------------------------------------------------------------
@@ -1037,17 +1031,34 @@ def test_verify_theorem_campaign_is_the_same_at_any_chunk_size(monkeypatch, seed
 def test_campaign_instances_grouped_by_shape_equal_the_same_instances_alone(monkeypatch):
     # the campaign's draws, evaluated in (C, F) groups of up to the cap,
     # against each instance drawn by SoftmaxRegression.random and
-    # evaluated alone
-    stack, groups = sr.SoftmaxGroup.stack, []
+    # evaluated alone.  Each group takes one `spectral_estimates` and then
+    # one `trace_xi_direct`, so the two recorded sequences pair up, and the
+    # estimates' steps key them by instance
+    stack, spectral = sr.SoftmaxGroup.stack, dg.spectral_estimates
+    xi = sr.SoftmaxGroup.trace_xi_direct
+    groups, estimates, xis = [], [], []
 
     def recorded(instances):
         groups.append((len(instances), {W.shape for _, _, W in instances}))
         return stack(instances)
 
+    def recorded_estimates(*args):
+        estimates.extend(out := spectral(*args))
+        return out
+
+    def recorded_xi(self):
+        xis.extend((out := xi(self)).tolist())
+        return out
+
     monkeypatch.setattr(sr.SoftmaxGroup, "stack", staticmethod(recorded))
+    monkeypatch.setattr(dg, "spectral_estimates", recorded_estimates)
+    monkeypatch.setattr(sr.SoftmaxGroup, "trace_xi_direct", recorded_xi)
+    hn.verify_theorem_campaign(200, 0)
+    by_step = {est.step: (est, xi_direct) for est, xi_direct in zip(estimates, xis, strict=True)}
+    assert sorted(by_step) == list(range(200))
     rng = np.random.default_rng(np.random.SeedSequence(0, spawn_key=(3,)))
     shapes = []
-    for i, (est, xi_direct) in enumerate(hn._campaign_estimates(200, 0)):
+    for i, (est, xi_direct) in sorted(by_step.items()):
         inst = sr.SoftmaxRegression.random(
             rng, n_samples=int(rng.integers(4, 40)), n_classes=int(rng.integers(2, 6)),
             n_features=int(rng.integers(2, 11)))

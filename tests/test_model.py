@@ -349,6 +349,18 @@ def test_encode_corit_validation():
             enc.encode_corit(x, 0.0, [regions[0], bad, regions[2]], alpha=0.5, l_mid=1)
 
 
+def test_encode_corit_refuses_a_missing_offset_before_any_block_runs(monkeypatch):
+    # with regions a None offset would leave the region pass without a
+    # counterpart stream, failing inside a pool thread
+    enc = md.FrozenEncoder(CFG)
+    ran = []
+    monkeypatch.setattr(enc, "_block", lambda *args: ran.append(args))
+    for regions in (rg.grid_partition(16), []):
+        with pytest.raises(ValueError, match="^offset must be an array"):
+            enc.encode_corit(sample_tokens(), None, regions, alpha=0.5, l_mid=1)
+    assert ran == []
+
+
 def test_encoders_are_exact_under_any_sample_split():
     # fixed sample blocks run through every layer, block calls and region
     # pass alike; neither may mix samples, so splits change no bit

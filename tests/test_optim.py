@@ -9,6 +9,7 @@ import pytest
 from corlab import autodiff as ad
 from corlab import diagnostics as dg
 from corlab import optim as op
+from hvp_reference import hvp
 
 
 def small_quadratic_and_offsets(seed=0, n=12, dim=3):
@@ -194,7 +195,7 @@ def test_logistic_closed_forms_match_engine():
     data = (prob.features, prob.labels)
     H = prob.dense_hessian(w)
     for k, e in enumerate(np.eye(prob.dim)):
-        assert np.allclose(ad.hvp(bce_graph, pv, data, e), H[:, k], rtol=1e-12, atol=1e-15)
+        assert np.allclose(hvp(bce_graph, pv, data, e), H[:, k], rtol=1e-12, atol=1e-15)
     assert np.allclose(prob.loss_and_grad(w)[1], prob.per_sample_grads(w).mean(axis=0),
                        rtol=1e-12, atol=1e-15)
 
@@ -419,6 +420,58 @@ def test_overflowing_update_fails_its_own_step():
     w = np.zeros(2)
     w1, rec = op.sgd_step(prob, w, None, 1e306)
     assert rec.failed and w1 is w
+
+
+# -- the origin saddle ------------------------------------------------------------------
+
+class OriginSaddle:
+    """f(u, v) = -s u v from the balanced start u = v = a0, one sample, for
+    `op.run`; the origin is its one stationary point, a saddle."""
+
+    n_samples = 1
+
+    def __init__(self, s, a0):
+        self.s, self.a0 = s, a0
+
+    def init_params(self):
+        return np.array([self.a0, self.a0])
+
+    def grad(self, w, batch_idx=None):
+        return -self.s * w[::-1]
+
+    def loss_and_grad(self, w, batch_idx=None):
+        return -self.s * w[0] * w[1], self.grad(w)
+
+
+def test_sam_on_the_origin_saddle_follows_its_closed_form():
+    # a normalized SAM step from u = v = a is a <- a + eta s (a - sign(a) rho/sqrt 2)
+    # (Kim et al., arXiv 2301.06308): a run escapes from above rho/sqrt 2,
+    # geometrically, and from below falls onto the saddle, where it stays
+    # within eta s rho/sqrt 2 of the origin
+    s, eta, rho = 1.0, 0.1, 1.0
+    edge = rho / np.sqrt(2.0)
+
+    def trajectory(a0, steps):
+        ws = []
+        w, failed = op.run(OriginSaddle(s, a0),
+                           op.SamConfig(rho=rho, learning_rate=eta, batch_size=1, steps=steps),
+                           lambda t, w, rec: ws.append(w))
+        assert failed is None
+        ws = np.array([*ws, w])
+        assert np.array_equal(ws[:, 0], ws[:, 1])        # u and v stay balanced
+        return ws[:, 0]
+
+    a0 = 1.1 * edge
+    a = trajectory(a0, 50)
+    np.testing.assert_allclose(a, edge + (a0 - edge) * (1.0 + eta * s) ** np.arange(51),
+                               rtol=5e-15, atol=0.0)
+    a = trajectory(1.01 * edge, 300)
+    assert np.all(np.diff(a) > 0) and a[-1] > 1e3
+    for k in (0.5, 0.9, 0.99):
+        a = trajectory(k * edge, 300)
+        crossed = np.flatnonzero(a < 0)
+        assert crossed.size and np.all(np.diff(a[:crossed[0]]) < 0)
+        assert np.abs(a[crossed[0]:]).max() <= eta * s * edge
 
 
 # -- batch sampler ---------------------------------------------------------------------
